@@ -4,6 +4,11 @@ braid groups, and pure loop braid groups.
 
 Everything runs over the rationals with exact arithmetic; no floating point
 appears anywhere in a verdict.
+
+Tuples on hot paths are built from lists, not generators.  CPython resizes a
+tuple built from a generator after allocating it, and files the freed result
+in a per-size free list that only a full garbage collection empties; long
+runs of small operations grew the process by megabytes that way.
 """
 
 from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError
@@ -56,7 +61,7 @@ from .characters import (
     span_contains,
 )
 from .obstruction import DeadSubspace, ObstructionReport, WitnessPair, run_obstruction
-from . import braid, cli, loop, raag
+from . import braid, loop, raag
 
 __all__ = [
     "BnsError",
@@ -79,7 +84,6 @@ __all__ = [
     "abelianize",
     "braid",
     "canonical_class",
-    "cli",
     "closed_star",
     "connected_components",
     "dead_support",

@@ -10,190 +10,28 @@ there is additionally one exceptional two-dimensional subspace.
 The three-strand group is (free of rank 2) x (center), generated by the
 first two bands with the full twist central; that model reduces projected
 words far enough to certify free subgroups.
+
+The computations themselves are shared with pure loop braid groups in
+`bnskit.projection`; this module is the family's entry there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
-
-from .characters import Character, GeneratorBasis, make_character
-from .errors import DomainError, InputError, PreconditionError
-from .obstruction import (
-    DeadSubspace,
-    ObstructionReport,
-    WitnessPair,
-    run_obstruction,
+from .characters import Character
+from .errors import InputError
+from .projection import (  # IN, OUT, PROJECTION and ZERO are re-exported
+    IN,
+    OUT,
+    PROJECTION,
+    ZERO,
+    BaseGroup,
+    ProjectionFamily,
+    ProjectionVerdict,
 )
 from .words import F2ZElement, Word, f2z, f2z_multiply
 
-IN = "in"
-OUT = "out"
-
-ZERO = "zero"
-PROJECTION = "projection"
-
 PB3_SUM = "pb3-sum"
 PB4_EXCEPTIONAL = "pb4-exceptional"
-
-
-class PureBraidBasis:
-    """Generator bookkeeping for the pure braid group on n >= 3 strands."""
-
-    def __init__(self, n: int):
-        if n < 3:
-            raise PreconditionError("pure braid computations need at least 3 strands")
-        self.n = n
-        self.pairs = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
-        self.names = tuple(f"S({i},{j})" for i, j in self.pairs)
-        self.generators = GeneratorBasis(self.names)
-        self._index = {pair: k for k, pair in enumerate(self.pairs)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.pairs)
-
-    def index(self, i: int, j: int) -> int:
-        # a band is an unordered pair of strands
-        try:
-            return self._index[(min(i, j), max(i, j))]
-        except KeyError:
-            raise InputError(f"no band generator S({i},{j})") from None
-
-    def name(self, i: int, j: int) -> str:
-        return self.names[self.index(i, j)]
-
-
-def _check_basis(basis: PureBraidBasis, c: Character) -> None:
-    if c.basis != basis.generators:
-        raise InputError("character is not over this strand count's generators")
-
-
-def _kept_tuple(n: int, kept: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(kept)))
-    if any(i < 1 or i > n for i in out):
-        raise InputError("kept strands must lie in 1..n")
-    return out
-
-
-def project_character(n: int, kept: Sequence[int], c: Character) -> Optional[Character]:
-    """Restriction of c to the braid group on the kept strands, if it exists.
-
-    Deleting the other strands is a homomorphism; the character factors
-    through it exactly when it vanishes on every band touching a deleted
-    strand.  Kept strands are relabeled 1..m preserving order.
-    """
-    basis = PureBraidBasis(n)
-    _check_basis(basis, c)
-    kept_t = _kept_tuple(n, kept)
-    if len(kept_t) < 3:
-        raise InputError("a pure braid projection needs at least 3 kept strands")
-    kept_set = set(kept_t)
-    relabel = {s: a + 1 for a, s in enumerate(kept_t)}
-    target = PureBraidBasis(len(kept_t))
-    values = [Fraction(0)] * target.dim
-    for (i, j), value in zip(basis.pairs, c.values):
-        if i in kept_set and j in kept_set:
-            values[target.index(relabel[i], relabel[j])] = value
-        elif value != 0:
-            return None
-    return Character(target.generators, tuple(values))
-
-
-def pb3_dead(c: Character) -> bool:
-    """Dead characters of the 3-strand group: the three values sum to zero."""
-    basis = PureBraidBasis(3)
-    _check_basis(basis, c)
-    return sum(c.values, Fraction(0)) == 0
-
-
-def _pb4_exceptional(c: Character) -> bool:
-    basis = PureBraidBasis(4)
-    s12, s13, s14, s23, s24, s34 = (
-        c.values[basis.index(*p)]
-        for p in ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-    )
-    return (
-        s12 == s34
-        and s13 == s24
-        and s14 == s23
-        and s12 + s13 + s14 == 0
-    )
-
-
-def pb4_dead(c: Character) -> bool:
-    """Dead characters of the 4-strand group.
-
-    Either some 3-strand projection exists and is dead, or the four
-    exceptional equations hold.
-    """
-    basis = PureBraidBasis(4)
-    _check_basis(basis, c)
-    for kept in combinations((1, 2, 3, 4), 3):
-        induced = project_character(4, kept, c)
-        if induced is not None and pb3_dead(induced):
-            return True
-    return _pb4_exceptional(c)
-
-
-@dataclass(frozen=True)
-class PBSigmaVerdict:
-    """Membership verdict; outside verdicts carry their projection witness."""
-
-    status: str
-    witness: Optional[str] = None
-    kept: Optional[tuple[int, ...]] = None
-    base: Optional[str] = None
-
-    @property
-    def inside(self) -> bool:
-        return self.status == IN
-
-
-def sigma_membership(n: int, c: Character) -> PBSigmaVerdict:
-    """First dead projection in (size, lex) order over 3- then 4-strand sets.
-
-    A 4-strand set only needs the exceptional equations: deadness through a
-    further 3-strand projection would already have been found directly.
-    """
-    basis = PureBraidBasis(n)
-    _check_basis(basis, c)
-    if c.is_zero():
-        return PBSigmaVerdict(OUT, ZERO)
-    strands = tuple(range(1, n + 1))
-    for kept in combinations(strands, 3):
-        induced = project_character(n, kept, c)
-        if induced is not None and pb3_dead(induced):
-            return PBSigmaVerdict(OUT, PROJECTION, kept, PB3_SUM)
-    if n >= 4:
-        for kept in combinations(strands, 4):
-            induced = project_character(n, kept, c)
-            if induced is not None and _pb4_exceptional(induced):
-                return PBSigmaVerdict(OUT, PROJECTION, kept, PB4_EXCEPTIONAL)
-    return PBSigmaVerdict(IN)
-
-
-def project_word(n: int, kept: Sequence[int], w: Word) -> Word:
-    """Delete strands from a word: bands touching a deleted strand vanish."""
-    basis = PureBraidBasis(n)
-    if w.alphabet != basis.names:
-        raise InputError("word alphabet is not over this strand count's generators")
-    kept_t = _kept_tuple(n, kept)
-    if len(kept_t) < 3:
-        raise InputError("a pure braid projection needs at least 3 kept strands")
-    kept_set = set(kept_t)
-    relabel = {s: a + 1 for a, s in enumerate(kept_t)}
-    target = PureBraidBasis(len(kept_t))
-    pair_of = dict(zip(basis.names, basis.pairs))
-    letters = []
-    for name, sign in w.letters:
-        i, j = pair_of[name]
-        if i in kept_set and j in kept_set:
-            letters.append((target.name(relabel[i], relabel[j]), sign))
-    return Word(target.names, letters)
-
 
 _PB3_IMAGES = {
     "S(1,2)": f2z(["A"]),
@@ -213,8 +51,7 @@ def pb3_reduce(w: Word) -> F2ZElement:
     >>> (str(z.free_part), z.central)
     ('1', 1)
     """
-    basis = PureBraidBasis(3)
-    if w.alphabet != basis.names:
+    if w.alphabet != PureBraidBasis(3).names:
         raise InputError("word alphabet is not over the 3-strand generators")
     acc = f2z([])
     for name, sign in w.letters:
@@ -225,127 +62,56 @@ def pb3_reduce(w: Word) -> F2ZElement:
     return acc
 
 
-def _band_word(basis: PureBraidBasis, *bands: tuple[int, int, int]) -> Word:
-    return Word(
-        basis.names,
-        [(basis.name(min(i, j), max(i, j)), sign) for i, j, sign in bands],
-    )
+FAMILY = ProjectionFamily(
+    group="pure braid",
+    unit="strand",
+    letter="S",
+    ordered=False,
+    small=BaseGroup(
+        PB3_SUM,
+        3,
+        # the three values sum to zero
+        ({(1, 2): 1, (1, 3): 1, (2, 3): 1},),
+        {(1, 2): 1, (1, 3): 1, (2, 3): -2},
+    ),
+    large=BaseGroup(
+        PB4_EXCEPTIONAL,
+        4,
+        # opposite bands agree and the bands at strand 1 sum to zero
+        (
+            {(1, 2): 1, (3, 4): -1},
+            {(1, 3): 1, (2, 4): -1},
+            {(1, 4): 1, (2, 3): -1},
+            {(1, 2): 1, (1, 3): 1, (1, 4): 1},
+        ),
+        {(1, 2): 1, (1, 3): 1, (1, 4): -2, (2, 3): -2, (2, 4): 1, (3, 4): 1},
+    ),
+    # the two equation differences project to the free generators on {1,2,3}
+    exceptional_pair=(((1, 2, 1), (3, 4, -1)), ((1, 3, 1), (2, 4, -1))),
+    # the bands from j to the two least kept strands
+    free_pair=lambda j, kept: ((j, kept[0]), (j, kept[1])),
+    reduce=pb3_reduce,
+)
+
+PureBraidBasis = FAMILY.basis
+PBSigmaVerdict = ProjectionVerdict
+project_character = FAMILY.project_character
+project_word = FAMILY.project_word
+sigma_membership = FAMILY.sigma_membership
+witness_pair = FAMILY.witness_pair
+dead_subspaces = FAMILY.dead_subspaces
+nf_obstruction_demo = FAMILY.nf_obstruction_demo
 
 
-def witness_pair(n: int, c: Character) -> WitnessPair:
-    """Two kernel words of c whose 3-strand projections generate freely.
+def pb3_dead(c: Character) -> bool:
+    """Dead characters of the 3-strand group: the three values sum to zero."""
+    return not sigma_membership(3, c).inside
 
-    For a projection witness with a deleted strand j, the bands from j to the
-    two least kept strands die under c and project to distinct free
-    generators.  The exceptional 4-strand subspace instead uses the two
-    equation differences.  Needs n >= 4 and an outside, nonzero character.
+
+def pb4_dead(c: Character) -> bool:
+    """Dead characters of the 4-strand group.
+
+    Either some 3-strand projection exists and is dead, or the four
+    exceptional equations hold.
     """
-    if n < 4:
-        raise PreconditionError("witness pairs need at least 4 strands")
-    verdict = sigma_membership(n, c)
-    if verdict.inside:
-        raise DomainError("the character is inside the invariant; no witness exists")
-    if verdict.witness == ZERO:
-        raise DomainError("the zero character does not admit a witness pair")
-    basis = PureBraidBasis(n)
-    kept = verdict.kept
-    if len(kept) == n:
-        # exceptional subspace on all four strands
-        u = _band_word(basis, (1, 2, 1), (3, 4, -1))
-        v = _band_word(basis, (1, 3, 1), (2, 4, -1))
-        return WitnessPair(u, v, (1, 2, 3))
-    deleted = [s for s in range(1, n + 1) if s not in kept]
-    j = deleted[0]
-    p, q = kept[0], kept[1]
-    u = _band_word(basis, (j, p, 1))
-    v = _band_word(basis, (j, q, 1))
-    return WitnessPair(u, v, tuple(sorted((j, p, q))))
-
-
-def dead_subspaces(n: int) -> list[DeadSubspace]:
-    """The finite union of subspaces making up the dead set, as equations.
-
-    One subspace per 3-strand set (bands touching deleted strands vanish and
-    the three surviving values sum to zero) and one per 4-strand set (the
-    exceptional equations, relabeled).
-    """
-    basis = PureBraidBasis(n)
-    strands = tuple(range(1, n + 1))
-    out = []
-
-    def unit(i: int, j: int) -> tuple[int, ...]:
-        row = [0] * basis.dim
-        row[basis.index(i, j)] = 1
-        return tuple(row)
-
-    def vanishing(kept_set: set[int]) -> list[tuple[int, ...]]:
-        return [
-            unit(i, j)
-            for i, j in basis.pairs
-            if i not in kept_set or j not in kept_set
-        ]
-
-    for kept in combinations(strands, 3):
-        eqs = vanishing(set(kept))
-        total = [0] * basis.dim
-        for i, j in combinations(kept, 2):
-            total[basis.index(i, j)] = 1
-        eqs.append(tuple(total))
-        out.append(DeadSubspace(PB3_SUM, kept, tuple(eqs)))
-    if n >= 4:
-        for kept in combinations(strands, 4):
-            t1, t2, t3, t4 = kept
-            eqs = vanishing(set(kept))
-            for (a, b), (x, y) in (
-                ((t1, t2), (t3, t4)),
-                ((t1, t3), (t2, t4)),
-                ((t1, t4), (t2, t3)),
-            ):
-                row = [0] * basis.dim
-                row[basis.index(a, b)] = 1
-                row[basis.index(x, y)] = -1
-                eqs.append(tuple(row))
-            row = [0] * basis.dim
-            for pair in ((t1, t2), (t1, t3), (t1, t4)):
-                row[basis.index(*pair)] = 1
-            eqs.append(tuple(row))
-            out.append(DeadSubspace(PB4_EXCEPTIONAL, kept, tuple(eqs)))
-    return out
-
-
-def _sample_dead_character(n: int, sub: DeadSubspace) -> Character:
-    basis = PureBraidBasis(n)
-    if sub.kind == PB3_SUM:
-        t1, t2, t3 = sub.kept
-        return make_character(
-            basis.generators,
-            {basis.name(t1, t2): 1, basis.name(t1, t3): 1, basis.name(t2, t3): -2},
-        )
-    t1, t2, t3, t4 = sub.kept
-    return make_character(
-        basis.generators,
-        {
-            basis.name(t1, t2): 1,
-            basis.name(t1, t3): 1,
-            basis.name(t1, t4): -2,
-            basis.name(t2, t3): -2,
-            basis.name(t2, t4): 1,
-            basis.name(t3, t4): 1,
-        },
-    )
-
-
-def nf_obstruction_demo(n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
-    """Either certify a killing character alive on both rays, or exhibit the
-    covering dead subspace together with its free-subgroup witness pair."""
-    if n < 4:
-        raise PreconditionError("the obstruction demonstration needs at least 4 strands")
-    basis = PureBraidBasis(n)
-    return run_obstruction(
-        basis.generators,
-        vectors,
-        dead_subspaces(n),
-        lambda sub: _sample_dead_character(n, sub),
-        lambda c: sigma_membership(n, c),
-        lambda c: witness_pair(n, c),
-    )
+    return not sigma_membership(4, c).inside

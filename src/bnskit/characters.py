@@ -57,7 +57,7 @@ class Character:
         if len(self.values) != self.basis.dim:
             raise InputError("character length does not match basis dimension")
         object.__setattr__(
-            self, "values", tuple(Fraction(v) for v in self.values)
+            self, "values", tuple([Fraction(v) for v in self.values])
         )
 
     def __call__(self, name: str) -> Fraction:
@@ -68,7 +68,7 @@ class Character:
 
     def scaled(self, q: Fraction | int) -> "Character":
         q = Fraction(q)
-        return Character(self.basis, tuple(v * q for v in self.values))
+        return Character(self.basis, tuple([v * q for v in self.values]))
 
     def negated(self) -> "Character":
         return self.scaled(-1)
@@ -83,20 +83,25 @@ class Character:
 def make_character(
     basis: GeneratorBasis, assignments: dict[str, Fraction | int]
 ) -> Character:
-    """Build a character from a sparse name -> value mapping."""
+    """Build a character from a sparse name -> value mapping.
+
+    Values must be exact: a float or a bool is rejected, not converted.
+    """
     values = [Fraction(0)] * basis.dim
     for name, value in assignments.items():
+        if isinstance(value, (bool, float)):
+            raise InputError(f"value of {name!r} must be exact, got {type(value).__name__}")
         values[basis.index(name)] = Fraction(value)
     return Character(basis, tuple(values))
 
 
 def dead_support(c: Character) -> tuple[str, ...]:
     """Generators on which the character vanishes, in basis order."""
-    return tuple(n for n, v in zip(c.basis.names, c.values) if v == 0)
+    return tuple([n for n, v in zip(c.basis.names, c.values) if v == 0])
 
 
 def live_support(c: Character) -> tuple[str, ...]:
-    return tuple(n for n, v in zip(c.basis.names, c.values) if v != 0)
+    return tuple([n for n, v in zip(c.basis.names, c.values) if v != 0])
 
 
 def abelianize(basis: GeneratorBasis, w: Word) -> Row:
@@ -239,7 +244,7 @@ def saturate(basis: GeneratorBasis, vectors: Iterable[Sequence[int]]) -> Saturat
         if len(v) != basis.dim:
             raise InputError("vector length does not match basis dimension")
         for a in v:
-            if not isinstance(a, int):
+            if not isinstance(a, int) or isinstance(a, bool):
                 raise InputError("saturate expects integer vectors")
     orthogonal = integer_kernel(vectors, basis.dim)
     return SaturatedLattice(basis, integer_kernel(orthogonal, basis.dim))
@@ -268,7 +273,7 @@ def kill_character(lattice: SaturatedLattice) -> VectorCharacter:
     basis = lattice.basis
     rows = integer_kernel(lattice.rows, basis.dim)
     chars = tuple(
-        Character(basis, tuple(Fraction(a) for a in row)) for row in rows
+        [Character(basis, tuple([Fraction(a) for a in row])) for row in rows]
     )
     return VectorCharacter(basis, chars)
 
@@ -284,7 +289,7 @@ def canonical_class(c: Character) -> Character:
     denom = lcm(*(v.denominator for v in c.values))
     ints = [int(v * denom) for v in c.values]
     g = gcd(*ints)
-    return Character(c.basis, tuple(Fraction(a // g) for a in ints))
+    return Character(c.basis, tuple([Fraction(a // g) for a in ints]))
 
 
 @dataclass(frozen=True)
@@ -312,7 +317,7 @@ def _integer_basis(
                 raise InputError("spanning character over the wrong basis")
             values = row.values
         else:
-            values = tuple(Fraction(x) for x in row)
+            values = tuple([Fraction(x) for x in row])
             if len(values) != basis.dim:
                 raise InputError("spanning vector length does not match basis dimension")
         denom = lcm(1, *(v.denominator for v in values))
@@ -362,6 +367,6 @@ def generic_point_avoiding(
         ]
         if not any(satisfies(candidate, eqs) for eqs in bad):
             return GenericPoint(
-                Character(basis, tuple(Fraction(a) for a in candidate)), None
+                Character(basis, tuple([Fraction(a) for a in candidate])), None
             )
         t += 1

@@ -9,6 +9,7 @@ get byte-stable output.  A file argument of - reads standard input.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -19,8 +20,8 @@ from . import braid, loop, raag
 from .characters import Character, GeneratorBasis, abelianize
 from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError
 from .graphs import Graph, is_clique, is_connected, min_separating_clique_witness, out_finiteness_predicates
-from .obstruction import CERTIFICATE, ObstructionReport, WitnessPair
-from .words import Word, f2z, f2z_generate_free
+from .obstruction import CERTIFICATE
+from .words import Word, f2z_generate_free
 
 
 class UsageError(BnsError):
@@ -150,7 +151,7 @@ def parse_words_file(text: str, alphabet: Sequence[str]) -> list[Word]:
 def parse_vector_file(text: str, basis: GeneratorBasis) -> tuple[int, ...]:
     """An integer vector in character syntax: 'name = k' lines."""
     c = parse_character_file(text, basis, integers_only=True)
-    return tuple(int(v) for v in c.values)
+    return tuple([int(v) for v in c.values])
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ class RenderedReport:
 
 
 def _report(lines: Sequence[str], porcelain: dict[str, str], code: int = 0) -> RenderedReport:
-    rendered = tuple(f"{key}={porcelain[key]}" for key in sorted(porcelain))
+    rendered = tuple([f"{key}={porcelain[key]}" for key in sorted(porcelain)])
     return RenderedReport("\n".join(lines), rendered, code)
 
 
@@ -232,13 +233,15 @@ def _error_report(code: int, message: str) -> RenderedReport:
 
 
 def _read_file(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "rb") as handle:
+            return handle.read().decode("utf-8")
     except OSError as e:
         raise UsageError(f"cannot read {path!r}: {e.strerror or e}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {path!r}: not valid UTF-8") from None
 
 
 def _cmd_graph_analyze(args) -> RenderedReport:
@@ -377,15 +380,13 @@ def _cmd_raag_compare(args) -> RenderedReport:
     return _report(lines, porcelain)
 
 
-def _braid_character(args) -> tuple[braid.PureBraidBasis, Character]:
-    basis = braid.PureBraidBasis(args.n)
-    c = parse_character_file(_read_file(args.character), basis.generators)
-    return basis, c
+def _projection_character(args) -> Character:
+    basis = args.module.FAMILY.basis(args.n)
+    return parse_character_file(_read_file(args.character), basis.generators)
 
 
-def _cmd_braid_sigma(args) -> RenderedReport:
-    _, c = _braid_character(args)
-    verdict = braid.sigma_membership(args.n, c)
+def _cmd_projection_sigma(args) -> RenderedReport:
+    verdict = args.module.sigma_membership(args.n, _projection_character(args))
     porcelain = {"status": verdict.status}
     if not verdict.inside:
         porcelain["witness"] = verdict.witness
@@ -395,29 +396,16 @@ def _cmd_braid_sigma(args) -> RenderedReport:
     return _report([_proj_verdict_human(verdict, args.n)], porcelain)
 
 
-def _witness_soundness(
-    c: Character,
-    pair: WitnessPair,
-    project,
-    reduce_free,
-) -> tuple[Fraction, Fraction, bool]:
-    basis = c.basis
-    pairing_u = c.pair(abelianize(basis, pair.u))
-    pairing_v = c.pair(abelianize(basis, pair.v))
-    image_u = reduce_free(project(pair.u, pair.designated))
-    image_v = reduce_free(project(pair.v, pair.designated))
-    return pairing_u, pairing_v, f2z_generate_free(image_u, image_v)
-
-
-def _cmd_braid_witness(args) -> RenderedReport:
-    _, c = _braid_character(args)
-    pair = braid.witness_pair(args.n, c)
-    pairing_u, pairing_v, free = _witness_soundness(
-        c,
-        pair,
-        lambda w, kept: braid.project_word(args.n, kept, w),
-        braid.pb3_reduce,
-    )
+def _cmd_projection_witness(args) -> RenderedReport:
+    module = args.module
+    c = _projection_character(args)
+    pair = module.witness_pair(args.n, c)
+    # the pair is sound when both words die under c and their images in the
+    # small base group generate a free subgroup
+    image = lambda w: module.FAMILY.reduce(module.project_word(args.n, pair.designated, w))
+    pairing_u = c.pair(abelianize(c.basis, pair.u))
+    pairing_v = c.pair(abelianize(c.basis, pair.v))
+    free = f2z_generate_free(image(pair.u), image(pair.v))
     porcelain = {
         "u": str(pair.u),
         "v": str(pair.v),
@@ -429,28 +417,19 @@ def _cmd_braid_witness(args) -> RenderedReport:
     lines = [
         f"u: {pair.u}",
         f"v: {pair.v}",
-        f"designated strands: {_fmt_braced(str(i) for i in pair.designated)}",
+        f"designated {module.FAMILY.unit}s: {_fmt_braced(str(i) for i in pair.designated)}",
         f"character pairing: {pairing_u}, {pairing_v}",
         f"projected images generate freely: {_fmt_bool(free)}",
     ]
     return _report(lines, porcelain)
 
 
-_BRAID_NOTE = (
-    "the full braid group abelianizes to a single infinite cyclic group, so "
-    "its character sphere is two points killing the whole commutator "
-    "subgroup; pure braid characters carry the content"
-)
-
-_LOOP_NOTE = (
-    "the full loop braid group has finite abelianization and therefore no "
-    "nonzero characters at all; pure loop braid characters carry the content"
-)
-
-
-def _obstruction_report(
-    report: ObstructionReport, verdict_human, note: str
-) -> RenderedReport:
+def _cmd_projection_obstruct(args) -> RenderedReport:
+    basis = args.module.FAMILY.basis(args.n)
+    vectors = [
+        parse_vector_file(_read_file(path), basis.generators) for path in args.vectors
+    ]
+    report = args.module.nf_obstruction_demo(args.n, vectors)
     porcelain = {"branch": report.branch, "character": _fmt_character(report.character)}
     lines = [f"branch: {report.branch}"]
     if report.branch == CERTIFICATE:
@@ -458,8 +437,8 @@ def _obstruction_report(
         porcelain["verdict_minus"] = _proj_verdict_compact(report.verdict_minus)
         lines += [
             f"character: {_fmt_character(report.character)}",
-            f"plus ray: {verdict_human(report.verdict_plus)}",
-            f"minus ray: {verdict_human(report.verdict_minus)}",
+            f"plus ray: {_proj_verdict_human(report.verdict_plus, args.n)}",
+            f"minus ray: {_proj_verdict_human(report.verdict_minus, args.n)}",
         ]
     else:
         kept = _fmt_set(str(i) for i in report.covering.kept)
@@ -475,80 +454,24 @@ def _obstruction_report(
             f"designated: {{{_fmt_set(str(i) for i in report.witness.designated)}}}",
         ]
     lines.append(f"guidance: {report.guidance}")
-    lines.append(f"note: {note}")
+    lines.append(f"note: {args.note}")
     return _report(lines, porcelain)
 
 
-def _cmd_braid_obstruct(args) -> RenderedReport:
-    basis = braid.PureBraidBasis(args.n)
-    vectors = [
-        parse_vector_file(_read_file(path), basis.generators) for path in args.vectors
-    ]
-    report = braid.nf_obstruction_demo(args.n, vectors)
-    return _obstruction_report(
-        report, lambda v: _proj_verdict_human(v, args.n), _BRAID_NOTE
-    )
-
-
-def _loop_character(args) -> tuple[loop.LoopBraidBasis, Character]:
-    basis = loop.LoopBraidBasis(args.n)
-    c = parse_character_file(_read_file(args.character), basis.generators)
-    return basis, c
-
-
-def _cmd_loop_sigma(args) -> RenderedReport:
-    _, c = _loop_character(args)
-    verdict = loop.sigma_membership(args.n, c)
-    porcelain = {"status": verdict.status}
-    if not verdict.inside:
-        porcelain["witness"] = verdict.witness
-        if verdict.kept is not None:
-            porcelain["kept"] = _fmt_set(str(i) for i in verdict.kept)
-            porcelain["base"] = verdict.base
-    return _report([_proj_verdict_human(verdict, args.n)], porcelain)
-
-
-def _cmd_loop_witness(args) -> RenderedReport:
-    _, c = _loop_character(args)
-    pair = loop.witness_pair(args.n, c)
-
-    def reduce_to_f2z(word_over_plb2):
-        reduced = loop.plb2_reduce(word_over_plb2)
-        return f2z(reduced.letters)
-
-    pairing_u, pairing_v, free = _witness_soundness(
-        c,
-        pair,
-        lambda w, kept: loop.project_word(args.n, kept, w),
-        reduce_to_f2z,
-    )
-    porcelain = {
-        "u": str(pair.u),
-        "v": str(pair.v),
-        "designated": _fmt_set(str(i) for i in pair.designated),
-        "pairing_u": str(pairing_u),
-        "pairing_v": str(pairing_v),
-        "free": _fmt_bool(free),
-    }
-    lines = [
-        f"u: {pair.u}",
-        f"v: {pair.v}",
-        f"designated loops: {_fmt_braced(str(i) for i in pair.designated)}",
-        f"character pairing: {pairing_u}, {pairing_v}",
-        f"projected images generate freely: {_fmt_bool(free)}",
-    ]
-    return _report(lines, porcelain)
-
-
-def _cmd_loop_obstruct(args) -> RenderedReport:
-    basis = loop.LoopBraidBasis(args.n)
-    vectors = [
-        parse_vector_file(_read_file(path), basis.generators) for path in args.vectors
-    ]
-    report = loop.nf_obstruction_demo(args.n, vectors)
-    return _obstruction_report(
-        report, lambda v: _proj_verdict_human(v, args.n), _LOOP_NOTE
-    )
+# command group -> (family module, note closing every obstruct report)
+_PROJECTION_GROUPS = {
+    "braid": (
+        braid,
+        "the full braid group abelianizes to a single infinite cyclic group, so "
+        "its character sphere is two points killing the whole commutator "
+        "subgroup; pure braid characters carry the content",
+    ),
+    "loop": (
+        loop,
+        "the full loop braid group has finite abelianization and therefore no "
+        "nonzero characters at all; pure loop braid characters carry the content",
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -560,77 +483,46 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on first use and kept for the process."""
     parser = _Parser(prog="bnskit", add_help=True)
     parser.add_argument("--porcelain", action="store_true", help="key=value output")
     groups = parser.add_subparsers(dest="group", required=True)
 
-    graph = groups.add_parser("graph", help="plain graph computations")
-    graph_cmds = graph.add_subparsers(dest="command", required=True)
-    analyze = graph_cmds.add_parser("analyze")
-    analyze.add_argument("graph")
-    analyze.set_defaults(handler=_cmd_graph_analyze)
+    def commands(name: str, help_text: str):
+        return groups.add_parser(name, help=help_text).add_subparsers(dest="command", required=True)
 
-    raag_p = groups.add_parser("raag", help="right-angled Artin groups")
-    raag_cmds = raag_p.add_subparsers(dest="command", required=True)
-    sigma = raag_cmds.add_parser("sigma")
-    sigma.add_argument("graph")
-    sigma.add_argument("character")
-    sigma.set_defaults(handler=_cmd_raag_sigma)
-    kill = raag_cmds.add_parser("kill")
-    kill.add_argument("graph")
-    kill.add_argument("words")
-    kill.set_defaults(handler=_cmd_raag_kill)
-    complement = raag_cmds.add_parser("complement")
-    complement.add_argument("graph")
-    complement.set_defaults(handler=_cmd_raag_complement)
-    split = raag_cmds.add_parser("split-report")
-    split.add_argument("--max-k", dest="max_k", type=int, required=True)
-    split.add_argument("graph")
-    split.set_defaults(handler=_cmd_raag_split_report)
-    compare = raag_cmds.add_parser("compare")
-    compare.add_argument("graph1")
-    compare.add_argument("graph2")
-    compare.set_defaults(handler=_cmd_raag_compare)
+    def command(group, name, handler, *operands, int_option=None, **defaults) -> None:
+        # an operand ending in * takes any number of files
+        sub = group.add_parser(name)
+        if int_option:
+            sub.add_argument(int_option, type=int, required=True)
+        for operand in operands:
+            sub.add_argument(operand.rstrip("*"), nargs="*" if operand.endswith("*") else None)
+        sub.set_defaults(handler=handler, **defaults)
 
-    braid_p = groups.add_parser("braid", help="pure braid groups")
-    braid_cmds = braid_p.add_subparsers(dest="command", required=True)
-    bsigma = braid_cmds.add_parser("sigma")
-    bsigma.add_argument("-n", type=int, required=True)
-    bsigma.add_argument("character")
-    bsigma.set_defaults(handler=_cmd_braid_sigma)
-    bwitness = braid_cmds.add_parser("witness")
-    bwitness.add_argument("-n", type=int, required=True)
-    bwitness.add_argument("character")
-    bwitness.set_defaults(handler=_cmd_braid_witness)
-    bobstruct = braid_cmds.add_parser("obstruct")
-    bobstruct.add_argument("-n", type=int, required=True)
-    bobstruct.add_argument("vectors", nargs="*")
-    bobstruct.set_defaults(handler=_cmd_braid_obstruct)
-
-    loop_p = groups.add_parser("loop", help="pure loop braid groups")
-    loop_cmds = loop_p.add_subparsers(dest="command", required=True)
-    lsigma = loop_cmds.add_parser("sigma")
-    lsigma.add_argument("-n", type=int, required=True)
-    lsigma.add_argument("character")
-    lsigma.set_defaults(handler=_cmd_loop_sigma)
-    lwitness = loop_cmds.add_parser("witness")
-    lwitness.add_argument("-n", type=int, required=True)
-    lwitness.add_argument("character")
-    lwitness.set_defaults(handler=_cmd_loop_witness)
-    lobstruct = loop_cmds.add_parser("obstruct")
-    lobstruct.add_argument("-n", type=int, required=True)
-    lobstruct.add_argument("vectors", nargs="*")
-    lobstruct.set_defaults(handler=_cmd_loop_obstruct)
+    graph = commands("graph", "plain graph computations")
+    command(graph, "analyze", _cmd_graph_analyze, "graph")
+    raag_cmds = commands("raag", "right-angled Artin groups")
+    command(raag_cmds, "sigma", _cmd_raag_sigma, "graph", "character")
+    command(raag_cmds, "kill", _cmd_raag_kill, "graph", "words")
+    command(raag_cmds, "complement", _cmd_raag_complement, "graph")
+    command(raag_cmds, "split-report", _cmd_raag_split_report, "graph", int_option="--max-k")
+    command(raag_cmds, "compare", _cmd_raag_compare, "graph1", "graph2")
+    for name, (module, note) in _PROJECTION_GROUPS.items():
+        family = commands(name, f"{module.FAMILY.group} groups")
+        command(family, "sigma", _cmd_projection_sigma, "character", int_option="-n", module=module, note=note)
+        command(family, "witness", _cmd_projection_witness, "character", int_option="-n", module=module, note=note)
+        command(family, "obstruct", _cmd_projection_obstruct, "vectors*", int_option="-n", module=module, note=note)
 
     return parser
 
 
 def run(argv: Sequence[str]) -> RenderedReport:
     """Parse and execute one invocation, capturing errors as exit codes."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parser().parse_args(list(argv))
     except UsageError as e:
         return _error_report(1, str(e))
     try:

@@ -14,6 +14,7 @@ from label semantics.  Conventions that the rest of the package relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Optional
 
@@ -50,9 +51,21 @@ class Graph:
             adjacency[b].add(a)
         self._adjacency = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
         self.edges = tuple(
-            (a, b)
-            for a, b in combinations(self.vertices, 2)
-            if b in self._adjacency[a]
+            [(a, b) for a, b in combinations(self.vertices, 2) if b in self._adjacency[a]]
+        )
+
+    @cached_property
+    def _nonadjacency(self) -> tuple[int, ...]:
+        # bit i of entry j: vertex i is neither vertex j nor adjacent to it
+        return tuple(
+            [
+                sum(
+                    1 << i
+                    for i, vi in enumerate(self.vertices)
+                    if i != j and vi not in self._adjacency[vj]
+                )
+                for j, vj in enumerate(self.vertices)
+            ]
         )
 
     def index(self, v: str) -> int:

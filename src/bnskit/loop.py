@@ -6,183 +6,33 @@ rank 2, so its whole character sphere is dead; for three indices the dead
 characters are the two-index projections together with one exceptional
 subspace where, for each target index, the values flowing into it sum to
 zero.  Larger index counts reduce to these by deleting indices.
+
+The computations themselves are shared with pure braid groups in
+`bnskit.projection`; this module is the family's entry there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from typing import Optional, Sequence
-
-from .characters import Character, GeneratorBasis, make_character
-from .errors import DomainError, InputError, PreconditionError
-from .obstruction import (
-    DeadSubspace,
-    ObstructionReport,
-    WitnessPair,
-    run_obstruction,
+from .characters import Character
+from .errors import InputError
+from .projection import (  # IN, OUT, PROJECTION and ZERO are re-exported
+    IN,
+    OUT,
+    PROJECTION,
+    ZERO,
+    BaseGroup,
+    ProjectionFamily,
+    ProjectionVerdict,
 )
-from .words import F2_ALPHABET, Word, free_reduce
-
-IN = "in"
-OUT = "out"
-
-ZERO = "zero"
-PROJECTION = "projection"
+from .words import F2_ALPHABET, Word, f2z, free_reduce
 
 PLB2_ALL = "plb2-all"
 PLB3_EQUATIONS = "plb3-equations"
 
 
-class LoopBraidBasis:
-    """Generator bookkeeping for the pure loop braid group on n >= 2 loops."""
-
-    def __init__(self, n: int):
-        if n < 2:
-            raise PreconditionError("pure loop braid computations need at least 2 loops")
-        self.n = n
-        self.pairs = tuple(
-            (i, j)
-            for i in range(1, n + 1)
-            for j in range(1, n + 1)
-            if i != j
-        )
-        self.names = tuple(f"A({i},{j})" for i, j in self.pairs)
-        self.generators = GeneratorBasis(self.names)
-        self._index = {pair: k for k, pair in enumerate(self.pairs)}
-
-    @property
-    def dim(self) -> int:
-        return len(self.pairs)
-
-    def index(self, i: int, j: int) -> int:
-        try:
-            return self._index[(i, j)]
-        except KeyError:
-            raise InputError(f"no loop generator A({i},{j})") from None
-
-    def name(self, i: int, j: int) -> str:
-        return self.names[self.index(i, j)]
-
-
-def _check_basis(basis: LoopBraidBasis, c: Character) -> None:
-    if c.basis != basis.generators:
-        raise InputError("character is not over this loop count's generators")
-
-
-def _kept_tuple(n: int, kept: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(kept)))
-    if any(i < 1 or i > n for i in out):
-        raise InputError("kept indices must lie in 1..n")
-    return out
-
-
-def project_character(n: int, kept: Sequence[int], c: Character) -> Optional[Character]:
-    """Restriction of c to the loop braid group on the kept indices, if any."""
-    basis = LoopBraidBasis(n)
-    _check_basis(basis, c)
-    kept_t = _kept_tuple(n, kept)
-    if len(kept_t) < 2:
-        raise InputError("a loop braid projection needs at least 2 kept indices")
-    kept_set = set(kept_t)
-    relabel = {s: a + 1 for a, s in enumerate(kept_t)}
-    target = LoopBraidBasis(len(kept_t))
-    values = [Fraction(0)] * target.dim
-    for (i, j), value in zip(basis.pairs, c.values):
-        if i in kept_set and j in kept_set:
-            values[target.index(relabel[i], relabel[j])] = value
-        elif value != 0:
-            return None
-    return Character(target.generators, tuple(values))
-
-
-def plb2_dead(c: Character) -> bool:
-    """The 2-loop group is free of rank 2: every character is dead."""
-    _check_basis(LoopBraidBasis(2), c)
-    return True
-
-
-def _plb3_equations(c: Character) -> bool:
-    basis = LoopBraidBasis(3)
-    value = lambda i, j: c.values[basis.index(i, j)]
-    return all(
-        sum((value(a, target) for a in (1, 2, 3) if a != target), Fraction(0)) == 0
-        for target in (1, 2, 3)
-    )
-
-
-def plb3_dead(c: Character) -> bool:
-    """Dead when a 2-index projection exists, or the inflow equations hold."""
-    basis = LoopBraidBasis(3)
-    _check_basis(basis, c)
-    for kept in combinations((1, 2, 3), 2):
-        if project_character(3, kept, c) is not None:
-            return True
-    return _plb3_equations(c)
-
-
-@dataclass(frozen=True)
-class PLBSigmaVerdict:
-    """Membership verdict; outside verdicts carry their projection witness."""
-
-    status: str
-    witness: Optional[str] = None
-    kept: Optional[tuple[int, ...]] = None
-    base: Optional[str] = None
-
-    @property
-    def inside(self) -> bool:
-        return self.status == IN
-
-
-def sigma_membership(n: int, c: Character) -> PLBSigmaVerdict:
-    """First dead projection in (size, lex) order over 2- then 3-index sets.
-
-    A 2-index projection is dead as soon as it exists; a 3-index set only
-    needs the inflow equations, since equation-free deadness would factor
-    through a 2-index projection found earlier.
-    """
-    basis = LoopBraidBasis(n)
-    _check_basis(basis, c)
-    if c.is_zero():
-        return PLBSigmaVerdict(OUT, ZERO)
-    indices = tuple(range(1, n + 1))
-    for kept in combinations(indices, 2):
-        if project_character(n, kept, c) is not None:
-            return PLBSigmaVerdict(OUT, PROJECTION, kept, PLB2_ALL)
-    if n >= 3:
-        for kept in combinations(indices, 3):
-            induced = project_character(n, kept, c)
-            if induced is not None and _plb3_equations(induced):
-                return PLBSigmaVerdict(OUT, PROJECTION, kept, PLB3_EQUATIONS)
-    return PLBSigmaVerdict(IN)
-
-
-def project_word(n: int, kept: Sequence[int], w: Word) -> Word:
-    """Delete indices from a word: moves touching a deleted index vanish."""
-    basis = LoopBraidBasis(n)
-    if w.alphabet != basis.names:
-        raise InputError("word alphabet is not over this loop count's generators")
-    kept_t = _kept_tuple(n, kept)
-    if len(kept_t) < 2:
-        raise InputError("a loop braid projection needs at least 2 kept indices")
-    kept_set = set(kept_t)
-    relabel = {s: a + 1 for a, s in enumerate(kept_t)}
-    target = LoopBraidBasis(len(kept_t))
-    pair_of = dict(zip(basis.names, basis.pairs))
-    letters = []
-    for name, sign in w.letters:
-        i, j = pair_of[name]
-        if i in kept_set and j in kept_set:
-            letters.append((target.name(relabel[i], relabel[j]), sign))
-    return Word(target.names, letters)
-
-
 def plb2_reduce(w: Word) -> Word:
     """Image of a 2-loop word in the free group on A, B, freely reduced."""
-    basis = LoopBraidBasis(2)
-    if w.alphabet != basis.names:
+    if w.alphabet != LoopBraidBasis(2).names:
         raise InputError("word alphabet is not over the 2-loop generators")
     image = {"A(1,2)": "A", "A(2,1)": "B"}
     return free_reduce(
@@ -190,107 +40,46 @@ def plb2_reduce(w: Word) -> Word:
     )
 
 
-def _move_word(basis: LoopBraidBasis, *moves: tuple[int, int, int]) -> Word:
-    return Word(basis.names, [(basis.name(i, j), sign) for i, j, sign in moves])
+FAMILY = ProjectionFamily(
+    group="pure loop braid",
+    unit="loop",
+    letter="A",
+    ordered=True,
+    # free of rank 2: every character is dead
+    small=BaseGroup(PLB2_ALL, 2, (), {(1, 2): 1, (2, 1): 1}),
+    large=BaseGroup(
+        PLB3_EQUATIONS,
+        3,
+        # the values flowing into each target index sum to zero
+        (
+            {(2, 1): 1, (3, 1): 1},
+            {(1, 2): 1, (3, 2): 1},
+            {(1, 3): 1, (2, 3): 1},
+        ),
+        {(1, 2): 2, (1, 3): 3, (2, 1): 1, (2, 3): -3, (3, 1): -1, (3, 2): -2},
+    ),
+    # products along the inflow equations project to the free generators
+    exceptional_pair=(((1, 2, 1), (3, 2, 1)), ((2, 1, 1), (3, 1, 1))),
+    # the two moves between i and the least kept index
+    free_pair=lambda i, kept: ((i, kept[0]), (kept[0], i)),
+    reduce=lambda w: f2z(plb2_reduce(w).letters),
+)
+
+LoopBraidBasis = FAMILY.basis
+PLBSigmaVerdict = ProjectionVerdict
+project_character = FAMILY.project_character
+project_word = FAMILY.project_word
+sigma_membership = FAMILY.sigma_membership
+witness_pair = FAMILY.witness_pair
+dead_subspaces = FAMILY.dead_subspaces
+nf_obstruction_demo = FAMILY.nf_obstruction_demo
 
 
-def witness_pair(n: int, c: Character) -> WitnessPair:
-    """Two kernel words of c with free image after deleting down to 2 loops.
-
-    A projection witness always leaves a deleted index i; the two moves
-    between i and the least kept index die under c and project onto the two
-    free generators.  The exceptional 3-index subspace uses products along
-    its inflow equations instead.  Needs n >= 3 and an outside, nonzero
-    character.
-    """
-    if n < 3:
-        raise PreconditionError("witness pairs need at least 3 loops")
-    verdict = sigma_membership(n, c)
-    if verdict.inside:
-        raise DomainError("the character is inside the invariant; no witness exists")
-    if verdict.witness == ZERO:
-        raise DomainError("the zero character does not admit a witness pair")
-    basis = LoopBraidBasis(n)
-    kept = verdict.kept
-    if len(kept) == n:
-        # exceptional inflow subspace on all three indices
-        u = _move_word(basis, (1, 2, 1), (3, 2, 1))
-        v = _move_word(basis, (2, 1, 1), (3, 1, 1))
-        return WitnessPair(u, v, (1, 2))
-    deleted = [s for s in range(1, n + 1) if s not in kept]
-    i = deleted[0]
-    j = kept[0]
-    u = _move_word(basis, (i, j, 1))
-    v = _move_word(basis, (j, i, 1))
-    return WitnessPair(u, v, (min(i, j), max(i, j)))
+def plb2_dead(c: Character) -> bool:
+    """The 2-loop group is free of rank 2: every character is dead."""
+    return not sigma_membership(2, c).inside
 
 
-def dead_subspaces(n: int) -> list[DeadSubspace]:
-    """The finite union of subspaces making up the dead set, as equations.
-
-    One subspace per 2-index set (every character supported there is dead)
-    and one per 3-index set (support plus the three inflow equations).
-    """
-    basis = LoopBraidBasis(n)
-    indices = tuple(range(1, n + 1))
-    out = []
-
-    def vanishing(kept_set: set[int]) -> list[tuple[int, ...]]:
-        rows = []
-        for k, (i, j) in enumerate(basis.pairs):
-            if i not in kept_set or j not in kept_set:
-                row = [0] * basis.dim
-                row[k] = 1
-                rows.append(tuple(row))
-        return rows
-
-    for kept in combinations(indices, 2):
-        out.append(DeadSubspace(PLB2_ALL, kept, tuple(vanishing(set(kept)))))
-    if n >= 3:
-        for kept in combinations(indices, 3):
-            eqs = vanishing(set(kept))
-            for target in kept:
-                row = [0] * basis.dim
-                for source in kept:
-                    if source != target:
-                        row[basis.index(source, target)] = 1
-                eqs.append(tuple(row))
-            out.append(DeadSubspace(PLB3_EQUATIONS, kept, tuple(eqs)))
-    return out
-
-
-def _sample_dead_character(n: int, sub: DeadSubspace) -> Character:
-    basis = LoopBraidBasis(n)
-    if sub.kind == PLB2_ALL:
-        t1, t2 = sub.kept
-        return make_character(
-            basis.generators, {basis.name(t1, t2): 1, basis.name(t2, t1): 1}
-        )
-    t1, t2, t3 = sub.kept
-    return make_character(
-        basis.generators,
-        {
-            basis.name(t1, t2): 2,
-            basis.name(t1, t3): 3,
-            basis.name(t2, t1): 1,
-            basis.name(t2, t3): -3,
-            basis.name(t3, t1): -1,
-            basis.name(t3, t2): -2,
-        },
-    )
-
-
-def nf_obstruction_demo(n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
-    """Either certify a killing character alive on both rays, or exhibit the
-    covering dead subspace together with its free-subgroup witness pair."""
-    if n < 3:
-        raise PreconditionError("the obstruction demonstration needs at least 3 loops")
-    basis = LoopBraidBasis(n)
-    return run_obstruction(
-        basis.generators,
-        vectors,
-        dead_subspaces(n),
-        lambda sub: _sample_dead_character(n, sub),
-        lambda c: sigma_membership(n, c),
-        lambda c: witness_pair(n, c),
-    )
+def plb3_dead(c: Character) -> bool:
+    """Dead when a 2-index projection exists, or the inflow equations hold."""
+    return not sigma_membership(3, c).inside

@@ -73,7 +73,7 @@ def sigma_membership(g: Graph, c: Character) -> RaagSigmaVerdict:
     RaagSigmaVerdict(status='out', reason='living-disconnected', offending=('a', 'c'))
     """
     _check_character(g, c)
-    living = tuple(v for v, x in zip(g.vertices, c.values) if x != 0)
+    living = tuple([v for v, x in zip(g.vertices, c.values) if x != 0])
     if not living:
         return RaagSigmaVerdict(OUT, ZERO_CHARACTER, g.vertices)
     alive = set(living)
@@ -90,7 +90,7 @@ def sigma_membership(g: Graph, c: Character) -> RaagSigmaVerdict:
     if len(seen) != len(living):
         return RaagSigmaVerdict(OUT, LIVING_DISCONNECTED, living)
     undominated = tuple(
-        v for v in g.vertices if v not in alive and not (g._adjacency[v] & alive)
+        [v for v in g.vertices if v not in alive and not (g._adjacency[v] & alive)]
     )
     if undominated:
         return RaagSigmaVerdict(OUT, NOT_DOMINATING, undominated)
@@ -161,16 +161,24 @@ def dying_vertices(g: Graph, gens: Sequence[Word]) -> tuple[str, ...]:
     always a clique.  A vertex dies exactly when its basis vector lies in the
     rational span of the abelianized generators.
     """
-    vectors = _commuting_vectors(g, gens)
-    lattice = saturate(vertex_basis(g), vectors)
-    dim = lattice.basis.dim
-    dead = []
+    lattice = saturate(vertex_basis(g), _commuting_vectors(g, gens))
+    return _split_dead(g, lattice)[0]
+
+
+def _unit(dim: int, i: int) -> tuple[int, ...]:
+    return tuple([1 if k == i else 0 for k in range(dim)])
+
+
+def _split_dead(g: Graph, lattice: SaturatedLattice) -> tuple[tuple[str, ...], list[int]]:
+    """Dead vertices, whose unit vectors lie in the lattice, and the indices
+    of the living ones."""
+    dead, alive = [], []
     for i, v in enumerate(g.vertices):
-        unit = [0] * dim
-        unit[i] = 1
-        if lattice.contains(unit):
+        if lattice.contains(_unit(len(g.vertices), i)):
             dead.append(v)
-    return tuple(dead)
+        else:
+            alive.append(i)
+    return tuple(dead), alive
 
 
 @dataclass(frozen=True)
@@ -200,21 +208,9 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
         raise PreconditionError(
             "generators span the whole abelianization; the subgroup is not proper"
         )
-    dead = []
-    alive_indices = []
-    for i, v in enumerate(g.vertices):
-        unit = [0] * basis.dim
-        unit[i] = 1
-        if lattice.contains(unit):
-            dead.append(v)
-        else:
-            alive_indices.append(i)
+    dead, alive = _split_dead(g, lattice)
     killing = kill_character(lattice)
-    bad = []
-    for i in alive_indices:
-        unit = [0] * basis.dim
-        unit[i] = 1
-        bad.append((tuple(unit),))
+    bad = [(_unit(basis.dim, i),) for i in alive]
     found = generic_point_avoiding(basis, killing.rows, bad)
     assert found.point is not None, "annihilator always escapes the live hyperplanes"
     specialized = found.point
@@ -222,7 +218,7 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
         lattice,
         killing,
         specialized,
-        tuple(dead),
+        dead,
         sigma_membership(g, specialized),
         sigma_membership(g, specialized.negated()),
     )

@@ -24,10 +24,10 @@ class Word:
 
     def __init__(self, alphabet: Iterable[str], letters: Iterable[Letter] = ()):
         alphabet = tuple(alphabet)
-        if len(set(alphabet)) != len(alphabet):
-            raise InputError("duplicate generator name in alphabet")
         known = set(alphabet)
-        letters = tuple((g, s) for g, s in letters)
+        if len(known) != len(alphabet):
+            raise InputError("duplicate generator name in alphabet")
+        letters = tuple([(g, s) for g, s in letters])
         for g, s in letters:
             if g not in known:
                 raise InputError(f"letter {g!r} is not in the alphabet")
@@ -36,13 +36,21 @@ class Word:
         self.alphabet = alphabet
         self.letters = letters
 
+    @classmethod
+    def _checked(cls, alphabet: tuple[str, ...], letters: tuple[Letter, ...]) -> "Word":
+        """A word from parts that already passed the constructor's checks."""
+        w = object.__new__(cls)
+        w.alphabet = alphabet
+        w.letters = letters
+        return w
+
     def inverse(self) -> "Word":
-        return Word(self.alphabet, [(g, -s) for g, s in reversed(self.letters)])
+        return Word._checked(self.alphabet, tuple([(g, -s) for g, s in reversed(self.letters)]))
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
             raise InputError("cannot multiply words over different alphabets")
-        return Word(self.alphabet, self.letters + other.letters)
+        return Word._checked(self.alphabet, self.letters + other.letters)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -89,7 +97,7 @@ def free_reduce(w: Word) -> Word:
             stack.pop()
         else:
             stack.append((g, s))
-    return Word(w.alphabet, stack)
+    return Word._checked(w.alphabet, tuple(stack))
 
 
 def free_commute(u: Word, v: Word) -> bool:
@@ -155,17 +163,9 @@ def raag_normal_form(g: Graph, w: Word) -> Word:
     """
     if w.alphabet != g.vertices:
         raise InputError("word alphabet must equal the graph's vertex tuple")
-    n = len(g.vertices)
     # bit i of nonadj[j]: generator i does not commute with generator j
-    nonadj = []
-    for j, vj in enumerate(g.vertices):
-        mask = 0
-        nbrs = g._adjacency[vj]
-        for i, vi in enumerate(g.vertices):
-            if i != j and vi not in nbrs:
-                mask |= 1 << i
-        nonadj.append(mask)
-    index = {v: i for i, v in enumerate(g.vertices)}
+    nonadj = g._nonadjacency
+    index = g._index
     letters = [(index[name], s) for name, s in w.letters]
 
     shrinking = True
@@ -201,7 +201,7 @@ def raag_normal_form(g: Graph, w: Word) -> Word:
                     best = pos
             seen |= 1 << gp
         out.append(letters.pop(best))
-    return Word(g.vertices, [(g.vertices[i], s) for i, s in out])
+    return Word._checked(g.vertices, tuple([(g.vertices[i], s) for i, s in out]))
 
 
 def raag_commute(g: Graph, u: Word, v: Word) -> bool:

@@ -219,3 +219,59 @@ ISO_CLASSES = {
         [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)],
     ],
 }
+
+
+# ---------------------------------------------------------------------------
+# pure braid and pure loop braid membership by scanning every kept strand set
+# characters are dicts (i, j) -> nonzero value; braid pairs have i < j
+
+
+def _base_dead(family: str, kept, value) -> bool:
+    """Is a character supported on `kept` dead in the group on those strands?"""
+    if family == "braid":
+        if len(kept) == 3:
+            return sum(value(i, j) for i, j in combinations(kept, 2)) == 0
+        t1, t2, t3, t4 = kept
+        exceptional = (
+            value(t1, t2) == value(t3, t4)
+            and value(t1, t3) == value(t2, t4)
+            and value(t1, t4) == value(t2, t3)
+            and value(t1, t2) + value(t1, t3) + value(t1, t4) == 0
+        )
+        return exceptional or any(
+            _supported_on(value, kept, sub) and _base_dead(family, sub, value)
+            for sub in combinations(kept, 3)
+        )
+    if len(kept) == 2:
+        return True  # the 2-loop group is free of rank 2
+    inflow = all(sum(value(s, t) for s in kept if s != t) == 0 for t in kept)
+    return inflow or any(_supported_on(value, kept, sub) for sub in combinations(kept, 2))
+
+
+def _supported_on(value, kept, sub) -> bool:
+    return all(
+        value(i, j) == 0
+        for i in kept
+        for j in kept
+        if i != j and not (i in sub and j in sub)
+    )
+
+
+def projection_sigma(family: str, n: int, values: dict):
+    """(status, witness, kept, base) of the first dead projection of a
+    "braid" or "loop" character in (size, lex) order over kept strand sets."""
+    if not values:
+        return ("out", "zero", None, None)
+    sizes = {"braid": ((3, "pb3-sum"), (4, "pb4-exceptional")),
+             "loop": ((2, "plb2-all"), (3, "plb3-equations"))}[family]
+
+    def value(i, j):
+        if family == "braid" and i > j:
+            i, j = j, i
+        return values.get((i, j), 0)
+
+    for size, base in sizes:
+        for kept in combinations(range(1, n + 1), size):
+            if all(i in kept and j in kept for i, j in values) and _base_dead(family, kept, value):
+                return ("out", "projection", kept, base)
+    return ("in", None, None, None)

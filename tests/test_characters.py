@@ -132,6 +132,20 @@ def test_saturate():
         saturate(AB, [(Fraction(1, 2), 0)])
 
 
+def test_inexact_values_rejected():
+    with pytest.raises(InputError):
+        make_character(AB, {"a": 0.1})
+    with pytest.raises(InputError):
+        make_character(AB, {"a": 2.0})
+    with pytest.raises(InputError):
+        make_character(AB, {"b": True})
+    with pytest.raises(InputError):
+        saturate(AB, [(True, 0)])
+    with pytest.raises(InputError):
+        saturate(AB, [(1.0, 0)])
+    assert make_character(AB, {"a": Fraction(1, 10), "b": 3}).values == (Fraction(1, 10), 3)
+
+
 def test_saturate_idempotent_random():
     rng = random.Random(29)
     for _ in range(150):

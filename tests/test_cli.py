@@ -1,6 +1,13 @@
+import io
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import bnskit
 
 from bnskit import Graph, ParseError, make_character
 from bnskit.braid import PureBraidBasis
@@ -184,3 +191,30 @@ def test_run_determinism(tmp_path):
     first = run(["raag", "kill", str(graph), str(words)])
     second = run(["raag", "kill", str(graph), str(words)])
     assert first == second
+
+
+def test_run_rejects_non_utf8_input(tmp_path, monkeypatch):
+    bad = tmp_path / "bad.char"
+    bad.write_bytes(b"S(1,2) = 1\n# caf\xe9\n")
+    report = run(["braid", "sigma", "-n", "3", str(bad)])
+    assert report.exit_code == 1
+    assert report.porcelain == (f"error=cannot read {str(bad)!r}: not valid UTF-8",)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="utf-8"))
+    report = run(["loop", "sigma", "-n", "3", "-"])
+    assert report.exit_code == 1
+    assert report.porcelain == ("error=cannot read '-': not valid UTF-8",)
+
+
+def test_module_run_writes_nothing_to_stderr():
+    src = str(Path(bnskit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    char = Path(__file__).parent / "data" / "pb3_dead.char"
+    done = subprocess.run(
+        [sys.executable, "-m", "bnskit.cli", "--porcelain", "braid", "sigma", "-n", "3", str(char)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "status=out" in done.stdout.splitlines()
