@@ -46,6 +46,13 @@ class GeneratorBasis:
             raise InputError(f"unknown generator {name!r}") from None
 
 
+def _exact(value, what: str = "a character value"):
+    """Pass an exact value through; a float or a bool is an InputError."""
+    if isinstance(value, (bool, float)):
+        raise InputError(f"{what} must be exact, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Character:
     """A rational character, stored by its value on each basis generator."""
@@ -57,7 +64,7 @@ class Character:
         if len(self.values) != self.basis.dim:
             raise InputError("character length does not match basis dimension")
         object.__setattr__(
-            self, "values", tuple([Fraction(v) for v in self.values])
+            self, "values", tuple([Fraction(_exact(v)) for v in self.values])
         )
 
     def __call__(self, name: str) -> Fraction:
@@ -67,7 +74,7 @@ class Character:
         return not any(self.values)
 
     def scaled(self, q: Fraction | int) -> "Character":
-        q = Fraction(q)
+        q = Fraction(_exact(q))
         return Character(self.basis, tuple([v * q for v in self.values]))
 
     def negated(self) -> "Character":
@@ -89,9 +96,7 @@ def make_character(
     """
     values = [Fraction(0)] * basis.dim
     for name, value in assignments.items():
-        if isinstance(value, (bool, float)):
-            raise InputError(f"value of {name!r} must be exact, got {type(value).__name__}")
-        values[basis.index(name)] = Fraction(value)
+        values[basis.index(name)] = Fraction(_exact(value, f"value of {name!r}"))
     return Character(basis, tuple(values))
 
 

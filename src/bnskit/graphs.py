@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Optional
+from itertools import combinations, islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
 
@@ -35,38 +35,41 @@ class Graph:
         self.vertices = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex label")
-        self._index = {v: i for i, v in enumerate(self.vertices)}
-        adjacency: dict[str, set[str]] = {v: set() for v in self.vertices}
-        seen: set[frozenset[str]] = set()
+        self._index = index = {v: i for i, v in enumerate(self.vertices)}
+        # bit i of masks[j]: vertex i is adjacent to vertex j
+        masks = [0] * len(self.vertices)
         for a, b in edges:
-            if a not in self._index or b not in self._index:
+            if a not in index or b not in index:
                 raise InputError(f"edge endpoint {a!r}-{b!r} is not a listed vertex")
             if a == b:
                 raise InputError(f"self-loop at {a!r}")
-            key = frozenset((a, b))
-            if key in seen:
+            i, j = index[a], index[b]
+            if masks[i] >> j & 1:
                 raise InputError(f"duplicate edge {a!r}-{b!r}")
-            seen.add(key)
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-        self._adjacency = {v: frozenset(nbrs) for v, nbrs in adjacency.items()}
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        self._masks = tuple(masks)
+        # combinations copies its input into a tuple, sized exactly for a range
+        # (see the package docstring on tuples)
+        vs = self.vertices
         self.edges = tuple(
-            [(a, b) for a, b in combinations(self.vertices, 2) if b in self._adjacency[a]]
+            [(vs[i], vs[j]) for i, j in combinations(range(len(vs)), 2) if masks[i] >> j & 1]
         )
 
     @cached_property
     def _nonadjacency(self) -> tuple[int, ...]:
         # bit i of entry j: vertex i is neither vertex j nor adjacent to it
-        return tuple(
-            [
-                sum(
-                    1 << i
-                    for i, vi in enumerate(self.vertices)
-                    if i != j and vi not in self._adjacency[vj]
-                )
-                for j, vj in enumerate(self.vertices)
-            ]
-        )
+        full = (1 << len(self.vertices)) - 1
+        return tuple([full & ~(m | 1 << j) for j, m in enumerate(self._masks)])
+
+    def _mask(self, s: Iterable[str]) -> int:
+        mask = 0
+        for v in s:
+            mask |= 1 << self.index(v)
+        return mask
+
+    def _names(self, mask: int) -> tuple[str, ...]:
+        return tuple([self.vertices[i] for i in _bits(mask)])
 
     def index(self, v: str) -> int:
         try:
@@ -75,12 +78,10 @@ class Graph:
             raise InputError(f"unknown vertex {v!r}") from None
 
     def neighbors(self, v: str) -> tuple[str, ...]:
-        self.index(v)
-        return self.sort_vertices(self._adjacency[v])
+        return self._names(self._masks[self.index(v)])
 
     def adjacent(self, a: str, b: str) -> bool:
-        self.index(b)
-        return b in self._adjacency[a]
+        return bool(self._masks[self.index(a)] >> self.index(b) & 1)
 
     def sort_vertices(self, s: Iterable[str]) -> tuple[str, ...]:
         """Canonical form of a vertex set: sorted by vertex order, no repeats."""
@@ -99,6 +100,107 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.vertices!r}, {self.edges!r})"
+
+
+# ---------------------------------------------------------------------------
+# bitmask core: a vertex set is an int whose bit i stands for vertex i, and
+# adj is a graph's tuple of neighbour masks
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _reach(adj: Sequence[int], mask: int) -> int:
+    """Union of the neighbour masks of the vertices in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _components(adj: Sequence[int], mask: int) -> Iterator[int]:
+    """Connected components of the subgraph induced on mask, as masks, in
+    the order of their first vertex."""
+    while mask:
+        frontier = mask & -mask
+        comp = 0
+        while frontier:
+            comp |= frontier
+            mask ^= frontier
+            frontier = _reach(adj, frontier) & mask
+        yield comp
+
+
+def _splits(adj: Sequence[int], mask: int) -> bool:
+    """Does the subgraph induced on mask have two or more components?"""
+    return len(list(islice(_components(adj, mask), 2))) == 2
+
+
+def _is_clique(adj: Sequence[int], mask: int) -> bool:
+    return all(not mask & ~(adj[i] | 1 << i) for i in _bits(mask))
+
+
+def _minimal_separators(adj: Sequence[int]) -> Iterator[int]:
+    """Every minimal separator of a connected graph, once each.
+
+    A minimal separator is a vertex set S such that G - S has two full
+    components, components C with N(C) = S.  Berry, Bordat & Cogis (2000):
+    N(C) for each component C of G - N[v] is one, and closing these under
+    S -> N(C) for the components C of G - (S + N(x)), x in S, finds them all.
+    """
+    full = (1 << len(adj)) - 1
+    seen = set()
+    todo = []
+
+    def add(closed: int) -> None:
+        for comp in _components(adj, full & ~closed):
+            s = _reach(adj, comp) & ~comp
+            if s not in seen:
+                seen.add(s)
+                todo.append(s)
+
+    for v, nbrs in enumerate(adj):
+        add(nbrs | 1 << v)
+    while todo:
+        s = todo.pop()
+        yield s
+        for x in _bits(s):
+            add(s | adj[x])
+
+
+def _separating_sets(g: Graph) -> list[int]:
+    """The inclusion-minimal separating sets, by size, then vertex order.
+
+    A disconnected graph has only the empty one.  In a connected graph a
+    separating set S is inclusion-minimal exactly when every component C of
+    G - S is full, N(C) = S.  If some C is not, N(C) is a smaller separating
+    set: it cuts C off from the rest, which holds a second component of
+    G - S.  If all are, removing any T inside S but missing s in S leaves a
+    connected graph, since s and every other vertex of S - T has a neighbour
+    in each component.  Such an S has two full components, so it is a
+    minimal separator; the ones with a component that is not full are
+    dropped.
+    """
+    adj = g._masks
+    full = (1 << len(adj)) - 1
+    if _splits(adj, full):
+        return [0]
+    found = [
+        s
+        for s in _minimal_separators(adj)
+        if all(_reach(adj, c) & ~c == s for c in _components(adj, full & ~s))
+    ]
+    found.sort(key=lambda s: (s.bit_count(), _bits(s)))
+    return found
 
 
 @dataclass(frozen=True)
@@ -125,55 +227,25 @@ def induced_subgraph(g: Graph, s: Iterable[str]) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first connectivity; the empty graph counts as not connected."""
-    if not g.vertices:
-        return False
-    seen = {g.vertices[0]}
-    frontier = [g.vertices[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g._adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == len(g.vertices)
+    """The empty graph counts as not connected."""
+    full = (1 << len(g.vertices)) - 1
+    return bool(full) and next(_components(g._masks, full)) == full
 
 
 def is_dominating(g: Graph, s: Iterable[str]) -> bool:
     """True iff every vertex outside s has a neighbor in s."""
-    inside = set(g.sort_vertices(s))
-    return all(
-        v in inside or g._adjacency[v] & inside for v in g.vertices
-    )
+    inside = g._mask(s)
+    return all(inside >> i & 1 or m & inside for i, m in enumerate(g._masks))
 
 
 def is_clique(g: Graph, s: Iterable[str]) -> bool:
     """Empty sets and singletons are cliques."""
-    vs = g.sort_vertices(s)
-    return all(g.adjacent(a, b) for a, b in combinations(vs, 2))
+    return _is_clique(g._masks, g._mask(s))
 
 
 def connected_components(g: Graph) -> list[tuple[str, ...]]:
-    seen: set[str] = set()
-    comps = []
-    for v in g.vertices:
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for w in g._adjacency[x]:
-                    if w not in comp:
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        seen |= comp
-        comps.append(g.sort_vertices(comp))
-    return comps
+    full = (1 << len(g.vertices)) - 1
+    return [g._names(c) for c in _components(g._masks, full)]
 
 
 def is_separating(g: Graph, s: Iterable[str]) -> bool:
@@ -189,12 +261,8 @@ def is_separating(g: Graph, s: Iterable[str]) -> bool:
     >>> is_separating(p3, ["a"])
     False
     """
-    removed = set(g.sort_vertices(s))
-    rest = [v for v in g.vertices if v not in removed]
-    if not rest:
-        return False
-    h = induced_subgraph(g, rest)
-    return len(connected_components(h)) >= 2
+    full = (1 << len(g.vertices)) - 1
+    return _splits(g._masks, full & ~g._mask(s))
 
 
 def iter_cliques(g: Graph):
@@ -206,10 +274,17 @@ def iter_cliques(g: Graph):
 
 
 def min_separating_clique_witness(g: Graph) -> Optional[tuple[str, ...]]:
-    """First separating clique in (size, lex) enumeration order, if any."""
-    for clique in iter_cliques(g):
-        if is_separating(g, clique):
-            return clique
+    """First separating clique in (size, lex) enumeration order, if any.
+
+    A smallest separating clique has no separating proper subset, since each
+    is a smaller clique, so it is an inclusion-minimal separating set; the
+    witness is the first of those that is a clique.  That is () for a
+    disconnected graph.
+    """
+    adj = g._masks
+    for s in _separating_sets(g):
+        if _is_clique(adj, s):
+            return g._names(s)
     return None
 
 
@@ -236,20 +311,19 @@ def out_finiteness_predicates(g: Graph) -> OutFinitenessReport:
     first pair (v, w) with lk(v) a subset of st(w) are reported; a graph with
     neither has finite outer automorphism group.
     """
-    star_witness = None
-    for v in g.vertices:
-        if is_separating(g, closed_star(g, v)):
-            star_witness = v
-            break
-    pair_witness = None
-    for v in g.vertices:
-        link = g._adjacency[v]
-        for w in g.vertices:
-            if w == v:
-                continue
-            if link <= g._adjacency[w] | {w}:
-                pair_witness = (v, w)
-                break
-        if pair_witness:
-            break
+    adj = g._masks
+    full = (1 << len(adj)) - 1
+    star_witness = next(
+        (v for i, v in enumerate(g.vertices) if _splits(adj, full & ~(adj[i] | 1 << i))),
+        None,
+    )
+    pair_witness = next(
+        (
+            (v, w)
+            for i, v in enumerate(g.vertices)
+            for j, w in enumerate(g.vertices)
+            if i != j and not adj[i] & ~(adj[j] | 1 << j)
+        ),
+        None,
+    )
     return OutFinitenessReport(star_witness, pair_witness)

@@ -27,9 +27,9 @@ from .characters import (
 from .errors import InputError, PreconditionError
 from .graphs import (
     Graph,
-    induced_subgraph,
+    _components,
+    _separating_sets,
     is_clique,
-    is_connected,
     min_separating_clique_witness,
 )
 from .words import Word, raag_commute
@@ -73,39 +73,21 @@ def sigma_membership(g: Graph, c: Character) -> RaagSigmaVerdict:
     RaagSigmaVerdict(status='out', reason='living-disconnected', offending=('a', 'c'))
     """
     _check_character(g, c)
-    living = tuple([v for v, x in zip(g.vertices, c.values) if x != 0])
+    living = 0
+    for i, x in enumerate(c.values):
+        if x:
+            living |= 1 << i
     if not living:
         return RaagSigmaVerdict(OUT, ZERO_CHARACTER, g.vertices)
-    alive = set(living)
-    seen = {living[0]}
-    frontier = [living[0]]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g._adjacency[v]:
-                if w in alive and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    if len(seen) != len(living):
-        return RaagSigmaVerdict(OUT, LIVING_DISCONNECTED, living)
+    adj = g._masks
+    if next(_components(adj, living)) != living:
+        return RaagSigmaVerdict(OUT, LIVING_DISCONNECTED, g._names(living))
     undominated = tuple(
-        [v for v in g.vertices if v not in alive and not (g._adjacency[v] & alive)]
+        [v for i, v in enumerate(g.vertices) if not (living >> i & 1 or adj[i] & living)]
     )
     if undominated:
         return RaagSigmaVerdict(OUT, NOT_DOMINATING, undominated)
     return RaagSigmaVerdict(IN)
-
-
-def _living_alive(g: Graph, living: tuple[str, ...]) -> bool:
-    """Is the character with exactly this living set inside the invariant?"""
-    if not living:
-        return False
-    sub = induced_subgraph(g, living)
-    if not is_connected(sub):
-        return False
-    alive = set(living)
-    return all(v in alive or g._adjacency[v] & alive for v in g.vertices)
 
 
 def sigma_complement_supports(g: Graph) -> list[tuple[str, ...]]:
@@ -116,29 +98,22 @@ def sigma_complement_supports(g: Graph) -> list[tuple[str, ...]]:
     so the minimal sets determine all of them.  Proper subsets of the vertex
     set only; results sorted by size then vertex order.
 
+    These are the inclusion-minimal separating sets (Meier-VanWyk 1995).  W
+    is bad exactly when no component of G - W dominates G: a connected,
+    dominating living set outside W lies in one component, which then
+    dominates too, and a dominating component is such a living set.  If
+    G - W has two or more components, none dominates, since no vertex of one
+    has a neighbour in another; so every separating set is bad.  If G - W is
+    connected and W is bad, some w in W has all its neighbours in W; then
+    N(w), a proper subset of W, separates w from the nonempty rest, and W is
+    not minimal.  So the minimal bad sets are the minimal separating ones.
+    A disconnected graph gives [()].
+
     >>> g = Graph("abc", [("a", "b"), ("b", "c")])
     >>> sigma_complement_supports(g)
     [('b',)]
     """
-    verts = g.vertices
-    minimal: list[tuple[str, ...]] = []
-    for size in range(len(verts)):
-        for w in combinations(verts, size):
-            wset = set(w)
-            if any(set(m) <= wset for m in minimal):
-                continue
-            rest = [v for v in verts if v not in wset]
-            bad = True
-            for k in range(1, len(rest) + 1):
-                for living in combinations(rest, k):
-                    if _living_alive(g, living):
-                        bad = False
-                        break
-                if not bad:
-                    break
-            if bad:
-                minimal.append(w)
-    return minimal
+    return [g._names(s) for s in _separating_sets(g)]
 
 
 def _commuting_vectors(g: Graph, gens: Sequence[Word]) -> list[tuple[int, ...]]:

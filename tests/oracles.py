@@ -275,3 +275,53 @@ def projection_sigma(family: str, n: int, values: dict):
             if all(i in kept and j in kept for i, j in values) and _base_dead(family, kept, value):
                 return ("out", "projection", kept, base)
     return ("in", None, None, None)
+
+
+# ---------------------------------------------------------------------------
+# separating cliques and complement supports by scanning every vertex subset
+# results are tuples of vertex indices, ordered by size, then lexicographically
+
+
+def brute_min_separating_clique_witness(n: int, masks):
+    """First clique in (size, lex) order whose removal leaves two or more
+    components; None when no clique separates."""
+    full = (1 << n) - 1
+    for size in range(n):
+        for combo in combinations(range(n), size):
+            subset = sum(1 << i for i in combo)
+            if mask_is_clique(n, masks, subset) and component_count(n, masks, full & ~subset) >= 2:
+                return combo
+    return None
+
+
+def brute_complement_supports(n: int, masks):
+    """Minimal bad supports straight from the definition.
+
+    A proper vertex subset W is bad when no living set outside W is
+    connected and dominating.  Every living set is tabulated once: L is
+    connected when it is a single vertex, or when dropping some vertex u
+    leaves a connected set that u touches (u a leaf of a spanning tree).
+    """
+    full = (1 << n) - 1
+    connected = [False] * (full + 1)
+    covered = [0] * (full + 1)  # union of the closed neighbourhoods in L
+    alive_inside = [False] * (full + 1)  # a connected dominating set lies in L
+    for living in range(1, full + 1):
+        low = living & -living
+        covered[living] = covered[living ^ low] | masks[low.bit_length() - 1] | low
+        conn = living == low
+        inside = False
+        for u in range(n):
+            if living >> u & 1:
+                rest = living ^ 1 << u
+                conn = conn or (connected[rest] and masks[u] & rest != 0)
+                inside = inside or alive_inside[rest]
+        connected[living] = conn
+        alive_inside[living] = inside or (conn and covered[living] == full)
+    bad = [not alive_inside[full ^ w] for w in range(full + 1)]
+    minimal = [
+        tuple(u for u in range(n) if w >> u & 1)
+        for w in range(full)
+        if bad[w] and not any(w >> u & 1 and bad[w ^ 1 << u] for u in range(n))
+    ]
+    return sorted(minimal, key=lambda t: (len(t), t))

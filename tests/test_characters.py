@@ -146,6 +146,19 @@ def test_inexact_values_rejected():
     assert make_character(AB, {"a": Fraction(1, 10), "b": 3}).values == (Fraction(1, 10), 3)
 
 
+def test_character_constructor_and_scaling_reject_inexact_values():
+    for values in ((0.1, 0), (Fraction(1), 2.0), (True, 0), (0, False)):
+        with pytest.raises(InputError):
+            Character(AB, values)
+    c = Character(AB, (Fraction(1, 10), 3))
+    assert c.values == (Fraction(1, 10), 3)
+    for q in (0.5, 2.0, True):
+        with pytest.raises(InputError):
+            c.scaled(q)
+    assert c.scaled(Fraction(-1, 2)).values == (Fraction(-1, 20), Fraction(-3, 2))
+    assert c.negated().values == (Fraction(-1, 10), -3)
+
+
 def test_saturate_idempotent_random():
     rng = random.Random(29)
     for _ in range(150):
