@@ -46,6 +46,7 @@ from .characters import (
     GeneratorBasis,
     GenericPoint,
     SaturatedLattice,
+    SparseSystem,
     VectorCharacter,
     abelianize,
     canonical_class,
@@ -78,6 +79,7 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "SaturatedLattice",
+    "SparseSystem",
     "VectorCharacter",
     "Word",
     "WitnessPair",

@@ -12,9 +12,10 @@ this package works with.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InputError
@@ -291,8 +292,7 @@ def canonical_class(c: Character) -> Character:
     """
     if c.is_zero():
         raise DomainError("the zero character has no canonical ray representative")
-    denom = lcm(*(v.denominator for v in c.values))
-    ints = [int(v * denom) for v in c.values]
+    ints = _cleared(c.values)
     g = gcd(*ints)
     return Character(c.basis, tuple([Fraction(a // g) for a in ints]))
 
@@ -310,6 +310,59 @@ class GenericPoint:
 
 
 EquationSystem = Sequence[Sequence[Fraction | int]]
+Terms = tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class SparseSystem:
+    """A rational subspace cut out by integer equations, stored sparsely.
+
+    vanish is a bitmask of the columns that must be zero (bit j stands for
+    column j); each equation in the block is a tuple of (column,
+    coefficient) terms with nonzero int coefficients.
+    """
+
+    vanish: int
+    equations: tuple[Terms, ...] = ()
+    # one more than the largest column named, for the dimension check
+    width: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not isinstance(self.vanish, int) or isinstance(self.vanish, bool) or self.vanish < 0:
+            raise InputError("vanishing columns must be a nonnegative int bitmask")
+        width = self.vanish.bit_length()
+        for terms in self.equations:
+            for column, coefficient in terms:
+                if not isinstance(_exact(coefficient, "an equation coefficient"), int) or not coefficient:
+                    raise InputError("sparse equation coefficients must be nonzero ints")
+                if not isinstance(column, int) or isinstance(column, bool) or column < 0:
+                    raise InputError("sparse equation columns must be nonnegative ints")
+                width = max(width, column + 1)
+        object.__setattr__(self, "width", width)
+
+    def rows(self, dim: int) -> tuple[Row, ...]:
+        """The same equations as dense rows: one unit row per vanishing
+        column, in column order, then the block."""
+        if self.width > dim:
+            raise InputError("equation column lies outside the basis dimension")
+        out = []
+        for column in range(dim):
+            if self.vanish >> column & 1:
+                row = [0] * dim
+                row[column] = 1
+                out.append(tuple(row))
+        for terms in self.equations:
+            row = [0] * dim
+            for column, coefficient in terms:
+                row[column] = coefficient
+            out.append(tuple(row))
+        return tuple(out)
+
+
+def _cleared(values: Sequence[Fraction]) -> list[int]:
+    """The values times the positive lcm of their denominators."""
+    denom = lcm(1, *[v.denominator for v in values])
+    return [v.numerator * (denom // v.denominator) for v in values]
 
 
 def _integer_basis(
@@ -322,55 +375,98 @@ def _integer_basis(
                 raise InputError("spanning character over the wrong basis")
             values = row.values
         else:
-            values = tuple([Fraction(x) for x in row])
+            values = tuple([Fraction(_exact(x, "a spanning value")) for x in row])
             if len(values) != basis.dim:
                 raise InputError("spanning vector length does not match basis dimension")
-        denom = lcm(1, *(v.denominator for v in values))
-        cleared.append([int(v * denom) for v in values])
+        cleared.append(_cleared(values))
     return hermite_form(cleared, basis.dim)
+
+
+def _sparse_system(dim: int, system: SparseSystem | EquationSystem) -> SparseSystem:
+    """Check a bad subspace against the dimension, converting dense rational
+    equations once: clearing an equation's denominators by their positive
+    lcm keeps its zero set, and an equation with one term says that column
+    vanishes."""
+    if isinstance(system, SparseSystem):
+        if system.width > dim:
+            raise InputError("equation column lies outside the basis dimension")
+        return system
+    vanish = 0
+    block = []
+    for eq in system:
+        if len(eq) != dim:
+            raise InputError("equation length does not match basis dimension")
+        values = _cleared([Fraction(_exact(e, "an equation coefficient")) for e in eq])
+        terms = tuple([(j, a) for j, a in enumerate(values) if a])
+        if len(terms) == 1:
+            vanish |= 1 << terms[0][0]
+        elif terms:
+            block.append(terms)
+    return SparseSystem(vanish, tuple(block))
+
+
+def _support(vec: Sequence[int]) -> int:
+    mask = 0
+    for j, x in enumerate(vec):
+        if x:
+            mask |= 1 << j
+    return mask
+
+
+def _solves(terms: Terms, vec: Sequence[int]) -> bool:
+    total = 0
+    for column, coefficient in terms:
+        total += coefficient * vec[column]
+    return not total
 
 
 def generic_point_avoiding(
     basis: GeneratorBasis,
     spanning: Sequence[Character | Sequence[Fraction | int]],
-    bad: Sequence[EquationSystem],
+    bad: Sequence[SparseSystem | EquationSystem],
 ) -> GenericPoint:
     """Deterministic point of a subspace avoiding finitely many bad subspaces.
 
     The subspace U is given by spanning rows (characters or plain rational
-    vectors), each bad subspace by the rational equations cutting it out.  If U sits inside some bad subspace
-    the search is hopeless and that index is reported instead.  Otherwise
-    candidates sum the canonical U-basis with coefficients (1, t, t^2, ...)
-    for t = 0, 1, 2, ... and the first candidate off every bad subspace is
-    returned; a Vandermonde argument makes termination certain.
+    vectors), each bad subspace by a `SparseSystem` or by the dense rational
+    equations cutting it out; all values must be exact.  If U sits inside
+    some bad subspace the search is hopeless and the first such index is
+    reported instead.  Otherwise candidates sum the canonical U-basis with
+    coefficients (1, t, t^2, ...) for t = 0, 1, 2, ... and the first
+    candidate off every bad subspace is returned; a Vandermonde argument
+    makes termination certain.
+
+    Candidates are integer vectors, so a bad subspace holds one exactly when
+    its support misses the vanishing columns and every equation of the
+    block sums to zero.
     """
     u_rows = _integer_basis(basis, spanning)
+    systems = [_sparse_system(basis.dim, system) for system in bad]
     k = len(u_rows)
 
-    def satisfies(vec: Sequence[Fraction | int], equations: EquationSystem) -> bool:
-        return all(
-            not sum((Fraction(e) * x for e, x in zip(eq, vec)), Fraction(0))
-            for eq in equations
-        )
-
-    for index, equations in enumerate(bad):
-        for eq in equations:
-            if len(eq) != basis.dim:
-                raise InputError("equation length does not match basis dimension")
-        if all(satisfies(row, equations) for row in u_rows):
+    span_support = 0
+    for row in u_rows:
+        span_support |= _support(row)
+    for index, system in enumerate(systems):
+        if not span_support & system.vanish and all(
+            _solves(terms, row) for terms in system.equations for row in u_rows
+        ):
             return GenericPoint(None, index)
 
     if k == 0:
-        return GenericPoint(Character(basis, tuple(Fraction(0) for _ in range(basis.dim))), None)
+        return GenericPoint(Character(basis, tuple([Fraction(0)] * basis.dim)), None)
 
+    columns = list(zip(*u_rows))
     t = 0
     while True:
         coeffs = [t**i for i in range(k)]
-        candidate = [
-            sum(c * row[j] for c, row in zip(coeffs, u_rows))
-            for j in range(basis.dim)
-        ]
-        if not any(satisfies(candidate, eqs) for eqs in bad):
+        candidate = [sum(map(mul, coeffs, column)) for column in columns]
+        support = _support(candidate)
+        if not any(
+            not support & system.vanish
+            and all(_solves(terms, candidate) for terms in system.equations)
+            for system in systems
+        ):
             return GenericPoint(
                 Character(basis, tuple([Fraction(a) for a in candidate])), None
             )

@@ -17,6 +17,8 @@ from typing import Callable, Optional, Sequence
 from .characters import (
     Character,
     GeneratorBasis,
+    Row,
+    SparseSystem,
     generic_point_avoiding,
     kill_character,
     saturate,
@@ -29,11 +31,18 @@ COVERED = "covered"
 
 @dataclass(frozen=True)
 class DeadSubspace:
-    """One rational subspace of dead characters, cut out by linear equations."""
+    """One rational subspace of dead characters in dimension dim, cut out by
+    the sparse integer equations of its system."""
 
     kind: str
     kept: tuple[int, ...]
-    equations: tuple[tuple[int, ...], ...]
+    system: SparseSystem
+    dim: int
+
+    @property
+    def equations(self) -> tuple[Row, ...]:
+        """The equations as dense rows, built on every access and not kept."""
+        return self.system.rows(self.dim)
 
 
 @dataclass(frozen=True)
@@ -81,9 +90,7 @@ def run_obstruction(
     """Run the two-branch obstruction pipeline over a generator lattice."""
     lattice = saturate(basis, vectors)
     killing = kill_character(lattice)
-    found = generic_point_avoiding(
-        basis, killing.rows, [s.equations for s in subspaces]
-    )
+    found = generic_point_avoiding(basis, killing.rows, [s.system for s in subspaces])
     if found.point is not None:
         return ObstructionReport(
             CERTIFICATE,

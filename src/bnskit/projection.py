@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
 
-from .characters import Character, GeneratorBasis, make_character
+from .characters import Character, GeneratorBasis, SparseSystem, make_character
 from .errors import DomainError, InputError, PreconditionError
 from .obstruction import DeadSubspace, ObstructionReport, WitnessPair, run_obstruction
 from .words import F2ZElement, Word
@@ -178,25 +179,11 @@ class ProjectionFamily:
 
         One subspace per kept set of each base size, smaller first, each in
         lex order: generators touching a deleted strand vanish, and the base
-        equations hold on the kept strands, relabeled.
+        equations hold on the kept strands, relabeled.  The sparse systems
+        are built once per strand count; dense `equations` rows only when
+        read.
         """
-        basis = self.basis(n)
-        out = []
-        for base in (self.small, self.large):
-            for kept in combinations(range(1, n + 1), base.size):
-                eqs = []
-                for k, (i, j) in enumerate(basis.pairs):
-                    if i not in kept or j not in kept:
-                        row = [0] * basis.dim
-                        row[k] = 1
-                        eqs.append(tuple(row))
-                for equation in base.equations:
-                    row = [0] * basis.dim
-                    for (a, b), coefficient in equation.items():
-                        row[basis.index(kept[a - 1], kept[b - 1])] = coefficient
-                    eqs.append(tuple(row))
-                out.append(DeadSubspace(base.kind, kept, tuple(eqs)))
-        return out
+        return list(self.basis(n).dead)
 
     def _sample_dead_character(self, n: int, sub: DeadSubspace) -> Character:
         basis = self.basis(n)
@@ -217,7 +204,7 @@ class ProjectionFamily:
         return run_obstruction(
             self.basis(n).generators,
             vectors,
-            self.dead_subspaces(n),
+            self.basis(n).dead,
             lambda sub: self._sample_dead_character(n, sub),
             lambda c: self.sigma_membership(n, c),
             lambda c: self.witness_pair(n, c),
@@ -248,6 +235,29 @@ class PairBasis:
     @property
     def dim(self) -> int:
         return len(self.pairs)
+
+    @cached_property
+    def dead(self) -> tuple[DeadSubspace, ...]:
+        """The dead subspaces on n strands, in `dead_subspaces` order, each a
+        kept set's vanishing columns plus the base equations on it."""
+        full = (1 << self.dim) - 1
+        out = []
+        for base in (self.family.small, self.family.large):
+            for kept in combinations(range(1, self.n + 1), base.size):
+                inside = 0
+                for i in kept:
+                    for j in kept:
+                        if i != j:
+                            inside |= 1 << self._index[(i, j)]
+                block = []
+                for equation in base.equations:
+                    terms = {}
+                    for (a, b), coefficient in equation.items():
+                        terms[self.index(kept[a - 1], kept[b - 1])] = coefficient
+                    block.append(tuple(sorted(terms.items())))
+                system = SparseSystem(full & ~inside, tuple(block))
+                out.append(DeadSubspace(base.kind, kept, system, self.dim))
+        return tuple(out)
 
     def index(self, i: int, j: int) -> int:
         try:

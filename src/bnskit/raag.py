@@ -18,6 +18,7 @@ from .characters import (
     Character,
     GeneratorBasis,
     SaturatedLattice,
+    SparseSystem,
     VectorCharacter,
     abelianize,
     generic_point_avoiding,
@@ -185,7 +186,8 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
         )
     dead, alive = _split_dead(g, lattice)
     killing = kill_character(lattice)
-    bad = [(_unit(basis.dim, i),) for i in alive]
+    # each living vertex is one bad hyperplane: its column vanishes
+    bad = [SparseSystem(1 << i) for i in alive]
     found = generic_point_avoiding(basis, killing.rows, bad)
     assert found.point is not None, "annihilator always escapes the live hyperplanes"
     specialized = found.point

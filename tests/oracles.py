@@ -6,7 +6,9 @@ calls into the package, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -325,3 +327,89 @@ def brute_complement_supports(n: int, masks):
         if bad[w] and not any(w >> u & 1 and bad[w ^ 1 << u] for u in range(n))
     ]
     return sorted(minimal, key=lambda t: (len(t), t))
+
+
+# ---------------------------------------------------------------------------
+# the generic point search on dense Fraction equations, as it was first
+# written: every candidate is tested against every equation by a dot product
+
+
+def _dense_echelon(rows, pivot_cols):
+    mat = [row[:] for row in rows]
+    m = len(mat)
+    rank = 0
+    for col in range(pivot_cols):
+        while True:
+            nz = [i for i in range(rank, m) if mat[i][col]]
+            if not nz:
+                break
+            pick = min(nz, key=lambda i: (abs(mat[i][col]), i))
+            if pick != rank:
+                mat[rank], mat[pick] = mat[pick], mat[rank]
+            pivot = mat[rank][col]
+            clean = True
+            for i in range(rank + 1, m):
+                if mat[i][col]:
+                    q = mat[i][col] // pivot
+                    if q:
+                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[rank])]
+                    if mat[i][col]:
+                        clean = False
+            if clean:
+                break
+        if rank < m and mat[rank][col]:
+            rank += 1
+    return mat, rank
+
+
+def dense_hermite_form(rows, dim):
+    """Row Hermite form: positive pivots, entries above each pivot reduced."""
+    mat, rank = _dense_echelon([list(r) for r in rows], dim)
+    mat = mat[:rank]
+    pivot = lambda row: next(j for j, a in enumerate(row) if a)
+    for i, row in enumerate(mat):
+        if row[pivot(row)] < 0:
+            mat[i] = [-a for a in row]
+    for i in range(rank):
+        col = pivot(mat[i])
+        for k in range(i):
+            q = mat[k][col] // mat[i][col]
+            if q:
+                mat[k] = [a - q * b for a, b in zip(mat[k], mat[i])]
+    return [tuple(row) for row in mat]
+
+
+def dense_generic_point(dim, spanning, bad):
+    """(point, covering) of the deterministic generic point search.
+
+    spanning: rational rows; bad: one list of dense rational equations per
+    bad subspace.  covering is the first bad subspace holding the whole span,
+    and then point is None; otherwise point is the first candidate
+    sum_i t^i u_i, t = 0, 1, 2, ..., over the Hermite basis u of the span
+    that satisfies no bad subspace's equations.
+    """
+    cleared = []
+    for row in spanning:
+        values = [Fraction(x) for x in row]
+        denom = lcm(1, *(v.denominator for v in values))
+        cleared.append([int(v * denom) for v in values])
+    u_rows = dense_hermite_form(cleared, dim)
+
+    def satisfies(vec, equations):
+        return all(
+            not sum((Fraction(e) * x for e, x in zip(eq, vec)), Fraction(0))
+            for eq in equations
+        )
+
+    for index, equations in enumerate(bad):
+        if all(satisfies(row, equations) for row in u_rows):
+            return None, index
+    if not u_rows:
+        return tuple(Fraction(0) for _ in range(dim)), None
+    t = 0
+    while True:
+        coeffs = [t**i for i in range(len(u_rows))]
+        candidate = [sum(c * row[j] for c, row in zip(coeffs, u_rows)) for j in range(dim)]
+        if not any(satisfies(candidate, eqs) for eqs in bad):
+            return tuple(Fraction(a) for a in candidate), None
+        t += 1

@@ -1,4 +1,8 @@
-"""Random graph files through the command line: every run ends in an exit code.
+"""Random input files through the command line: every run ends in an exit code.
+
+Graph files go through `graph analyze` and `raag complement`; character and
+vector files through `braid`/`loop` `sigma` and `obstruct` on at most five
+strands; words and character files through `raag kill` and `raag sigma`.
 
 The examples are derandomized, so every run of the suite tries the same
 inputs, and no deadline applies, so no outcome depends on machine speed.
@@ -67,3 +71,101 @@ def test_graph_commands_end_in_an_exit_code(text):
             assert report.exit_code in (0, 1, 2)
             if report.exit_code:
                 assert any(line.startswith("error=") for line in report.porcelain)
+
+
+def run_all(files, argvs):
+    """Write the files, run each command on them, and check its exit code."""
+    with tempfile.TemporaryDirectory() as directory:
+        paths = []
+        for k, text in enumerate(files):
+            paths.append(os.path.join(directory, f"in{k}"))
+            with open(paths[-1], "w", encoding="utf-8", errors="surrogatepass") as handle:
+                handle.write(text)
+        for argv in argvs:
+            report = cli.run(["--porcelain", *[paths[a] if isinstance(a, int) else a for a in argv]])
+            assert report.exit_code in (0, 1, 2)
+            if report.exit_code:
+                assert any(line.startswith("error=") for line in report.porcelain)
+
+
+GENERATOR_NAMES = sorted(
+    {f"{letter}({i},{j})" for letter in "SA" for i in range(7) for j in range(7)}
+    | {"S(1,2", "A(1,2)x", "a", ""}
+)
+VALUE_TEXT = st.one_of(
+    st.integers(-10**6, 10**6).map(str),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(-2, 9)),
+    st.sampled_from(["0", "+3", "-0", "1/0", "0.5", "1e3", "", "x", "9" * 40, "1//2"]),
+)
+ASSIGNMENT = st.builds(
+    lambda name, sep, value: f"{name}{sep}{value}",
+    st.sampled_from(GENERATOR_NAMES),
+    st.sampled_from([" = ", "=", " == ", " ", "= ="]),
+    VALUE_TEXT,
+)
+CHARACTER_TEXT = st.one_of(
+    st.lists(st.one_of(ASSIGNMENT, LINE), max_size=8).map("\n".join),
+    st.text(max_size=60),
+)
+
+
+def valid_names(family, n):
+    strands = range(1, n + 1)
+    if family == "braid":
+        return [f"S({i},{j})" for i in strands for j in strands if i < j]
+    return [f"A({i},{j})" for i in strands for j in strands if i != j]
+
+
+@st.composite
+def projection_files(draw, family, n):
+    """Well-formed integer assignments over the family's generators on n
+    strands, some with one damaged line, or any character text."""
+    names = valid_names(family, n)
+    if not names or draw(st.integers(0, 3)) == 0:
+        return draw(CHARACTER_TEXT)
+    values = draw(st.dictionaries(st.sampled_from(names), st.integers(-3, 3), max_size=len(names)))
+    lines = [f"{name} = {value}" for name, value in values.items()]
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(ASSIGNMENT, LINE)))
+    return "\n".join(lines)
+
+
+@st.composite
+def projection_commands(draw):
+    family = draw(st.sampled_from(["braid", "loop"]))
+    n = draw(st.one_of(st.integers(3, 5), st.integers(-1, 5)))
+    files = draw(st.lists(projection_files(family, n), min_size=1, max_size=4))
+    return family, str(n), files
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(projection_commands())
+def test_character_and_vector_files_end_in_an_exit_code(command):
+    family, n, files = command
+    obstruct = [family, "obstruct", "-n", n, *range(1, len(files))]
+    run_all(files, [[family, "sigma", "-n", n, 0], obstruct])
+
+
+@st.composite
+def kill_inputs(draw):
+    """A graph file with a words file over its vertices, or any words text."""
+    graph = draw(graph_files())
+    names = graph[0].split(":", 1)[1].split("#", 1)[0].split() or ["v0"]
+    power = st.tuples(st.sampled_from(names), st.integers(1, 3))
+    token = st.one_of(
+        st.sampled_from(names).flatmap(lambda v: st.sampled_from([v, f"{v}^-1", f"{v}'"])),
+        st.sampled_from(["v1^-2", "^-1", "'", "v1''", "v99", "a-b"]),
+    )
+    words = draw(st.one_of(
+        # powers of one vertex commute, so these reach the killing step
+        st.lists(power, max_size=3).map(lambda ws: "\n".join(" ".join([v] * k) for v, k in ws)),
+        st.lists(st.lists(token, max_size=5).map(" ".join), max_size=4).map("\n".join),
+        st.text(max_size=40),
+    ))
+    return "\n".join(graph), words
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=200)
+@given(kill_inputs(), CHARACTER_TEXT)
+def test_words_and_raag_character_files_end_in_an_exit_code(graph_words, character):
+    run_all([*graph_words, character], [["raag", "kill", 0, 1], ["raag", "sigma", 0, 2]])
