@@ -85,7 +85,8 @@ class Character:
         """Value of the character on a group element given by exponent vector."""
         if len(vec) != self.basis.dim:
             raise InputError("vector length does not match basis dimension")
-        return sum((v * x for v, x in zip(self.values, vec)), Fraction(0))
+        entries = [_exact(x, "a vector entry") for x in vec]
+        return sum((v * x for v, x in zip(self.values, entries)), Fraction(0))
 
 
 def make_character(
@@ -185,7 +186,7 @@ def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
             q = mat[k][col] // pivot
             if q:
                 mat[k] = [a - q * b for a, b in zip(mat[k], mat[i])]
-    return tuple(tuple(row) for row in mat)
+    return tuple([tuple(row) for row in mat])
 
 
 def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
@@ -213,47 +214,48 @@ def span_contains(rows: Sequence[Sequence[int]], vec: Sequence[int], dim: int) -
     return integer_rank(list(rows) + [list(vec)], dim) == base
 
 
+def _lattice_vector(basis: GeneratorBasis, vec: Sequence[int]) -> list[int]:
+    """The vector as a list, if it is an int vector of the basis dimension."""
+    v = list(vec)
+    if len(v) != basis.dim:
+        raise InputError("vector length does not match basis dimension")
+    for a in v:
+        if not isinstance(a, int) or isinstance(a, bool):
+            raise InputError("saturate expects integer vectors")
+    return v
+
+
 @dataclass(frozen=True)
 class SaturatedLattice:
-    """A saturated sublattice of Z^dim, stored by its Hermite basis rows."""
+    """A saturated sublattice of Z^dim, stored by the Hermite basis of its
+    integer annihilator: exactly the vectors pairing to zero with each row."""
 
     basis: GeneratorBasis
-    rows: tuple[Row, ...]
+    annihilator: tuple[Row, ...]
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return self.basis.dim - len(self.annihilator)
+
+    @property
+    def rows(self) -> tuple[Row, ...]:
+        """Hermite basis of the lattice itself, computed on every read."""
+        return integer_kernel(self.annihilator, self.basis.dim)
 
     def contains(self, vec: Sequence[int]) -> bool:
         """Integer membership; equals rational-span membership by saturation."""
-        if len(vec) != self.basis.dim:
-            raise InputError("vector length does not match basis dimension")
-        v = list(vec)
-        for row in self.rows:
-            col = _pivot_col(row)
-            if v[col] % row[col]:
-                return False
-            q = v[col] // row[col]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        v = _lattice_vector(self.basis, vec)
+        return not any(sum(map(mul, row, v)) for row in self.annihilator)
 
 
 def saturate(basis: GeneratorBasis, vectors: Iterable[Sequence[int]]) -> SaturatedLattice:
     """Smallest saturated lattice containing the vectors.
 
     Equals (rational span of the vectors) intersected with the integer
-    lattice; computed as the kernel of the kernel, both of which are exact.
+    lattice: the kernel of the vectors' integer kernel, which is kept.
     """
-    vectors = [list(v) for v in vectors]
-    for v in vectors:
-        if len(v) != basis.dim:
-            raise InputError("vector length does not match basis dimension")
-        for a in v:
-            if not isinstance(a, int) or isinstance(a, bool):
-                raise InputError("saturate expects integer vectors")
-    orthogonal = integer_kernel(vectors, basis.dim)
-    return SaturatedLattice(basis, integer_kernel(orthogonal, basis.dim))
+    vectors = [_lattice_vector(basis, v) for v in vectors]
+    return SaturatedLattice(basis, integer_kernel(vectors, basis.dim))
 
 
 @dataclass(frozen=True)
@@ -277,11 +279,7 @@ def kill_character(lattice: SaturatedLattice) -> VectorCharacter:
     vector outside survives at least one row.
     """
     basis = lattice.basis
-    rows = integer_kernel(lattice.rows, basis.dim)
-    chars = tuple(
-        [Character(basis, tuple([Fraction(a) for a in row])) for row in rows]
-    )
-    return VectorCharacter(basis, chars)
+    return VectorCharacter(basis, tuple([Character(basis, row) for row in lattice.annihilator]))
 
 
 def canonical_class(c: Character) -> Character:
@@ -359,7 +357,7 @@ class SparseSystem:
         return tuple(out)
 
 
-def _cleared(values: Sequence[Fraction]) -> list[int]:
+def _cleared(values: Sequence[Fraction | int]) -> list[int]:
     """The values times the positive lcm of their denominators."""
     denom = lcm(1, *[v.denominator for v in values])
     return [v.numerator * (denom // v.denominator) for v in values]
@@ -375,7 +373,8 @@ def _integer_basis(
                 raise InputError("spanning character over the wrong basis")
             values = row.values
         else:
-            values = tuple([Fraction(_exact(x, "a spanning value")) for x in row])
+            # an int clears as it is, so integer rows skip the Fraction
+            values = [x if type(x) is int else Fraction(_exact(x, "a spanning value")) for x in row]
             if len(values) != basis.dim:
                 raise InputError("spanning vector length does not match basis dimension")
         cleared.append(_cleared(values))

@@ -20,7 +20,6 @@ from .characters import (
     Row,
     SparseSystem,
     generic_point_avoiding,
-    kill_character,
     saturate,
 )
 from .words import Word
@@ -89,8 +88,7 @@ def run_obstruction(
 ) -> ObstructionReport:
     """Run the two-branch obstruction pipeline over a generator lattice."""
     lattice = saturate(basis, vectors)
-    killing = kill_character(lattice)
-    found = generic_point_avoiding(basis, killing.rows, [s.system for s in subspaces])
+    found = generic_point_avoiding(basis, lattice.annihilator, [s.system for s in subspaces])
     if found.point is not None:
         return ObstructionReport(
             CERTIFICATE,

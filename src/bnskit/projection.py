@@ -45,6 +45,10 @@ Pair = tuple[int, int]
 # a word as (i, j, sign) moves along the generator of the pair (i, j)
 Moves = tuple[tuple[int, int, int], ...]
 
+# the most strands a pair basis is built for: its O(n^2) generators are made
+# before any input is read, so an unchecked n could exhaust memory
+MAX_STRANDS = 64
+
 
 @dataclass(frozen=True)
 class BaseGroup:
@@ -218,6 +222,10 @@ class PairBasis:
         if n < family.small.size:
             raise PreconditionError(
                 f"{family.group} computations need at least {family.small.size} {family.unit}s"
+            )
+        if n > MAX_STRANDS:
+            raise PreconditionError(
+                f"{family.group} computations support at most {MAX_STRANDS} {family.unit}s"
             )
         self.family = family
         self.n = n

@@ -141,19 +141,15 @@ def dying_vertices(g: Graph, gens: Sequence[Word]) -> tuple[str, ...]:
     return _split_dead(g, lattice)[0]
 
 
-def _unit(dim: int, i: int) -> tuple[int, ...]:
-    return tuple([1 if k == i else 0 for k in range(dim)])
-
-
 def _split_dead(g: Graph, lattice: SaturatedLattice) -> tuple[tuple[str, ...], list[int]]:
-    """Dead vertices, whose unit vectors lie in the lattice, and the indices
-    of the living ones."""
+    """Dead vertices, whose unit vectors lie in the lattice because their
+    annihilator column is zero, and the indices of the living ones."""
     dead, alive = [], []
     for i, v in enumerate(g.vertices):
-        if lattice.contains(_unit(len(g.vertices), i)):
-            dead.append(v)
-        else:
+        if any(row[i] for row in lattice.annihilator):
             alive.append(i)
+        else:
+            dead.append(v)
     return tuple(dead), alive
 
 
@@ -188,7 +184,7 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
     killing = kill_character(lattice)
     # each living vertex is one bad hyperplane: its column vanishes
     bad = [SparseSystem(1 << i) for i in alive]
-    found = generic_point_avoiding(basis, killing.rows, bad)
+    found = generic_point_avoiding(basis, lattice.annihilator, bad)
     assert found.point is not None, "annihilator always escapes the live hyperplanes"
     specialized = found.point
     return KillTestResult(

@@ -7,6 +7,7 @@ from bnskit import (
     Character,
     DomainError,
     GeneratorBasis,
+    Graph,
     InputError,
     abelianize,
     canonical_class,
@@ -22,6 +23,7 @@ from bnskit import (
     span_contains,
     word,
 )
+from bnskit import braid, characters, raag
 
 AB = GeneratorBasis(("a", "b"))
 ABC = GeneratorBasis(("a", "b", "c"))
@@ -161,13 +163,22 @@ def test_character_constructor_and_scaling_reject_inexact_values():
 
 def test_saturate_idempotent_random():
     rng = random.Random(29)
-    for _ in range(150):
-        dim = rng.randrange(1, 5)
+    # the added combinations and probes draw from their own generator, so
+    # the first 150 trials keep the inputs they always had
+    extra = random.Random(31)
+    for trial in range(450):
+        # the first 150 trials are small; later ones reach dimension 10 and
+        # add integer combinations of the vectors, so the span is deficient
+        dim = rng.randrange(1, 5) if trial < 150 else rng.randrange(1, 11)
         basis = GeneratorBasis(tuple(f"g{i}" for i in range(dim)))
         vecs = [
             tuple(rng.randrange(-4, 5) for _ in range(dim))
             for _ in range(rng.randrange(3))
         ]
+        if trial >= 150:
+            for _ in range(extra.randrange(3)):
+                coeffs = [extra.randrange(-3, 4) for _ in vecs]
+                vecs.append(tuple(sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(dim)))
         lat = saturate(basis, vecs)
         again = saturate(basis, lat.rows)
         assert lat.rows == again.rows
@@ -176,6 +187,55 @@ def test_saturate_idempotent_random():
         # membership in the saturation equals rational span membership
         probe = tuple(rng.randrange(-3, 4) for _ in range(dim))
         assert lat.contains(probe) == span_contains(vecs, probe, dim)
+        # the stored annihilator is the vectors' integer kernel, and it is
+        # what kill_character returns
+        assert lat.annihilator == integer_kernel(vecs, dim)
+        assert [r.values for r in kill_character(lat).rows] == list(lat.annihilator)
+        assert lat.rank == len(lat.rows) == integer_rank(vecs, dim)
+        for _ in range(4):
+            scale = extra.randrange(-2, 3)
+            probe = (
+                tuple(scale * x for x in extra.choice(vecs))
+                if vecs and extra.random() < 0.5
+                else tuple(extra.randrange(-3, 4) for _ in range(dim))
+            )
+            assert lat.contains(probe) == span_contains(vecs, probe, dim)
+
+
+def test_lattice_membership_rejects_inexact_entries():
+    lat = saturate(AB, [(1, 0)])
+    for probe in ((True, 0), (1.0, 0.0), (Fraction(1), 0), (1, 0, 0)):
+        with pytest.raises(InputError):
+            lat.contains(probe)
+    assert lat.contains((3, 0)) and not lat.contains((0, 1))
+
+
+def test_pair_rejects_inexact_entries():
+    c = make_character(AB, {"a": 1})
+    for vec in ((0.1, 0), (1, 2.0), (True, 0), (0, False)):
+        with pytest.raises(InputError):
+            c.pair(vec)
+    assert c.pair((3, 5)) == 3
+    assert c.pair((Fraction(1, 2), 0)) == Fraction(1, 2)
+
+
+def test_one_integer_kernel_per_obstruction_and_kill(monkeypatch):
+    calls = []
+    kernel = characters.integer_kernel
+
+    def counted(rows, dim):
+        calls.append(dim)
+        return kernel(rows, dim)
+
+    monkeypatch.setattr(characters, "integer_kernel", counted)
+    dim = braid.PureBraidBasis(5).dim
+    vectors = [tuple(1 if k == i else 0 for k in range(dim)) for i in (0, 4)]
+    braid.nf_obstruction_demo(5, vectors)
+    assert calls == [dim]
+    calls.clear()
+    g = Graph(["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v2", "v3"), ("v3", "v4")])
+    raag.kill_and_test(g, [word(g.vertices, ["v1", "v2"])])
+    assert calls == [4]
 
 
 def test_kill_character():

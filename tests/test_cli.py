@@ -167,6 +167,17 @@ def test_run_exit_codes(tmp_path):
     assert run(["loop", "witness", "-n", "2", str(two)]).exit_code == 2
 
 
+def test_strand_count_limit(tmp_path):
+    char = tmp_path / "c.chr"
+    char.write_text("S(1,2) = 1\n")
+    for family in ("braid", "loop"):
+        for command in ("sigma", "witness", "obstruct"):
+            report = run(["--porcelain", family, command, "-n", "65", str(char)])
+            assert report.exit_code == 2
+            assert report.porcelain[0].startswith("error=") and "at most 64" in report.porcelain[0]
+    assert run(["braid", "sigma", "-n", "64", str(char)]).exit_code == 0
+
+
 def test_error_report_shape():
     report = run(["graph", "analyze", "/nonexistent/x.graph"])
     assert isinstance(report, RenderedReport)
