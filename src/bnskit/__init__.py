@@ -61,7 +61,8 @@ from .characters import (
     saturate,
     span_contains,
 )
-from .obstruction import DeadSubspace, ObstructionReport, WitnessPair, run_obstruction
+from .obstruction import ObstructionReport, WitnessPair, run_obstruction
+from .projection import DeadSubspace
 from . import braid, loop, raag
 
 __all__ = [

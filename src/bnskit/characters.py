@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, InputError
 from .words import Word
@@ -126,16 +126,26 @@ def abelianize(basis: GeneratorBasis, w: Word) -> Row:
 # integer lattice arithmetic
 
 
-def _echelon(rows: list[list[int]], pivot_cols: int) -> tuple[list[list[int]], int]:
-    """Bring rows to echelon form over the first pivot_cols columns.
+def _pivot_col(row: Sequence[int]) -> int:
+    for j, a in enumerate(row):
+        if a:
+            return j
+    raise ValueError("zero row has no pivot")
+
+
+def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
+    """Canonical row Hermite form: positive pivots, entries above reduced.
 
     Only unimodular row operations are used (swap, negate, add an integer
-    multiple), so the row lattice of the full matrix is preserved.
+    multiple), so the row lattice is preserved.
     """
-    mat = [row[:] for row in rows]
+    mat = [list(r) for r in rows]
+    for r in mat:
+        if len(r) != dim:
+            raise InputError("row length does not match dimension")
     m = len(mat)
     rank = 0
-    for col in range(pivot_cols):
+    for col in range(dim):
         while True:
             nz = [i for i in range(rank, m) if mat[i][col]]
             if not nz:
@@ -156,23 +166,6 @@ def _echelon(rows: list[list[int]], pivot_cols: int) -> tuple[list[list[int]], i
                 break
         if rank < m and mat[rank][col]:
             rank += 1
-    return mat, rank
-
-
-def _pivot_col(row: Sequence[int]) -> int:
-    for j, a in enumerate(row):
-        if a:
-            return j
-    raise ValueError("zero row has no pivot")
-
-
-def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
-    """Canonical row Hermite form: positive pivots, entries above reduced."""
-    rows = [list(r) for r in rows]
-    for r in rows:
-        if len(r) != dim:
-            raise InputError("row length does not match dimension")
-    mat, rank = _echelon(rows, dim)
     mat = mat[:rank]
     for i, row in enumerate(mat):
         if row[_pivot_col(row)] < 0:
@@ -192,16 +185,17 @@ def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
 def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     """Hermite basis of all integer vectors orthogonal to every given row.
 
-    Such a kernel lattice is automatically saturated.
+    Such a kernel lattice is automatically saturated.  The Hermite form of
+    the augmented matrix [V^T | I] lists the rows with a pivot among the
+    first m columns first; the rest, zero there, are the kernel's Hermite
+    basis after those m columns.
     """
     rows = [list(r) for r in rows]
     m = len(rows)
     aug = []
     for j in range(dim):
         aug.append([rows[k][j] for k in range(m)] + [1 if t == j else 0 for t in range(dim)])
-    mat, _ = _echelon(aug, m)
-    kernel = [row[m:] for row in mat if not any(row[:m])]
-    return hermite_form(kernel, dim)
+    return tuple([row[m:] for row in hermite_form(aug, m + dim) if not any(row[:m])])
 
 
 def integer_rank(rows: Iterable[Sequence[int]], dim: int) -> int:
@@ -338,24 +332,6 @@ class SparseSystem:
                 width = max(width, column + 1)
         object.__setattr__(self, "width", width)
 
-    def rows(self, dim: int) -> tuple[Row, ...]:
-        """The same equations as dense rows: one unit row per vanishing
-        column, in column order, then the block."""
-        if self.width > dim:
-            raise InputError("equation column lies outside the basis dimension")
-        out = []
-        for column in range(dim):
-            if self.vanish >> column & 1:
-                row = [0] * dim
-                row[column] = 1
-                out.append(tuple(row))
-        for terms in self.equations:
-            row = [0] * dim
-            for column, coefficient in terms:
-                row[column] = coefficient
-            out.append(tuple(row))
-        return tuple(out)
-
 
 def _cleared(values: Sequence[Fraction | int]) -> list[int]:
     """The values times the positive lcm of their denominators."""
@@ -404,19 +380,38 @@ def _sparse_system(dim: int, system: SparseSystem | EquationSystem) -> SparseSys
     return SparseSystem(vanish, tuple(block))
 
 
-def _support(vec: Sequence[int]) -> int:
-    mask = 0
-    for j, x in enumerate(vec):
-        if x:
-            mask |= 1 << j
-    return mask
+def _holds(system: SparseSystem, rows: Sequence[Sequence[int]]) -> bool:
+    """Does the subspace the system cuts out hold every row?"""
+    for row in rows:
+        for j, x in enumerate(row):
+            if x and system.vanish >> j & 1:
+                return False
+    for terms in system.equations:
+        for row in rows:
+            if sum(coefficient * row[column] for column, coefficient in terms):
+                return False
+    return True
 
 
-def _solves(terms: Terms, vec: Sequence[int]) -> bool:
-    total = 0
-    for column, coefficient in terms:
-        total += coefficient * vec[column]
-    return not total
+def _first_combination(
+    basis: GeneratorBasis, rows: Sequence[Row], accepts: Callable[[Character], bool]
+) -> Character:
+    """The first sum of the rows with coefficients (1, t, t^2, ...), for
+    t = 0, 1, 2, ..., that accepts takes.
+
+    Terminates when accepts rejects only the points of finitely many proper
+    subspaces of the rows' span: for independent rows, any len(rows) of the
+    candidates are independent (a Vandermonde determinant), so each such
+    subspace holds fewer than len(rows) of them.
+    """
+    columns = list(zip(*rows))
+    t = 0
+    while True:
+        coeffs = [t**i for i in range(len(rows))]
+        candidate = Character(basis, tuple([sum(map(mul, coeffs, column)) for column in columns]))
+        if accepts(candidate):
+            return candidate
+        t += 1
 
 
 def generic_point_avoiding(
@@ -435,38 +430,17 @@ def generic_point_avoiding(
     candidate off every bad subspace is returned; a Vandermonde argument
     makes termination certain.
 
-    Candidates are integer vectors, so a bad subspace holds one exactly when
-    its support misses the vanishing columns and every equation of the
-    block sums to zero.
+    A subspace holds a row exactly when the row's support misses the
+    vanishing columns and every equation of the block sums to zero on it.
     """
     u_rows = _integer_basis(basis, spanning)
     systems = [_sparse_system(basis.dim, system) for system in bad]
-    k = len(u_rows)
-
-    span_support = 0
-    for row in u_rows:
-        span_support |= _support(row)
     for index, system in enumerate(systems):
-        if not span_support & system.vanish and all(
-            _solves(terms, row) for terms in system.equations for row in u_rows
-        ):
+        if _holds(system, u_rows):
             return GenericPoint(None, index)
-
-    if k == 0:
+    if not u_rows:
         return GenericPoint(Character(basis, tuple([Fraction(0)] * basis.dim)), None)
-
-    columns = list(zip(*u_rows))
-    t = 0
-    while True:
-        coeffs = [t**i for i in range(k)]
-        candidate = [sum(map(mul, coeffs, column)) for column in columns]
-        support = _support(candidate)
-        if not any(
-            not support & system.vanish
-            and all(_solves(terms, candidate) for terms in system.equations)
-            for system in systems
-        ):
-            return GenericPoint(
-                Character(basis, tuple([Fraction(a) for a in candidate])), None
-            )
-        t += 1
+    point = _first_combination(
+        basis, u_rows, lambda c: not any(_holds(system, (c.values,)) for system in systems)
+    )
+    return GenericPoint(point, None)

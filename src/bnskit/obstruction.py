@@ -12,36 +12,16 @@ after projection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .characters import (
-    Character,
-    GeneratorBasis,
-    Row,
-    SparseSystem,
-    generic_point_avoiding,
-    saturate,
-)
+from .characters import Character, GeneratorBasis, Row, _first_combination, saturate
 from .words import Word
+
+if TYPE_CHECKING:
+    from .projection import DeadSubspace
 
 CERTIFICATE = "certificate"
 COVERED = "covered"
-
-
-@dataclass(frozen=True)
-class DeadSubspace:
-    """One rational subspace of dead characters in dimension dim, cut out by
-    the sparse integer equations of its system."""
-
-    kind: str
-    kept: tuple[int, ...]
-    system: SparseSystem
-    dim: int
-
-    @property
-    def equations(self) -> tuple[Row, ...]:
-        """The equations as dense rows, built on every access and not kept."""
-        return self.system.rows(self.dim)
 
 
 @dataclass(frozen=True)
@@ -81,28 +61,32 @@ COVERED_GUIDANCE = (
 def run_obstruction(
     basis: GeneratorBasis,
     vectors: Sequence[Sequence[int]],
-    subspaces: Sequence[DeadSubspace],
+    covering: Callable[[Sequence[Row]], Optional[DeadSubspace]],
     sample_character: Callable[[DeadSubspace], Character],
     membership: Callable[[Character], object],
     witness_pair: Callable[[Character], WitnessPair],
 ) -> ObstructionReport:
-    """Run the two-branch obstruction pipeline over a generator lattice."""
-    lattice = saturate(basis, vectors)
-    found = generic_point_avoiding(basis, lattice.annihilator, [s.system for s in subspaces])
-    if found.point is not None:
+    """Run the two-branch obstruction pipeline over a generator lattice.
+
+    covering names the dead subspace holding all the annihilator rows, or
+    None; a character avoids every dead subspace when membership says inside.
+    """
+    annihilator = saturate(basis, vectors).annihilator
+    covered = covering(annihilator)
+    if covered is None:
+        point = _first_combination(basis, annihilator, lambda c: membership(c).inside)
         return ObstructionReport(
             CERTIFICATE,
-            found.point,
-            verdict_plus=membership(found.point),
-            verdict_minus=membership(found.point.negated()),
+            point,
+            verdict_plus=membership(point),
+            verdict_minus=membership(point.negated()),
             guidance=CERTIFICATE_GUIDANCE,
         )
-    covering = subspaces[found.covering]
-    sample = sample_character(covering)
+    sample = sample_character(covered)
     return ObstructionReport(
         COVERED,
         sample,
-        covering=covering,
+        covering=covered,
         witness=witness_pair(sample),
         guidance=COVERED_GUIDANCE,
     )

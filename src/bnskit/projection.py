@@ -16,23 +16,33 @@ other kept strands are.  A kept set larger than T never adds a dead
 projection: a nonzero braid character on at most two strands is a single
 band, whose sum is not zero, and on a 4-strand set with an untouched strand
 the exceptional equations pair each band at that strand with its
-complementary band, forcing all six values to zero; for loops every
-character on two loops is dead already.  So the first dead projection in
-(size, lex) order is T itself, when T has the size of a base group and that
-base group's equations hold on it.
+complementary band, forcing all six values to zero; for loops the inflow
+equations on three loops force a character living on two of them to zero.
+
+So a nonzero character lies in at most one dead subspace, the one whose
+kept set is T: it lies there when T has the size of a base group and that
+base group's equations hold on it.  Two facts follow, and with them the
+obstruction pipeline needs no list of dead subspaces:
+
+- Rows span a subspace inside a dead subspace exactly when the strands they
+  touch together have the size of a base group and its equations hold on
+  every row, since a generic element of the span touches all those strands.
+  That subspace is unique.  When no row is nonzero every dead subspace
+  holds the span, and the first in `dead_subspaces` order is named.
+- A character avoids every dead subspace exactly when `sigma_membership`
+  says IN, so each candidate of the generic point search is tested by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
 
-from .characters import Character, GeneratorBasis, SparseSystem, make_character
+from .characters import Character, GeneratorBasis, Row, make_character
 from .errors import DomainError, InputError, PreconditionError
-from .obstruction import DeadSubspace, ObstructionReport, WitnessPair, run_obstruction
+from .obstruction import ObstructionReport, WitnessPair, run_obstruction
 from .words import F2ZElement, Word
 
 IN = "in"
@@ -139,17 +149,13 @@ class ProjectionFamily:
         """First dead projection in (size, lex) order, in closed form."""
         basis = self.basis(n)
         self._check_basis(basis, c)
-        touched = set()
-        for pair, value in zip(basis.pairs, c.values):
-            if value != 0:
-                touched.update(pair)
-        if not touched:
+        if c.is_zero():
             return ProjectionVerdict(OUT, ZERO)
-        kept = tuple(sorted(touched))
-        for base in (self.small, self.large):
-            if len(kept) == base.size and _equations_hold(basis, base, kept, c):
-                return ProjectionVerdict(OUT, PROJECTION, kept, base.kind)
-        return ProjectionVerdict(IN)
+        held = basis._dead_holding((c.values,))
+        if held is None:
+            return ProjectionVerdict(IN)
+        kind, kept = held
+        return ProjectionVerdict(OUT, PROJECTION, kept, kind)
 
     def witness_pair(self, n: int, c: Character) -> WitnessPair:
         """Two kernel words of c whose small-base projections generate freely.
@@ -179,23 +185,25 @@ class ProjectionFamily:
         return WitnessPair(u, v, tuple(sorted({*p, *q})))
 
     def dead_subspaces(self, n: int) -> list[DeadSubspace]:
-        """The finite union of subspaces making up the dead set, as equations.
+        """The finite union of subspaces making up the dead set.
 
         One subspace per kept set of each base size, smaller first, each in
         lex order: generators touching a deleted strand vanish, and the base
-        equations hold on the kept strands, relabeled.  The sparse systems
-        are built once per strand count; dense `equations` rows only when
-        read.
+        equations hold on the kept strands, relabeled.  The list is built on
+        each call; the obstruction pipeline decides covering without it.
         """
-        return list(self.basis(n).dead)
-
-    def _sample_dead_character(self, n: int, sub: DeadSubspace) -> Character:
         basis = self.basis(n)
-        base = self.small if sub.kind == self.small.kind else self.large
-        kept = sub.kept
+        return [
+            DeadSubspace(base.kind, kept, basis)
+            for base in (self.small, self.large)
+            for kept in combinations(range(1, n + 1), base.size)
+        ]
+
+    def _sample_dead_character(self, sub: DeadSubspace) -> Character:
+        basis, kept = sub.basis, sub.kept
         return make_character(
             basis.generators,
-            {basis.name(kept[a - 1], kept[b - 1]): v for (a, b), v in base.sample.items()},
+            {basis.name(kept[a - 1], kept[b - 1]): v for (a, b), v in sub.base.sample.items()},
         )
 
     def nf_obstruction_demo(self, n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
@@ -205,11 +213,17 @@ class ProjectionFamily:
             raise PreconditionError(
                 f"the obstruction demonstration needs at least {self.large.size} {self.unit}s"
             )
+        basis = self.basis(n)
+
+        def covering(rows: Sequence[Row]) -> Optional[DeadSubspace]:
+            held = basis._dead_holding(rows)
+            return None if held is None else DeadSubspace(*held, basis)
+
         return run_obstruction(
-            self.basis(n).generators,
+            basis.generators,
             vectors,
-            self.basis(n).dead,
-            lambda sub: self._sample_dead_character(n, sub),
+            covering,
+            self._sample_dead_character,
             lambda c: self.sigma_membership(n, c),
             lambda c: self.witness_pair(n, c),
         )
@@ -244,28 +258,23 @@ class PairBasis:
     def dim(self) -> int:
         return len(self.pairs)
 
-    @cached_property
-    def dead(self) -> tuple[DeadSubspace, ...]:
-        """The dead subspaces on n strands, in `dead_subspaces` order, each a
-        kept set's vanishing columns plus the base equations on it."""
-        full = (1 << self.dim) - 1
-        out = []
-        for base in (self.family.small, self.family.large):
-            for kept in combinations(range(1, self.n + 1), base.size):
-                inside = 0
-                for i in kept:
-                    for j in kept:
-                        if i != j:
-                            inside |= 1 << self._index[(i, j)]
-                block = []
-                for equation in base.equations:
-                    terms = {}
-                    for (a, b), coefficient in equation.items():
-                        terms[self.index(kept[a - 1], kept[b - 1])] = coefficient
-                    block.append(tuple(sorted(terms.items())))
-                system = SparseSystem(full & ~inside, tuple(block))
-                out.append(DeadSubspace(base.kind, kept, system, self.dim))
-        return tuple(out)
+    def _dead_holding(self, rows: Sequence[Sequence]) -> Optional[tuple[str, tuple[int, ...]]]:
+        """Kind and kept strands of the dead subspace holding every row, or
+        None; unique by the module docstring's lemma, and the first one when
+        no row is nonzero."""
+        small, large = self.family.small, self.family.large
+        touched = set()
+        for row in rows:
+            for pair, value in zip(self.pairs, row):
+                if value:
+                    touched.update(pair)
+            if len(touched) > large.size:
+                return None
+        kept = tuple(sorted(touched)) or tuple(range(1, small.size + 1))
+        for base in (small, large):
+            if len(kept) == base.size and all(_equations_hold(self, base, kept, row) for row in rows):
+                return base.kind, kept
+        return None
 
     def index(self, i: int, j: int) -> int:
         try:
@@ -275,6 +284,33 @@ class PairBasis:
 
     def name(self, i: int, j: int) -> str:
         return self.names[self.index(i, j)]
+
+
+@dataclass(frozen=True)
+class DeadSubspace:
+    """One dead subspace: the characters vanishing on every generator that
+    touches a strand outside kept, whose values on the kept strands satisfy
+    the equations of the base group named by kind."""
+
+    kind: str
+    kept: tuple[int, ...]
+    basis: PairBasis
+
+    @property
+    def base(self) -> BaseGroup:
+        family = self.basis.family
+        return family.small if self.kind == family.small.kind else family.large
+
+    @property
+    def equations(self) -> tuple[Row, ...]:
+        """The equations as dense rows, built on every read: one unit row per
+        generator touching a deleted strand, in basis order, then the base
+        equations on the kept strands."""
+        basis, kept = self.basis, self.kept
+        rows = [{k: 1} for k, (i, j) in enumerate(basis.pairs) if i not in kept or j not in kept]
+        for equation in self.base.equations:
+            rows.append({basis.index(kept[a - 1], kept[b - 1]): x for (a, b), x in equation.items()})
+        return tuple([tuple([row.get(k, 0) for k in range(basis.dim)]) for row in rows])
 
 
 @dataclass(frozen=True)
@@ -291,8 +327,8 @@ class ProjectionVerdict:
         return self.status == IN
 
 
-def _equations_hold(basis: PairBasis, base: BaseGroup, kept: tuple[int, ...], c: Character) -> bool:
-    value = lambda a, b: c.values[basis.index(kept[a - 1], kept[b - 1])]
+def _equations_hold(basis: PairBasis, base: BaseGroup, kept: tuple[int, ...], row: Sequence) -> bool:
+    value = lambda a, b: row[basis.index(kept[a - 1], kept[b - 1])]
     return all(
         sum(coefficient * value(a, b) for (a, b), coefficient in equation.items()) == 0
         for equation in base.equations

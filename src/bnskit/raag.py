@@ -18,10 +18,9 @@ from .characters import (
     Character,
     GeneratorBasis,
     SaturatedLattice,
-    SparseSystem,
     VectorCharacter,
+    _first_combination,
     abelianize,
-    generic_point_avoiding,
     kill_character,
     saturate,
 )
@@ -182,11 +181,11 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
         )
     dead, alive = _split_dead(g, lattice)
     killing = kill_character(lattice)
-    # each living vertex is one bad hyperplane: its column vanishes
-    bad = [SparseSystem(1 << i) for i in alive]
-    found = generic_point_avoiding(basis, lattice.annihilator, bad)
-    assert found.point is not None, "annihilator always escapes the live hyperplanes"
-    specialized = found.point
+    # each living column is nonzero on some annihilator row, so its zero set
+    # is a proper subspace of their span
+    specialized = _first_combination(
+        basis, lattice.annihilator, lambda c: all(c.values[i] for i in alive)
+    )
     return KillTestResult(
         lattice,
         killing,

@@ -3,7 +3,8 @@
 `oracles.dense_generic_point` tests every candidate against every equation
 by a Fraction dot product; the library stores each bad subspace as vanishing
 columns plus a small integer block.  Both must return the same point, or the
-same first covering subspace, and so the same obstruction reports.
+same first covering subspace.  Obstruction reports, which decide covering in
+closed form, must agree with the dense search over every dead subspace.
 """
 
 import random
@@ -19,6 +20,7 @@ from bnskit import (
     generic_point_avoiding,
     kill_character,
     loop,
+    projection,
     saturate,
 )
 from bnskit.obstruction import CERTIFICATE
@@ -130,14 +132,24 @@ def test_inexact_values_and_bad_lengths_are_rejected():
 
 
 def obstruction_cases(rng, family, n):
-    """Two random lattices, a sparse one, and the equations of three dead
-    subspaces, whose killing characters fill out a dead subspace."""
+    """Two random lattices, a sparse one, the equations of three dead
+    subspaces, whose killing characters fill out a dead subspace, a
+    full-rank lattice, which nothing nonzero kills, and two dead subspaces'
+    equations less one base equation, whose killing characters touch exactly
+    the kept strands but fail that equation."""
     dim = family.FAMILY.basis(n).dim
     cases = [[[rng.randint(-3, 3) for _ in range(dim)] for _ in range(2)] for _ in range(2)]
     cases.append([[rng.choice((0, 0, 0, 1, -1)) for _ in range(dim)] for _ in range(3)])
     subspaces = family.dead_subspaces(n)
     for sub in rng.sample(subspaces, 3):
         cases.append([list(eq) for eq in sub.equations])
+    cases.append([[int(j == k) for j in range(dim)] for k in range(dim)])
+    # a base equation has more than one term; the vanishing rows have one
+    with_block = [sub for sub in subspaces if any(sum(map(bool, eq)) > 1 for eq in sub.equations)]
+    for _ in range(2):
+        equations = [list(eq) for eq in rng.choice(with_block).equations]
+        equations.pop(rng.choice([k for k, eq in enumerate(equations) if sum(map(bool, eq)) > 1]))
+        cases.append(equations)
     return cases
 
 
@@ -171,3 +183,27 @@ def test_obstruction_reports_match_dense_reference(family, n):
         assert all(report.character.pair(eq) == 0 for eq in expect.equations)
         assert report.witness == family.witness_pair(n, report.character)
     assert len(branches) == 2
+
+
+def test_one_dead_subspace_per_obstruction(monkeypatch):
+    """The covering subspace is built only when it covers, never as a list.
+
+    The strand counts are ones no other test uses, so nothing built for them
+    earlier can hide a construction.
+    """
+    built = []
+    dead_subspace = projection.DeadSubspace
+
+    def counted(*args):
+        built.append(args)
+        return dead_subspace(*args)
+
+    monkeypatch.setattr(projection, "DeadSubspace", counted)
+    rng = random.Random(4031)
+    for family, n in ((braid, 11), (loop, 9)):
+        dim = family.FAMILY.basis(n).dim
+        full_rank = [[int(j == k) for j in range(dim)] for k in range(dim)]
+        for vectors in ([], [[rng.randint(-2, 2) for _ in range(dim)]], full_rank):
+            built.clear()
+            report = family.nf_obstruction_demo(n, vectors)
+            assert len(built) == (report.branch != CERTIFICATE)
