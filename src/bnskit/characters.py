@@ -12,8 +12,10 @@ this package works with.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
@@ -40,10 +42,14 @@ class GeneratorBasis:
     def dim(self) -> int:
         return len(self.names)
 
+    @functools.cached_property
+    def _positions(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise InputError(f"unknown generator {name!r}") from None
 
 
@@ -64,8 +70,11 @@ class Character:
     def __post_init__(self):
         if len(self.values) != self.basis.dim:
             raise InputError("character length does not match basis dimension")
+        # a Fraction is immutable, so one is kept as it is
         object.__setattr__(
-            self, "values", tuple([Fraction(_exact(v)) for v in self.values])
+            self,
+            "values",
+            tuple([v if type(v) is Fraction else Fraction(_exact(v)) for v in self.values]),
         )
 
     def __call__(self, name: str) -> Fraction:
@@ -79,7 +88,7 @@ class Character:
         return Character(self.basis, tuple([v * q for v in self.values]))
 
     def negated(self) -> "Character":
-        return self.scaled(-1)
+        return Character(self.basis, tuple([-v for v in self.values]))
 
     def pair(self, vec: Sequence[int]) -> Fraction:
         """Value of the character on a group element given by exponent vector."""
@@ -116,7 +125,7 @@ def abelianize(basis: GeneratorBasis, w: Word) -> Row:
     if w.alphabet != basis.names:
         raise InputError("word alphabet must equal the basis names")
     out = [0] * basis.dim
-    index = {n: i for i, n in enumerate(basis.names)}
+    index = basis._positions
     for g, s in w.letters:
         out[index[g]] += s
     return tuple(out)
@@ -124,13 +133,113 @@ def abelianize(basis: GeneratorBasis, w: Word) -> Row:
 
 # ---------------------------------------------------------------------------
 # integer lattice arithmetic
+#
+# One sparse elimination core serves the Hermite form and the kernel: a row
+# is a dict from column to nonzero int.  `_echelon` brings rows to echelon
+# form column by column, and `_normalized` makes the result canonical.
+# Dense tuples are built only for the caller.
+
+SparseRow = dict[int, int]
 
 
-def _pivot_col(row: Sequence[int]) -> int:
-    for j, a in enumerate(row):
+def _add_multiple(row: SparseRow, q: int, other: SparseRow) -> None:
+    """row += q * other in place, for q nonzero, keeping only nonzero entries."""
+    for col, b in other.items():
+        a = row.get(col, 0) + q * b
         if a:
-            return j
-    raise ValueError("zero row has no pivot")
+            row[col] = a
+        else:
+            del row[col]
+
+
+def _echelon(rows: Iterable[SparseRow], width: int) -> dict[int, SparseRow]:
+    """An echelon basis of the lattice of rows with columns below width,
+    keyed by pivot column.
+
+    Rows wait in buckets by their first column, and columns are taken in
+    increasing order, so every row in a column's bucket is zero before it.
+    There the row of least absolute value (the last of those) reduces the
+    others, until one row is left nonzero in the column: the Euclid steps of
+    all of them at once, which keeps the entries small.  A row that leaves
+    the column waits in the bucket of its next column.  Only unimodular row
+    operations are used, so the row lattice is preserved.
+    """
+    buckets: dict[int, list[SparseRow]] = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    echelon = {}
+    for col in range(width):
+        rest = buckets.pop(col, None)
+        if rest is None:
+            continue
+        while len(rest) > 1:
+            pivot_row = min(reversed(rest), key=lambda r: abs(r[col]))
+            pivot = pivot_row[col]
+            still = [pivot_row]
+            for row in rest:
+                if row is not pivot_row:
+                    _add_multiple(row, -(row[col] // pivot), pivot_row)
+                    if col in row:
+                        still.append(row)
+                    elif row:
+                        buckets.setdefault(min(row), []).append(row)
+            rest = still
+        echelon[col] = rest[0]
+    return echelon
+
+
+def _normalized(echelon: dict[int, SparseRow], start: int = 0) -> list[SparseRow]:
+    """The basis rows pivoting at start or later, in canonical Hermite form:
+    positive pivots, entries above each pivot reduced into [0, pivot).
+
+    Rows pivoting at start or later are zero before start, so normalized
+    they are the Hermite basis of their own lattice.  Back-reduction runs
+    left to right and touches only the rows holding an entry in the pivot
+    column: reducing with one row disturbs only columns right of its pivot,
+    which later steps re-reduce.
+    """
+    pivots = sorted(col for col in echelon if col >= start)
+    holders: dict[int, set[int]] = {col: set() for col in pivots}
+    for col in pivots:
+        row = echelon[col]
+        if row[col] < 0:
+            for c in row:
+                row[c] = -row[c]
+        for c in row:
+            if c != col and c in holders:
+                holders[c].add(col)
+    for col in pivots:
+        row = echelon[col]
+        pivot = row[col]
+        for k in holders.pop(col):
+            above = echelon[k]
+            q = above[col] // pivot
+            if q:
+                _add_multiple(above, -q, row)
+                for c in row:
+                    held = holders.get(c)
+                    if held is not None:
+                        if c in above:
+                            held.add(k)
+                        else:
+                            held.discard(k)
+    return [echelon[col] for col in pivots]
+
+
+def _dense(row: SparseRow, start: int, width: int) -> Row:
+    out = [0] * width
+    for col, a in row.items():
+        out[col - start] = a
+    return tuple(out)
+
+
+def _checked_rows(rows: Iterable[Sequence[int]], dim: int) -> list[Sequence[int]]:
+    rows = [r if isinstance(r, (tuple, list)) else list(r) for r in rows]
+    for r in rows:
+        if len(r) != dim:
+            raise InputError("row length does not match dimension")
+    return rows
 
 
 def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
@@ -139,63 +248,30 @@ def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     Only unimodular row operations are used (swap, negate, add an integer
     multiple), so the row lattice is preserved.
     """
-    mat = [list(r) for r in rows]
-    for r in mat:
-        if len(r) != dim:
-            raise InputError("row length does not match dimension")
-    m = len(mat)
-    rank = 0
-    for col in range(dim):
-        while True:
-            nz = [i for i in range(rank, m) if mat[i][col]]
-            if not nz:
-                break
-            pick = min(nz, key=lambda i: (abs(mat[i][col]), i))
-            if pick != rank:
-                mat[rank], mat[pick] = mat[pick], mat[rank]
-            pivot = mat[rank][col]
-            clean = True
-            for i in range(rank + 1, m):
-                if mat[i][col]:
-                    q = mat[i][col] // pivot
-                    if q:
-                        mat[i] = [a - q * b for a, b in zip(mat[i], mat[rank])]
-                    if mat[i][col]:
-                        clean = False
-            if clean:
-                break
-        if rank < m and mat[rank][col]:
-            rank += 1
-    mat = mat[:rank]
-    for i, row in enumerate(mat):
-        if row[_pivot_col(row)] < 0:
-            mat[i] = [-a for a in row]
-    # left-to-right: reducing with row i only disturbs columns right of its
-    # pivot, which later iterations re-reduce
-    for i in range(rank):
-        col = _pivot_col(mat[i])
-        pivot = mat[i][col]
-        for k in range(i):
-            q = mat[k][col] // pivot
-            if q:
-                mat[k] = [a - q * b for a, b in zip(mat[k], mat[i])]
-    return tuple([tuple(row) for row in mat])
+    echelon = _echelon([{col: a for col, a in enumerate(r) if a} for r in _checked_rows(rows, dim)], dim)
+    return tuple([_dense(row, 0, dim) for row in _normalized(echelon)])
 
 
 def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     """Hermite basis of all integer vectors orthogonal to every given row.
 
-    Such a kernel lattice is automatically saturated.  The Hermite form of
-    the augmented matrix [V^T | I] lists the rows with a pivot among the
-    first m columns first; the rest, zero there, are the kernel's Hermite
-    basis after those m columns.
+    Such a kernel lattice is automatically saturated.  In an echelon form
+    of the augmented matrix [V^T | I] the rows that are zero on the first m
+    columns are a basis of the kernel, after those m columns; normalized,
+    they are its Hermite basis.  The identity block starts sparse.  Where
+    the least pivots tie, `_echelon` takes the last row, which in the first
+    column is the one with the latest identity column; the rows it reduces
+    gain an identity entry after their own, so the kernel rows mostly come
+    out of the first m columns already in echelon form, with few entries.
     """
-    rows = [list(r) for r in rows]
+    rows = _checked_rows(rows, dim)
     m = len(rows)
-    aug = []
+    augmented = []
     for j in range(dim):
-        aug.append([rows[k][j] for k in range(m)] + [1 if t == j else 0 for t in range(dim)])
-    return tuple([row[m:] for row in hermite_form(aug, m + dim) if not any(row[:m])])
+        row = {k: r[j] for k, r in enumerate(rows) if r[j]}
+        row[m + j] = 1
+        augmented.append(row)
+    return tuple([_dense(row, m, dim) for row in _normalized(_echelon(augmented, m + dim), m)])
 
 
 def integer_rank(rows: Iterable[Sequence[int]], dim: int) -> int:
@@ -404,11 +480,23 @@ def _first_combination(
     candidates are independent (a Vandermonde determinant), so each such
     subspace holds fewer than len(rows) of them.
     """
-    columns = list(zip(*rows))
+    columns = list(range(basis.dim))
+    # each row's nonzero columns, found at C speed once the row is needed:
+    # the rows are mostly zero, and t = 0 needs only the first
+    supports: list[list[int]] = []
     t = 0
     while True:
-        coeffs = [t**i for i in range(len(rows))]
-        candidate = Character(basis, tuple([sum(map(mul, coeffs, column)) for column in columns]))
+        values = [0] * basis.dim
+        coeff = 1
+        for i, row in enumerate(rows):
+            if i == len(supports):
+                supports.append(list(compress(columns, row)))
+            for j in supports[i]:
+                values[j] += coeff * row[j]
+            coeff *= t
+            if not coeff:
+                break
+        candidate = Character(basis, tuple(values))
         if accepts(candidate):
             return candidate
         t += 1

@@ -14,7 +14,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import braid, loop, raag
 from .characters import Character, GeneratorBasis, abelianize
@@ -89,11 +89,9 @@ def render_graph_file(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_character_file(
-    text: str, basis: GeneratorBasis, integers_only: bool = False
-) -> Character:
-    """Parse 'name = p/q' lines; generators not listed get the value zero."""
-    values = [Fraction(0)] * basis.dim
+def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, str]]:
+    """Line number, generator index and value text of each 'name = value'
+    line, once the checks both value formats share have passed."""
     assigned = set()
     for lineno, line in _content_lines(text):
         if "=" not in line:
@@ -105,15 +103,19 @@ def parse_character_file(
             index = basis.index(name)
         except InputError:
             raise ParseError(lineno, f"unknown generator {name!r}") from None
-        if name in assigned:
+        if index in assigned:
             raise ParseError(lineno, f"generator {name!r} assigned twice")
-        assigned.add(name)
+        assigned.add(index)
         if not _VALUE_RE.match(value_text):
             raise ParseError(lineno, f"malformed rational {value_text!r}")
-        value = Fraction(value_text)
-        if integers_only and value.denominator != 1:
-            raise ParseError(lineno, f"integer required, got {value_text!r}")
-        values[index] = value
+        yield lineno, index, value_text
+
+
+def parse_character_file(text: str, basis: GeneratorBasis) -> Character:
+    """Parse 'name = p/q' lines; generators not listed get the value zero."""
+    values = [Fraction(0)] * basis.dim
+    for _, index, value_text in _assignments(text, basis):
+        values[index] = Fraction(value_text)
     return Character(basis, tuple(values))
 
 
@@ -149,9 +151,18 @@ def parse_words_file(text: str, alphabet: Sequence[str]) -> list[Word]:
 
 
 def parse_vector_file(text: str, basis: GeneratorBasis) -> tuple[int, ...]:
-    """An integer vector in character syntax: 'name = k' lines."""
-    c = parse_character_file(text, basis, integers_only=True)
-    return tuple([int(v) for v in c.values])
+    """An integer vector in character syntax: 'name = k' lines.  A value
+    written as a fraction is read as one and must be an integer."""
+    values = [0] * basis.dim
+    for lineno, index, value_text in _assignments(text, basis):
+        if "/" not in value_text:
+            values[index] = int(value_text)
+            continue
+        value = Fraction(value_text)
+        if value.denominator != 1:
+            raise ParseError(lineno, f"integer required, got {value_text!r}")
+        values[index] = value.numerator
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,23 @@ def test_obstruction_covered_branch():
     assert rep.character.pair(abelianize(gens_basis, rep.witness.u)) == 0
 
 
+def test_obstruction_at_the_strand_limit(tmp_path):
+    """Braid obstruct at the largest strand count, n = 64 (2,016 generators),
+    on two seeded vectors; the answer is checked, not the time taken."""
+    from bnskit.cli import run
+
+    rng = random.Random(64)
+    dim = basis(64).dim
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(2)]
+    rep = braid.nf_obstruction_demo(64, vectors)
+    assert rep.branch == CERTIFICATE
+    assert rep.verdict_plus.inside and rep.verdict_minus.inside
+    assert all(rep.character.pair(v) == 0 for v in vectors)
+    path = tmp_path / "v.vec"
+    path.write_text("S(1,2) = 1\n")
+    assert run(["braid", "obstruct", "-n", "65", str(path)]).exit_code == 2
+
+
 def test_obstruction_rejects_small_n():
     with pytest.raises(PreconditionError):
         braid.nf_obstruction_demo(3, [])

@@ -25,6 +25,8 @@ from bnskit import (
 )
 from bnskit import braid, characters, raag
 
+from .oracles import dense_hermite_form
+
 AB = GeneratorBasis(("a", "b"))
 ABC = GeneratorBasis(("a", "b", "c"))
 
@@ -114,6 +116,54 @@ def test_integer_kernel_properties():
         back = integer_kernel(ker, dim)
         for row in rows:
             assert span_contains(back, row, dim)
+
+
+def _kernel_reference(rows, dim):
+    """The kernel by the dense reference: the Hermite form of [V^T | I],
+    kept where it is zero on the first m columns."""
+    m = len(rows)
+    augmented = [[row[j] for row in rows] + [int(t == j) for t in range(dim)] for j in range(dim)]
+    return tuple([row[m:] for row in dense_hermite_form(augmented, m + dim) if not any(row[:m])])
+
+
+def test_elimination_core_matches_dense_reference():
+    rng = random.Random(97)
+    seen = dict.fromkeys(("zero row", "repeated row", "negative pivot", "non-unit pivot"), 0)
+    for _ in range(160):
+        dim = rng.randrange(1, 61)
+        bound = rng.choice((1, 2, 5))
+        density = rng.random()
+        rows = [
+            [rng.randint(-bound, bound) if rng.random() < density else 0 for _ in range(dim)]
+            for _ in range(rng.randrange(8))
+        ]
+        if rows:
+            k = rng.randrange(len(rows))
+            rows.insert(rng.randrange(len(rows) + 1), rng.choice(([0] * dim, list(rows[k]))))
+            rows[k] = [rng.choice((-3, -2, -1, 2, 3)) * a for a in rows[k]]
+        h = hermite_form(rows, dim)
+        assert h == tuple(dense_hermite_form(rows, dim))
+        ker = integer_kernel(rows, dim)
+        assert ker == _kernel_reference(rows, dim)
+        assert len(ker) == dim - len(h)
+        assert all(sum(a * b for a, b in zip(k, row)) == 0 for k in ker for row in rows)
+        leads = [next((a for a in row if a), 0) for row in rows]
+        seen["zero row"] += 0 in leads
+        seen["repeated row"] += len(set(map(tuple, rows))) < len(rows)
+        seen["negative pivot"] += min(leads, default=0) < 0
+        seen["non-unit pivot"] += any(next(a for a in row if a) > 1 for row in h + ker)
+    assert min(seen.values()) >= 20, seen
+    # no rows: the kernel is everything; full rank: it is nothing
+    assert integer_kernel([], 5) == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+    full = [[rng.randint(-4, 4) for _ in range(12)] for _ in range(14)]
+    assert len(dense_hermite_form(full, 12)) == 12
+    assert integer_kernel(full, 12) == ()
+    assert hermite_form(full, 12) == tuple(dense_hermite_form(full, 12))
+    for rows, dim in (([(1, 2)], 3), ([(1, 2, 3), (1,)], 3), ([(1, 2, 3, 4)], 3)):
+        with pytest.raises(InputError):
+            hermite_form(rows, dim)
+        with pytest.raises(InputError):
+            integer_kernel(rows, dim)
 
 
 def test_span_contains():

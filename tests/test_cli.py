@@ -87,6 +87,64 @@ def test_parse_vector_file_requires_integers():
         parse_vector_file("S(1,3) = 1/2\n", basis)
 
 
+def _certificate(character):
+    return ("branch=certificate", f"character={character}", "verdict_minus=in", "verdict_plus=in")
+
+
+_IN = ("status=in",)
+_ZERO = ("status=out", "witness=zero")
+_HALF = ("error=line 2: integer required, got '3/2'",)
+_LOOP_ONES = "A(1,2):1 A(1,3):1 A(1,4):1 A(2,1):1 A(2,3):{} A(2,4):1 A(3,1):1 A(3,2):1 A(3,4):1 A(4,1):1 A(4,2):1 A(4,3):1"
+
+# value lines, with X for the family's generator letter, and the porcelain
+# of `obstruct` (reading them as a vector file) and of `sigma` (reading them
+# as a character file) on 4 strands
+_VALUE_LINES = [
+    ("X(1,2) = 4/2\nX(1,3) = -1\n", "braid", _certificate("S(1,2):1 S(1,3):2"), _IN),
+    ("X(1,2) = 4/2\nX(1,3) = -1\n", "loop", _certificate("A(1,2):1 A(1,3):2"), _IN),
+    ("X(1,2) = -0\nX(1,3) = +7\nX(2,3) = 1\n", "braid", _certificate("S(1,2):1"), _IN),
+    ("X(1,2) = -0\nX(1,3) = +7\nX(2,3) = 1\n", "loop", _certificate(_LOOP_ONES.format(-7)), _IN),
+    ("\n# a vector\n\nX(2,4) = 3  # trailing\n\n", "braid", _certificate("S(1,2):1"), _IN),
+    (
+        "\n# a vector\n\nX(2,4) = 3  # trailing\n\n",
+        "loop",
+        _certificate(_LOOP_ONES.format(1).replace(" A(2,4):1", "")),
+        ("base=plb2-all", "kept=2,4", "status=out", "witness=projection"),
+    ),
+    ("X(1,2) = -0\n", "braid", _certificate("S(1,2):1"), _ZERO),
+    ("X(1,2) = -0\n", "loop", _certificate(_LOOP_ONES.format(1)), _ZERO),
+    ("X(1,2) = 1\nX(1,3) = 3/2\n", "braid", _HALF, _IN),
+    ("X(1,2) = 1\nX(1,3) = 3/2\n", "loop", _HALF, _IN),
+]
+# lines both formats reject with the same message
+_VALUE_LINES += [
+    (text, family, (f"error={message}",), (f"error={message}",))
+    for text, message in (
+        ("X(1,2) = 1.0\n", "line 1: malformed rational '1.0'"),
+        ("X(1,2) = 1/0\n", "line 1: malformed rational '1/0'"),
+        ("X(1,2) = 1\n\nX(1,2) = 2\n", "line 3: generator 'X(1,2)' assigned twice"),
+        ("X(1,9) = 1\n", "line 1: unknown generator 'X(1,9)'"),
+    )
+    for family in ("braid", "loop")
+]
+
+
+@pytest.mark.parametrize("text,family,obstruct,sigma", _VALUE_LINES)
+def test_value_lines_through_run(tmp_path, text, family, obstruct, sigma):
+    """Vector and character files share one line parser: pin what each
+    format reads, and every error line, for both families."""
+    letter = "S(" if family == "braid" else "A("
+    path = tmp_path / "values.txt"
+    path.write_text(text.replace("X(", letter))
+    for command, porcelain in (("obstruct", obstruct), ("sigma", sigma)):
+        porcelain = tuple([line.replace("X(", letter) for line in porcelain])
+        report = run([family, command, "-n", "4", str(path)])
+        error = porcelain[0].startswith("error=")
+        assert (report.exit_code, report.porcelain) == (int(error), porcelain)
+        if error:
+            assert report.human == "error: " + porcelain[0][len("error="):]
+
+
 def test_parse_words_file():
     words = parse_words_file("a b^-1\nc c'\n\n# blank and comment lines skipped\n", "abc")
     assert [str(w) for w in words] == ["a b^-1", "c c^-1"]
