@@ -22,7 +22,6 @@ from .graphs import (
     is_connected,
     is_dominating,
     is_separating,
-    iter_cliques,
     min_separating_clique,
     min_separating_clique_witness,
     out_finiteness_predicates,
@@ -46,7 +45,6 @@ from .characters import (
     GeneratorBasis,
     GenericPoint,
     SaturatedLattice,
-    SparseSystem,
     VectorCharacter,
     abelianize,
     canonical_class,
@@ -80,7 +78,6 @@ __all__ = [
     "ParseError",
     "PreconditionError",
     "SaturatedLattice",
-    "SparseSystem",
     "VectorCharacter",
     "Word",
     "WitnessPair",
@@ -106,7 +103,6 @@ __all__ = [
     "is_connected",
     "is_dominating",
     "is_separating",
-    "iter_cliques",
     "kill_character",
     "live_support",
     "loop",

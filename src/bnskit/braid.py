@@ -26,7 +26,6 @@ from .projection import (  # IN, OUT, PROJECTION and ZERO are re-exported
     ZERO,
     BaseGroup,
     ProjectionFamily,
-    ProjectionVerdict,
 )
 from .words import F2ZElement, Word, f2z, f2z_multiply
 
@@ -94,7 +93,6 @@ FAMILY = ProjectionFamily(
 )
 
 PureBraidBasis = FAMILY.basis
-PBSigmaVerdict = ProjectionVerdict
 project_character = FAMILY.project_character
 project_word = FAMILY.project_word
 sigma_membership = FAMILY.sigma_membership

@@ -13,7 +13,7 @@ this package works with.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -378,35 +378,6 @@ class GenericPoint:
 
 
 EquationSystem = Sequence[Sequence[Fraction | int]]
-Terms = tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class SparseSystem:
-    """A rational subspace cut out by integer equations, stored sparsely.
-
-    vanish is a bitmask of the columns that must be zero (bit j stands for
-    column j); each equation in the block is a tuple of (column,
-    coefficient) terms with nonzero int coefficients.
-    """
-
-    vanish: int
-    equations: tuple[Terms, ...] = ()
-    # one more than the largest column named, for the dimension check
-    width: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not isinstance(self.vanish, int) or isinstance(self.vanish, bool) or self.vanish < 0:
-            raise InputError("vanishing columns must be a nonnegative int bitmask")
-        width = self.vanish.bit_length()
-        for terms in self.equations:
-            for column, coefficient in terms:
-                if not isinstance(_exact(coefficient, "an equation coefficient"), int) or not coefficient:
-                    raise InputError("sparse equation coefficients must be nonzero ints")
-                if not isinstance(column, int) or isinstance(column, bool) or column < 0:
-                    raise InputError("sparse equation columns must be nonnegative ints")
-                width = max(width, column + 1)
-        object.__setattr__(self, "width", width)
 
 
 def _cleared(values: Sequence[Fraction | int]) -> list[int]:
@@ -433,40 +404,24 @@ def _integer_basis(
     return hermite_form(cleared, basis.dim)
 
 
-def _sparse_system(dim: int, system: SparseSystem | EquationSystem) -> SparseSystem:
-    """Check a bad subspace against the dimension, converting dense rational
-    equations once: clearing an equation's denominators by their positive
-    lcm keeps its zero set, and an equation with one term says that column
-    vanishes."""
-    if isinstance(system, SparseSystem):
-        if system.width > dim:
-            raise InputError("equation column lies outside the basis dimension")
-        return system
-    vanish = 0
-    block = []
+def _cleared_equations(dim: int, system: EquationSystem) -> list[tuple[tuple[int, int], ...]]:
+    """Each equation of a bad subspace as its nonzero (column, coefficient)
+    terms, after clearing its denominators by their positive lcm, which keeps
+    its zero set.  An equation that is zero everywhere is dropped."""
+    equations = []
     for eq in system:
         if len(eq) != dim:
             raise InputError("equation length does not match basis dimension")
         values = _cleared([Fraction(_exact(e, "an equation coefficient")) for e in eq])
         terms = tuple([(j, a) for j, a in enumerate(values) if a])
-        if len(terms) == 1:
-            vanish |= 1 << terms[0][0]
-        elif terms:
-            block.append(terms)
-    return SparseSystem(vanish, tuple(block))
+        if terms:
+            equations.append(terms)
+    return equations
 
 
-def _holds(system: SparseSystem, rows: Sequence[Sequence[int]]) -> bool:
-    """Does the subspace the system cuts out hold every row?"""
-    for row in rows:
-        for j, x in enumerate(row):
-            if x and system.vanish >> j & 1:
-                return False
-    for terms in system.equations:
-        for row in rows:
-            if sum(coefficient * row[column] for column, coefficient in terms):
-                return False
-    return True
+def _holds(equations: Sequence[tuple[tuple[int, int], ...]], rows: Sequence[Sequence[int]]) -> bool:
+    """Does the subspace the equations cut out hold every row?"""
+    return not any(sum(a * row[j] for j, a in terms) for terms in equations for row in rows)
 
 
 def _first_combination(
@@ -505,30 +460,27 @@ def _first_combination(
 def generic_point_avoiding(
     basis: GeneratorBasis,
     spanning: Sequence[Character | Sequence[Fraction | int]],
-    bad: Sequence[SparseSystem | EquationSystem],
+    bad: Sequence[EquationSystem],
 ) -> GenericPoint:
     """Deterministic point of a subspace avoiding finitely many bad subspaces.
 
     The subspace U is given by spanning rows (characters or plain rational
-    vectors), each bad subspace by a `SparseSystem` or by the dense rational
-    equations cutting it out; all values must be exact.  If U sits inside
-    some bad subspace the search is hopeless and the first such index is
-    reported instead.  Otherwise candidates sum the canonical U-basis with
-    coefficients (1, t, t^2, ...) for t = 0, 1, 2, ... and the first
-    candidate off every bad subspace is returned; a Vandermonde argument
-    makes termination certain.
-
-    A subspace holds a row exactly when the row's support misses the
-    vanishing columns and every equation of the block sums to zero on it.
+    vectors), each bad subspace by the dense rational equations cutting it
+    out; all values must be exact, and every system is checked before the
+    search.  If U sits inside some bad subspace the search is hopeless and
+    the first such index is reported instead.  Otherwise candidates sum the
+    canonical U-basis with coefficients (1, t, t^2, ...) for t = 0, 1, 2, ...
+    and the first candidate off every bad subspace is returned; a
+    Vandermonde argument makes termination certain.
     """
     u_rows = _integer_basis(basis, spanning)
-    systems = [_sparse_system(basis.dim, system) for system in bad]
-    for index, system in enumerate(systems):
-        if _holds(system, u_rows):
+    systems = [_cleared_equations(basis.dim, system) for system in bad]
+    for index, equations in enumerate(systems):
+        if _holds(equations, u_rows):
             return GenericPoint(None, index)
     if not u_rows:
         return GenericPoint(Character(basis, tuple([Fraction(0)] * basis.dim)), None)
     point = _first_combination(
-        basis, u_rows, lambda c: not any(_holds(system, (c.values,)) for system in systems)
+        basis, u_rows, lambda c: not any(_holds(equations, (c.values,)) for equations in systems)
     )
     return GenericPoint(point, None)

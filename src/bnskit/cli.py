@@ -89,9 +89,11 @@ def render_graph_file(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, str]]:
-    """Line number, generator index and value text of each 'name = value'
-    line, once the checks both value formats share have passed."""
+def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, str, int | Fraction]]:
+    """Line number, generator index, value text and value of each
+    'name = value' line, once the checks both value formats share have
+    passed.  A value without '/' is read as an int, one with '/' as a
+    Fraction."""
     assigned = set()
     for lineno, line in _content_lines(text):
         if "=" not in line:
@@ -108,14 +110,20 @@ def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, s
         assigned.add(index)
         if not _VALUE_RE.match(value_text):
             raise ParseError(lineno, f"malformed rational {value_text!r}")
-        yield lineno, index, value_text
+        try:
+            value = Fraction(value_text) if "/" in value_text else int(value_text)
+        except ValueError:
+            # the only failure left: a number past the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(lineno, f"number longer than {limit} digits") from None
+        yield lineno, index, value_text, value
 
 
 def parse_character_file(text: str, basis: GeneratorBasis) -> Character:
     """Parse 'name = p/q' lines; generators not listed get the value zero."""
     values = [Fraction(0)] * basis.dim
-    for _, index, value_text in _assignments(text, basis):
-        values[index] = Fraction(value_text)
+    for _, index, _, value in _assignments(text, basis):
+        values[index] = value
     return Character(basis, tuple(values))
 
 
@@ -154,11 +162,7 @@ def parse_vector_file(text: str, basis: GeneratorBasis) -> tuple[int, ...]:
     """An integer vector in character syntax: 'name = k' lines.  A value
     written as a fraction is read as one and must be an integer."""
     values = [0] * basis.dim
-    for lineno, index, value_text in _assignments(text, basis):
-        if "/" not in value_text:
-            values[index] = int(value_text)
-            continue
-        value = Fraction(value_text)
+    for lineno, index, value_text, value in _assignments(text, basis):
         if value.denominator != 1:
             raise ParseError(lineno, f"integer required, got {value_text!r}")
         values[index] = value.numerator

@@ -265,31 +265,6 @@ def is_separating(g: Graph, s: Iterable[str]) -> bool:
     return _splits(g._masks, full & ~g._mask(s))
 
 
-def iter_cliques(g: Graph) -> Iterator[tuple[str, ...]]:
-    """All cliques in order of increasing size, lexicographic within a size.
-
-    Each clique of size k is a clique of size k - 1 extended by a later
-    common neighbour, so extending the previous size's cliques, in order,
-    by their later common neighbours, ascending, lists this size's in
-    order; the work follows the number of cliques, not 2^n.
-
-    >>> list(iter_cliques(Graph("abc", [("a", "b"), ("b", "c")])))
-    [(), ('a',), ('b',), ('c',), ('a', 'b'), ('b', 'c')]
-    """
-    adj = g._masks
-    vs = g.vertices
-    # each clique with the mask of its common neighbours after its last vertex
-    level = [((), (1 << len(vs)) - 1)]
-    while level:
-        for clique, _ in level:
-            yield clique
-        level = [
-            (clique + (vs[i],), later & adj[i] & ~((2 << i) - 1))
-            for clique, later in level
-            for i in _bits(later)
-        ]
-
-
 def min_separating_clique_witness(g: Graph) -> Optional[tuple[str, ...]]:
     """First separating clique in (size, lex) enumeration order, if any.
 

@@ -22,7 +22,6 @@ from .projection import (  # IN, OUT, PROJECTION and ZERO are re-exported
     ZERO,
     BaseGroup,
     ProjectionFamily,
-    ProjectionVerdict,
 )
 from .words import F2_ALPHABET, Word, f2z, free_reduce
 
@@ -66,7 +65,6 @@ FAMILY = ProjectionFamily(
 )
 
 LoopBraidBasis = FAMILY.basis
-PLBSigmaVerdict = ProjectionVerdict
 project_character = FAMILY.project_character
 project_word = FAMILY.project_word
 sigma_membership = FAMILY.sigma_membership

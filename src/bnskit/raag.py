@@ -196,6 +196,10 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
     )
 
 
+# the largest rank a split report covers: it holds one verdict per rank,
+# so an unchecked max_k could exhaust memory
+MAX_SPLIT_RANK = 1000
+
 NO_SPLIT = "certified-no-split"
 SPLITS = "splits"
 NO_CLAIM = "no-claim"
@@ -230,9 +234,12 @@ def virtual_split_report(g: Graph, max_k: int) -> SplitReport:
     over Z^m, and for k < m no finite-index subgroup splits over any Z^k;
     if no separating clique exists at all the group is certified to never
     virtually split over a subgroup without non-abelian free subgroups.
+    A max_k above MAX_SPLIT_RANK is a PreconditionError.
     """
     if max_k < 0:
         raise InputError("max_k must be nonnegative")
+    if max_k > MAX_SPLIT_RANK:
+        raise PreconditionError(f"split reports support max_k at most {MAX_SPLIT_RANK}")
     clique = is_clique(g, g.vertices)
     if clique:
         return SplitReport(

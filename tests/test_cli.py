@@ -9,7 +9,7 @@ import pytest
 
 import bnskit
 
-from bnskit import Graph, ParseError, make_character
+from bnskit import Graph, ParseError, PreconditionError, make_character, raag
 from bnskit.braid import PureBraidBasis
 from bnskit.characters import GeneratorBasis
 from bnskit.cli import (
@@ -127,6 +127,15 @@ _VALUE_LINES += [
     )
     for family in ("braid", "loop")
 ]
+# a number past the interpreter's digit limit matches the value pattern, so
+# its conversion has to end in a parse error of its own
+_LONG = "7" * 5000
+_TOO_LONG = f"error=line 1: number longer than {sys.get_int_max_str_digits()} digits"
+_VALUE_LINES += [
+    pytest.param(text, family, (_TOO_LONG,), (_TOO_LONG,), id=f"{where}-{family}")
+    for where, text in (("long-numerator", f"X(1,2) = {_LONG}\n"), ("long-denominator", f"X(1,2) = 1/{_LONG}\n"))
+    for family in ("braid", "loop")
+]
 
 
 @pytest.mark.parametrize("text,family,obstruct,sigma", _VALUE_LINES)
@@ -188,6 +197,16 @@ def test_run_raag_sigma(tmp_path):
     )
 
 
+def test_run_raag_sigma_number_past_digit_limit(tmp_path):
+    graph = tmp_path / "p3.graph"
+    graph.write_text("vertices: a b c\nedges: a-b b-c\n")
+    char = tmp_path / "chi.chr"
+    char.write_text(f"a = 1\nc = 1/{_LONG}\n")
+    report = run(["raag", "sigma", str(graph), str(char)])
+    limit = sys.get_int_max_str_digits()
+    assert (report.exit_code, report.porcelain) == (1, (f"error=line 2: number longer than {limit} digits",))
+
+
 def test_run_braid_sigma_full_set_label(tmp_path):
     char = tmp_path / "c.chr"
     char.write_text("S(1,2) = 1\nS(1,3) = 1\nS(2,3) = -2\n")
@@ -234,6 +253,17 @@ def test_strand_count_limit(tmp_path):
             assert report.exit_code == 2
             assert report.porcelain[0].startswith("error=") and "at most 64" in report.porcelain[0]
     assert run(["braid", "sigma", "-n", "64", str(char)]).exit_code == 0
+
+
+def test_split_report_rank_limit(tmp_path):
+    graph = tmp_path / "p3.graph"
+    graph.write_text("vertices: a b c\nedges: a-b b-c\n")
+    report = run(["--porcelain", "raag", "split-report", str(graph), "--max-k", "1001"])
+    assert report.exit_code == 2
+    assert report.porcelain[0].startswith("error=") and "at most 1000" in report.porcelain[0]
+    assert run(["raag", "split-report", str(graph), "--max-k", "1000"]).exit_code == 0
+    with pytest.raises(PreconditionError):
+        raag.virtual_split_report(Graph("ab"), 1001)
 
 
 def test_error_report_shape():

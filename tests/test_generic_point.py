@@ -1,10 +1,10 @@
-"""The sparse integer generic point search against the dense Fraction one.
+"""The integer generic point search against the dense Fraction one.
 
 `oracles.dense_generic_point` tests every candidate against every equation
-by a Fraction dot product; the library stores each bad subspace as vanishing
-columns plus a small integer block.  Both must return the same point, or the
-same first covering subspace.  Obstruction reports, which decide covering in
-closed form, must agree with the dense search over every dead subspace.
+by a Fraction dot product; the library clears each equation to its nonzero
+integer terms.  Both must return the same point, or the same first covering
+subspace.  Obstruction reports, which decide covering in closed form, must
+agree with the dense search over every dead subspace.
 """
 
 import random
@@ -15,7 +15,6 @@ import pytest
 from bnskit import (
     GeneratorBasis,
     InputError,
-    SparseSystem,
     braid,
     generic_point_avoiding,
     kill_character,
@@ -49,8 +48,7 @@ def hyperplane_through(rng, dim, vec):
 
 
 def random_case(rng):
-    """Spanning rows, dense bad systems and the same systems as passed to
-    the library, some of them as `SparseSystem`s.
+    """Spanning rows and dense bad systems.
 
     Some spanning sets satisfy one fixed two-term equation, which a bad
     system then covers; some bad systems hold the candidate of an early t,
@@ -67,11 +65,11 @@ def random_case(rng):
         constraint = [0] * dim
         constraint[a], constraint[b] = p * Fraction(3, 2), q * Fraction(3, 2)
     u_rows = dense_hermite_form([cleared(row) for row in spanning], dim)
-    dense, passed = [], []
+    dense = []
     for _ in range(rng.randrange(6)):
         shape = rng.random()
         if shape < 0.25:
-            # vanishing columns and an integer block, as the library builds them
+            # vanishing columns and a small integer block
             columns = [j for j in range(dim) if rng.random() < 0.4]
             block = []
             for _ in range(rng.randrange(2)):
@@ -80,7 +78,6 @@ def random_case(rng):
             eqs = [[1 if k == j else 0 for k in range(dim)] for j in columns]
             eqs += [[dict(terms).get(k, 0) for k in range(dim)] for terms in block]
             dense.append(eqs)
-            passed.append(SparseSystem(sum(1 << j for j in columns), tuple(block)))
             continue
         if shape < 0.45 and constraint is not None:
             eqs = [constraint]
@@ -91,17 +88,16 @@ def random_case(rng):
         else:
             eqs = [[rng.choice(VALUES) for _ in range(dim)] for _ in range(rng.randrange(3))]
         dense.append(eqs)
-        passed.append(eqs)
-    return dim, spanning, dense, passed
+    return dim, spanning, dense
 
 
 def test_search_matches_dense_reference_on_seeded_inputs():
     rng = random.Random(4011)
     seen = set()
     for _ in range(1500):
-        dim, spanning, dense, passed = random_case(rng)
+        dim, spanning, dense = random_case(rng)
         basis = GeneratorBasis(tuple(f"g{i}" for i in range(dim)))
-        found = generic_point_avoiding(basis, spanning, passed)
+        found = generic_point_avoiding(basis, spanning, dense)
         point = None if found.point is None else found.point.values
         assert (point, found.covering) == dense_generic_point(dim, spanning, dense)
         seen.add("covered" if point is None else "point")
@@ -121,13 +117,6 @@ def test_inexact_values_and_bad_lengths_are_rejected():
     # the first system covers, but the malformed later one is still reported
     with pytest.raises(InputError):
         generic_point_avoiding(ab, [(1, 0)], [[(0, 1)], [(1, 0, 0)]])
-    with pytest.raises(InputError):
-        generic_point_avoiding(ab, [(1, 0)], [[(0, 1)], SparseSystem(0b100)])
-    with pytest.raises(InputError):
-        generic_point_avoiding(ab, [(1, 0)], [SparseSystem(0, (((2, 1), (0, 1)),))])
-    for vanish, block in ((-1, ()), (True, ()), (0, (((0, 1.0),),)), (0, (((0, 0),),))):
-        with pytest.raises(InputError):
-            SparseSystem(vanish, block)
     assert generic_point_avoiding(ab, [(Fraction(1, 2), 0)], [[(0, Fraction(1, 3))]]).covering == 0
 
 

@@ -1,5 +1,4 @@
 import random
-from itertools import combinations
 
 import pytest
 
@@ -13,7 +12,6 @@ from bnskit import (
     is_connected,
     is_dominating,
     is_separating,
-    iter_cliques,
     min_separating_clique,
     min_separating_clique_witness,
     out_finiteness_predicates,
@@ -24,7 +22,6 @@ from .oracles import (
     all_labeled_graphs,
     brute_min_separating_clique,
     mask_connected,
-    mask_is_clique,
 )
 
 
@@ -114,28 +111,6 @@ def test_separating_conventions():
     # the empty set separates a disconnected graph
     assert is_separating(TWO_PARTS, [])
     assert not is_separating(P3, [])
-
-
-def test_iter_cliques_order():
-    cliques = list(iter_cliques(P3))
-    assert cliques[0] == ()
-    assert cliques[1:4] == [("a",), ("b",), ("c",)]
-    assert ("a", "b") in cliques and ("a", "c") not in cliques
-
-
-def test_iter_cliques_matches_subset_scan_on_every_graph_up_to_five_vertices():
-    for n in range(6):
-        # labels out of step with the vertex order, so only the order decides
-        names = [f"v{(3 * i + 2) % 7}" for i in range(n)]
-        for edges, masks in all_labeled_graphs(n):
-            g = Graph(names, [(names[i], names[j]) for i, j in edges])
-            expect = [
-                tuple(names[i] for i in combo)
-                for k in range(n + 1)
-                for combo in combinations(range(n), k)
-                if mask_is_clique(n, masks, sum(1 << i for i in combo))
-            ]
-            assert list(iter_cliques(g)) == expect, edges
 
 
 def test_min_separating_clique_goldens():
