@@ -17,7 +17,6 @@ The computations themselves are shared with pure loop braid groups in
 
 from __future__ import annotations
 
-from .characters import Character
 from .errors import InputError
 from .projection import (  # IN, OUT, PROJECTION and ZERO are re-exported
     IN,
@@ -100,16 +99,3 @@ witness_pair = FAMILY.witness_pair
 dead_subspaces = FAMILY.dead_subspaces
 nf_obstruction_demo = FAMILY.nf_obstruction_demo
 
-
-def pb3_dead(c: Character) -> bool:
-    """Dead characters of the 3-strand group: the three values sum to zero."""
-    return not sigma_membership(3, c).inside
-
-
-def pb4_dead(c: Character) -> bool:
-    """Dead characters of the 4-strand group.
-
-    Either some 3-strand projection exists and is dead, or the four
-    exceptional equations hold.
-    """
-    return not sigma_membership(4, c).inside

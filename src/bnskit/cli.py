@@ -54,8 +54,13 @@ def parse_graph_file(text: str) -> Graph:
         if line.startswith("vertices:"):
             saw_vertices = True
             for token in line[len("vertices:"):].split():
-                if "-" in token:
-                    raise ParseError(lineno, f"vertex name {token!r} may not contain '-'")
+                # '-' splits edges and '=' value lines; a trailing
+                # apostrophe (like '^-1') marks an inverse letter in words
+                for mark in "-=":
+                    if mark in token:
+                        raise ParseError(lineno, f"vertex name {token!r} may not contain {mark!r}")
+                if token.endswith("'"):
+                    raise ParseError(lineno, f"vertex name {token!r} may not end in an apostrophe")
                 if token in seen:
                     raise ParseError(lineno, f"duplicate vertex {token!r}")
                 seen.add(token)
@@ -181,9 +186,21 @@ def _fmt_braced(items: Iterable[str]) -> str:
     return "{" + ",".join(items) + "}"
 
 
+def _fmt_rational(value: Fraction) -> str:
+    try:
+        return str(value)
+    except ValueError:
+        # a result can outgrow the interpreter's digit limit for printing
+        # integers even when every input number is below it
+        limit = sys.get_int_max_str_digits()
+        raise PreconditionError(f"result has a number longer than {limit} digits") from None
+
+
 def _fmt_character(c: Character) -> str:
     parts = [
-        f"{name}:{value}" for name, value in zip(c.basis.names, c.values) if value != 0
+        f"{name}:{_fmt_rational(value)}"
+        for name, value in zip(c.basis.names, c.values)
+        if value != 0
     ]
     return " ".join(parts) if parts else "0"
 
@@ -418,15 +435,15 @@ def _cmd_projection_witness(args) -> RenderedReport:
     # the pair is sound when both words die under c and their images in the
     # small base group generate a free subgroup
     image = lambda w: module.FAMILY.reduce(module.project_word(args.n, pair.designated, w))
-    pairing_u = c.pair(abelianize(c.basis, pair.u))
-    pairing_v = c.pair(abelianize(c.basis, pair.v))
+    pairing_u = _fmt_rational(c.pair(abelianize(c.basis, pair.u)))
+    pairing_v = _fmt_rational(c.pair(abelianize(c.basis, pair.v)))
     free = f2z_generate_free(image(pair.u), image(pair.v))
     porcelain = {
         "u": str(pair.u),
         "v": str(pair.v),
         "designated": _fmt_set(str(i) for i in pair.designated),
-        "pairing_u": str(pairing_u),
-        "pairing_v": str(pairing_v),
+        "pairing_u": pairing_u,
+        "pairing_v": pairing_v,
         "free": _fmt_bool(free),
     }
     lines = [
@@ -501,7 +518,8 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built on first use and kept for the process."""
-    parser = _Parser(prog="bnskit", add_help=True)
+    # no abbreviations: main picks the output format by the exact '--porcelain'
+    parser = _Parser(prog="bnskit", add_help=True, allow_abbrev=False)
     parser.add_argument("--porcelain", action="store_true", help="key=value output")
     groups = parser.add_subparsers(dest="group", required=True)
 

@@ -13,7 +13,6 @@ The computations themselves are shared with pure braid groups in
 
 from __future__ import annotations
 
-from .characters import Character
 from .errors import InputError
 from .projection import (  # IN, OUT, PROJECTION and ZERO are re-exported
     IN,
@@ -72,12 +71,3 @@ witness_pair = FAMILY.witness_pair
 dead_subspaces = FAMILY.dead_subspaces
 nf_obstruction_demo = FAMILY.nf_obstruction_demo
 
-
-def plb2_dead(c: Character) -> bool:
-    """The 2-loop group is free of rank 2: every character is dead."""
-    return not sigma_membership(2, c).inside
-
-
-def plb3_dead(c: Character) -> bool:
-    """Dead when a 2-index projection exists, or the inflow equations hold."""
-    return not sigma_membership(3, c).inside

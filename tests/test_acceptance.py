@@ -13,16 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from bnskit import (
-    Graph,
-    abelianize,
-    integer_kernel,
-    is_clique,
-    make_character,
-    min_separating_clique,
-    saturate,
-    word,
-)
+from bnskit import Graph, make_character
+from bnskit.characters import abelianize, integer_kernel, saturate
+from bnskit.graphs import is_clique, min_separating_clique
+from bnskit.words import word
 from bnskit import braid, loop, raag
 from bnskit.characters import Character, GeneratorBasis, kill_character
 from bnskit.cli import run
@@ -264,7 +258,7 @@ def test_acceptance_06_braid_goldens():
         braid.PureBraidBasis(4).generators,
         tuple(Fraction(x) for x in (1, 1, -2, -2, 1, 1)),
     )
-    assert braid.pb4_dead(c4)
+    assert not braid.sigma_membership(4, c4).inside
     v4 = braid.sigma_membership(4, c4)
     assert (v4.status, v4.kept, v4.base) == (
         braid.OUT,

@@ -4,17 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from bnskit import (
-    DomainError,
-    InputError,
-    PreconditionError,
-    abelianize,
-    f2z_generate_free,
-    make_character,
-    word,
-)
+from bnskit import DomainError, InputError, PreconditionError, make_character
+from bnskit.characters import abelianize
+from bnskit.words import f2z_generate_free, word
 from bnskit import braid
 from bnskit.obstruction import CERTIFICATE, COVERED
+
+from .oracles import projection_sigma
 
 
 def basis(n):
@@ -114,9 +110,9 @@ def test_projection_coherence_random():
 
 
 def test_pb3_dead():
-    assert braid.pb3_dead(chi(3, {"S(1,2)": 1, "S(1,3)": 1, "S(2,3)": -2}))
-    assert not braid.pb3_dead(chi(3, {"S(1,2)": 1}))
-    assert braid.pb3_dead(chi(3, {}))
+    assert not braid.sigma_membership(3, chi(3, {"S(1,2)": 1, "S(1,3)": 1, "S(2,3)": -2})).inside
+    assert braid.sigma_membership(3, chi(3, {"S(1,2)": 1})).inside
+    assert not braid.sigma_membership(3, chi(3, {})).inside
 
 
 def test_pb4_dead():
@@ -124,10 +120,10 @@ def test_pb4_dead():
         4,
         {"S(1,2)": 1, "S(1,3)": 1, "S(1,4)": -2, "S(2,3)": -2, "S(2,4)": 1, "S(3,4)": 1},
     )
-    assert braid.pb4_dead(exceptional)
+    assert not braid.sigma_membership(4, exceptional).inside
     projected = chi(4, {"S(1,2)": 1, "S(1,3)": -1})
-    assert braid.pb4_dead(projected)
-    assert not braid.pb4_dead(chi(4, {"S(1,2)": 1}))
+    assert not braid.sigma_membership(4, projected).inside
+    assert braid.sigma_membership(4, chi(4, {"S(1,2)": 1})).inside
 
 
 def test_sigma_membership_goldens():
@@ -149,13 +145,19 @@ def test_sigma_membership_goldens():
 
 
 def test_sigma_membership_matches_direct_equations_small_n():
-    # base cases evaluate the displayed equations with no enumeration
+    # the oracle evaluates the base groups' displayed equations on every
+    # kept strand set
     rng = random.Random(23)
     for _ in range(300):
         n = rng.choice((3, 4))
         c = random_character(rng, n)
-        direct = braid.pb3_dead(c) if n == 3 else braid.pb4_dead(c)
-        assert braid.sigma_membership(n, c).inside == (not direct)
+        values = {
+            tuple(map(int, nm[2:-1].split(","))): value
+            for nm, value in zip(c.basis.names, c.values)
+            if value != 0
+        }
+        v = braid.sigma_membership(n, c)
+        assert (v.status, v.witness, v.kept, v.base) == projection_sigma("braid", n, values)
 
 
 def test_sigma_membership_matches_subspace_union_n5_n6():
@@ -287,7 +289,7 @@ def test_obstruction_certificate_branch():
 
 
 def test_obstruction_covered_branch():
-    from bnskit import integer_kernel
+    from bnskit.characters import integer_kernel
 
     # generators spanning the annihilated lattice of the exceptional subspace
     rows = [(1, 0, -1, -1, 0, 1), (0, 1, -1, -1, 1, 0)]

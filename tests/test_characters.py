@@ -3,12 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from bnskit import (
+from bnskit import DomainError, Graph, InputError, make_character
+from bnskit.characters import (
     Character,
-    DomainError,
     GeneratorBasis,
-    Graph,
-    InputError,
     abelianize,
     canonical_class,
     dead_support,
@@ -18,11 +16,10 @@ from bnskit import (
     integer_rank,
     kill_character,
     live_support,
-    make_character,
     saturate,
     span_contains,
-    word,
 )
+from bnskit.words import word
 from bnskit import braid, characters, raag
 
 from .oracles import dense_hermite_form

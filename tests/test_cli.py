@@ -1,5 +1,6 @@
 import io
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -11,9 +12,11 @@ import bnskit
 
 from bnskit import Graph, ParseError, PreconditionError, make_character, raag
 from bnskit.braid import PureBraidBasis
+from bnskit.loop import LoopBraidBasis
 from bnskit.characters import GeneratorBasis
 from bnskit.cli import (
     RenderedReport,
+    main,
     parse_character_file,
     parse_graph_file,
     parse_vector_file,
@@ -43,6 +46,9 @@ def test_parse_graph_file():
         ("vertices: a b\nedges: a-b a-b\n", 2, "duplicate edge"),
         ("vertices: a b\nedges: ab\n", 2, "malformed edge"),
         ("vertices: a-b\n", 1, "may not contain"),
+        ("vertices: a a' c\n", 1, "may not end in an apostrophe"),
+        ("vertices: a\nvertices: b^-1\n", 2, "may not contain '-'"),
+        ("vertices: a b=c\n", 1, "may not contain '='"),
         ("points: a b\n", 1, "expected"),
         ("", 1, "missing"),
         ("vertices: a b\n# fine\nedges: a-q\n", 3, "undeclared"),
@@ -264,6 +270,35 @@ def test_split_report_rank_limit(tmp_path):
     assert run(["raag", "split-report", str(graph), "--max-k", "1000"]).exit_code == 0
     with pytest.raises(PreconditionError):
         raag.virtual_split_report(Graph("ab"), 1001)
+
+
+@pytest.mark.parametrize(
+    "family,basis", [("braid", PureBraidBasis(4)), ("loop", LoopBraidBasis(3))], ids=["braid", "loop"]
+)
+def test_result_past_digit_limit(tmp_path, family, basis):
+    # every input number is below the digit limit, but the certificate
+    # character's values are products of them and pass it
+    rng = random.Random(59)
+    paths = []
+    for k in range(2):
+        vec = tmp_path / f"v{k}.vec"
+        vec.write_text("".join(f"{name} = {rng.randrange(10**2999, 10**3000)}\n" for name in basis.names))
+        paths.append(str(vec))
+    report = run(["--porcelain", family, "obstruct", "-n", str(basis.n), *paths])
+    message = f"result has a number longer than {sys.get_int_max_str_digits()} digits"
+    assert (report.exit_code, report.porcelain, report.human) == (2, (f"error={message}",), f"error: {message}")
+
+
+def test_porcelain_must_be_spelled_out(capsys):
+    graph = str(Path(__file__).parent / "data" / "p3.graph")
+    with pytest.raises(SystemExit) as done:
+        main(["--porc", "graph", "analyze", graph])
+    assert done.value.code == 1
+    assert capsys.readouterr().out == "error: unrecognized arguments: --porc\n"
+    with pytest.raises(SystemExit) as done:
+        main(["--porcelain", "graph", "analyze", graph])
+    assert done.value.code == 0
+    assert "clique=false\n" in capsys.readouterr().out
 
 
 def test_error_report_shape():

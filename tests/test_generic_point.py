@@ -12,16 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from bnskit import (
-    GeneratorBasis,
-    InputError,
-    braid,
-    generic_point_avoiding,
-    kill_character,
-    loop,
-    projection,
-    saturate,
-)
+from bnskit import InputError, braid, loop, projection
+from bnskit.characters import GeneratorBasis, generic_point_avoiding, kill_character, saturate
 from bnskit.obstruction import CERTIFICATE
 
 from .oracles import dense_generic_point, dense_hermite_form

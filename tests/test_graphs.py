@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from bnskit import (
-    Graph,
-    InputError,
+from bnskit import Graph, InputError
+from bnskit.graphs import (
     closed_star,
     connected_components,
     induced_subgraph,

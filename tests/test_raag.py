@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from bnskit import Graph, InputError, PreconditionError, make_character, word
+from bnskit import Graph, InputError, PreconditionError, make_character
+from bnskit.words import word
 from bnskit import raag
 
 from .oracles import adjacency_masks, sigma_alive

@@ -2,7 +2,8 @@
 
 import random
 
-from bnskit import Graph, min_separating_clique_witness, raag
+from bnskit import Graph, raag
+from bnskit.graphs import min_separating_clique_witness
 
 from .oracles import (
     adjacency_masks,

@@ -2,10 +2,9 @@ import random
 
 import pytest
 
-from bnskit import (
+from bnskit import Graph, InputError
+from bnskit.words import (
     F2ZElement,
-    Graph,
-    InputError,
     Word,
     f2z,
     f2z_commute,
