@@ -12,8 +12,6 @@ this package works with.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
@@ -21,30 +19,30 @@ from operator import mul
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import DomainError, InputError
+from .records import Record
 from .words import Word
 
 Row = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GeneratorBasis:
+class GeneratorBasis(Record):
     """Ordered generator names for the group being studied."""
 
-    names: tuple[str, ...]
+    __slots__ = ("names", "_positions")
+    _fields = ("names",)
 
-    def __post_init__(self):
-        if not self.names:
+    def __init__(self, names: tuple[str, ...]):
+        if not names:
             raise InputError("a generator basis needs at least one name")
-        if len(set(self.names)) != len(self.names):
+        positions = {name: i for i, name in enumerate(names)}
+        if len(positions) != len(names):
             raise InputError("duplicate generator name in basis")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    @functools.cached_property
-    def _positions(self) -> dict[str, int]:
-        return {name: i for i, name in enumerate(self.names)}
 
     def index(self, name: str) -> int:
         try:
@@ -60,21 +58,18 @@ def _exact(value, what: str = "a character value"):
     return value
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(Record):
     """A rational character, stored by its value on each basis generator."""
 
-    basis: GeneratorBasis
-    values: tuple[Fraction, ...]
+    __slots__ = ("basis", "values")
 
-    def __post_init__(self):
-        if len(self.values) != self.basis.dim:
+    def __init__(self, basis: GeneratorBasis, values: Sequence[Fraction | int]):
+        if len(values) != basis.dim:
             raise InputError("character length does not match basis dimension")
+        object.__setattr__(self, "basis", basis)
         # a Fraction is immutable, so one is kept as it is
         object.__setattr__(
-            self,
-            "values",
-            tuple([v if type(v) is Fraction else Fraction(_exact(v)) for v in self.values]),
+            self, "values", tuple([v if type(v) is Fraction else Fraction(_exact(v)) for v in values])
         )
 
     def __call__(self, name: str) -> Fraction:
@@ -235,10 +230,16 @@ def _dense(row: SparseRow, start: int, width: int) -> Row:
 
 
 def _checked_rows(rows: Iterable[Sequence[int]], dim: int) -> list[Sequence[int]]:
+    """The rows as sequences, if each is an int vector of length dim; any
+    other entry (a float, a bool, a Fraction) is an InputError."""
     rows = [r if isinstance(r, (tuple, list)) else list(r) for r in rows]
     for r in rows:
         if len(r) != dim:
             raise InputError("row length does not match dimension")
+        # the entry types, collected at C speed, are few
+        for kind in set(map(type, r)):
+            if not issubclass(kind, int) or kind is bool:
+                raise InputError(f"lattice rows must hold ints, got {kind.__name__}")
     return rows
 
 
@@ -295,13 +296,15 @@ def _lattice_vector(basis: GeneratorBasis, vec: Sequence[int]) -> list[int]:
     return v
 
 
-@dataclass(frozen=True)
-class SaturatedLattice:
+class SaturatedLattice(Record):
     """A saturated sublattice of Z^dim, stored by the Hermite basis of its
     integer annihilator: exactly the vectors pairing to zero with each row."""
 
-    basis: GeneratorBasis
-    annihilator: tuple[Row, ...]
+    __slots__ = ("basis", "annihilator")
+
+    def __init__(self, basis: GeneratorBasis, annihilator: tuple[Row, ...]):
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "annihilator", annihilator)
 
     @property
     def rank(self) -> int:
@@ -328,17 +331,17 @@ def saturate(basis: GeneratorBasis, vectors: Iterable[Sequence[int]]) -> Saturat
     return SaturatedLattice(basis, integer_kernel(vectors, basis.dim))
 
 
-@dataclass(frozen=True)
-class VectorCharacter:
+class VectorCharacter(Record):
     """Linearly independent characters treated as one vector-valued map."""
 
-    basis: GeneratorBasis
-    rows: tuple[Character, ...]
+    __slots__ = ("basis", "rows")
 
-    def __post_init__(self):
-        for row in self.rows:
-            if row.basis != self.basis:
+    def __init__(self, basis: GeneratorBasis, rows: tuple[Character, ...]):
+        for row in rows:
+            if row.basis != basis:
                 raise InputError("vector character row over the wrong basis")
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "rows", rows)
 
 
 def kill_character(lattice: SaturatedLattice) -> VectorCharacter:
@@ -365,16 +368,18 @@ def canonical_class(c: Character) -> Character:
     return Character(c.basis, tuple([Fraction(a // g) for a in ints]))
 
 
-@dataclass(frozen=True)
-class GenericPoint:
+class GenericPoint(Record):
     """Outcome of the deterministic generic point search.
 
     point is None exactly when the whole subspace is inside one of the bad
     subspaces, in which case covering says which one.
     """
 
-    point: Optional[Character]
-    covering: Optional[int]
+    __slots__ = ("point", "covering")
+
+    def __init__(self, point: Optional[Character], covering: Optional[int]):
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "covering", covering)
 
 
 EquationSystem = Sequence[Sequence[Fraction | int]]

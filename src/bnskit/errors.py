@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy shared by the whole package, and the check that an
+integer parameter really is an int.
 
 The split matters to the command line driver: parse problems exit with 1,
 violated mathematical preconditions exit with 2.
@@ -30,3 +31,10 @@ class ParseError(BnsError):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
+
+
+def require_int(value, what: str) -> int:
+    """Pass an int through; anything else, a bool or a float included, is an InputError."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InputError(f"{what} must be an int, got {type(value).__name__}")
+    return value

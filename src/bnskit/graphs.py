@@ -13,12 +13,12 @@ from label semantics.  Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
+from .records import Record
 
 
 class Graph:
@@ -203,8 +203,7 @@ def _separating_sets(g: Graph) -> list[int]:
     return found
 
 
-@dataclass(frozen=True)
-class OutFinitenessReport:
+class OutFinitenessReport(Record):
     """Witnesses against finiteness of the outer automorphism group.
 
     separating_closed_star: first vertex whose closed star separates, if any.
@@ -212,8 +211,11 @@ class OutFinitenessReport:
     Both absent together is the finiteness criterion.
     """
 
-    separating_closed_star: Optional[str]
-    link_in_star: Optional[tuple[str, str]]
+    __slots__ = ("separating_closed_star", "link_in_star")
+
+    def __init__(self, separating_closed_star: Optional[str], link_in_star: Optional[tuple[str, str]]):
+        object.__setattr__(self, "separating_closed_star", separating_closed_star)
+        object.__setattr__(self, "link_in_star", link_in_star)
 
     @property
     def finite(self) -> bool:

@@ -11,10 +11,10 @@ after projection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .characters import Character, GeneratorBasis, Row, _first_combination, saturate
+from .records import Record
 from .words import Word
 
 if TYPE_CHECKING:
@@ -24,24 +24,37 @@ CERTIFICATE = "certificate"
 COVERED = "covered"
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(Record):
     """Two kernel words that stay free after projecting to designated strands."""
 
-    u: Word
-    v: Word
-    designated: tuple[int, ...]
+    __slots__ = ("u", "v", "designated")
+
+    def __init__(self, u: Word, v: Word, designated: tuple[int, ...]):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "designated", designated)
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    branch: str
-    character: Character
-    verdict_plus: Optional[object] = None
-    verdict_minus: Optional[object] = None
-    covering: Optional[DeadSubspace] = None
-    witness: Optional[WitnessPair] = None
-    guidance: str = ""
+class ObstructionReport(Record):
+    __slots__ = ("branch", "character", "verdict_plus", "verdict_minus", "covering", "witness", "guidance")
+
+    def __init__(
+        self,
+        branch: str,
+        character: Character,
+        verdict_plus: Optional[object] = None,
+        verdict_minus: Optional[object] = None,
+        covering: Optional[DeadSubspace] = None,
+        witness: Optional[WitnessPair] = None,
+        guidance: str = "",
+    ):
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "verdict_plus", verdict_plus)
+        object.__setattr__(self, "verdict_minus", verdict_minus)
+        object.__setattr__(self, "covering", covering)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "guidance", guidance)
 
 
 CERTIFICATE_GUIDANCE = (

@@ -35,14 +35,14 @@ obstruction pipeline needs no list of dead subspaces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping, Optional, Sequence
 
 from .characters import Character, GeneratorBasis, Row, make_character
-from .errors import DomainError, InputError, PreconditionError
+from .errors import DomainError, InputError, PreconditionError, require_int
 from .obstruction import ObstructionReport, WitnessPair, run_obstruction
+from .records import Record
 from .words import F2ZElement, Word
 
 IN = "in"
@@ -60,41 +60,71 @@ Moves = tuple[tuple[int, int, int], ...]
 MAX_STRANDS = 64
 
 
-@dataclass(frozen=True)
-class BaseGroup:
+class BaseGroup(Record):
     """A small group whose dead characters are cut out by linear equations.
 
     Pairs are relative to a kept set: (a, b) is the generator between its
     a-th and b-th strand.
     """
 
-    kind: str
-    size: int
-    equations: tuple[Mapping[Pair, int], ...]
-    sample: Mapping[Pair, int]  # a nonzero dead character
+    __slots__ = ("kind", "size", "equations", "sample")
+
+    def __init__(
+        self,
+        kind: str,
+        size: int,
+        equations: tuple[Mapping[Pair, int], ...],
+        sample: Mapping[Pair, int],  # a nonzero dead character
+    ):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "equations", equations)
+        object.__setattr__(self, "sample", sample)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectionFamily:
-    """One family of groups, described by its generators and base groups."""
+class ProjectionFamily(Record):
+    """One family of groups, described by its generators and base groups.
 
-    group: str  # "pure braid"
-    unit: str  # what one index counts: "strand"
-    letter: str  # generator name prefix
-    ordered: bool  # one generator per ordered pair, or per unordered pair
-    small: BaseGroup
-    large: BaseGroup
-    # words for the exceptional subspace of the large base on all strands
-    exceptional_pair: tuple[Moves, Moves]
-    # deleted strand, kept strands -> two dying generators with free images
-    free_pair: Callable[[int, tuple[int, ...]], tuple[Pair, Pair]]
-    # a word over the small base group -> its image in F2 x Z
-    reduce: Callable[[Word], F2ZElement]
-    _bases: dict = field(default_factory=dict, init=False, repr=False)
+    Two families are equal only when they are the same object.
+    """
+
+    _fields = (
+        "group", "unit", "letter", "ordered", "small", "large", "exceptional_pair", "free_pair", "reduce",
+    )
+    __slots__ = (*_fields, "_bases")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        group: str,  # "pure braid"
+        unit: str,  # what one index counts: "strand"
+        letter: str,  # generator name prefix
+        ordered: bool,  # one generator per ordered pair, or per unordered pair
+        small: BaseGroup,
+        large: BaseGroup,
+        # words for the exceptional subspace of the large base on all strands
+        exceptional_pair: tuple[Moves, Moves],
+        # deleted strand, kept strands -> two dying generators with free images
+        free_pair: Callable[[int, tuple[int, ...]], tuple[Pair, Pair]],
+        # a word over the small base group -> its image in F2 x Z
+        reduce: Callable[[Word], F2ZElement],
+    ):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "letter", letter)
+        object.__setattr__(self, "ordered", ordered)
+        object.__setattr__(self, "small", small)
+        object.__setattr__(self, "large", large)
+        object.__setattr__(self, "exceptional_pair", exceptional_pair)
+        object.__setattr__(self, "free_pair", free_pair)
+        object.__setattr__(self, "reduce", reduce)
+        object.__setattr__(self, "_bases", {})
 
     def basis(self, n: int) -> "PairBasis":
-        """The generators on n strands, built once per strand count."""
-        found = self._bases.get(n)
+        """The generators on n strands, built once per strand count; n must
+        be an int, checked before the lookup, since 4.0 would find 4."""
+        found = self._bases.get(require_int(n, "n"))
         if found is None:
             found = self._bases[n] = PairBasis(self, n)
         return found
@@ -167,7 +197,7 @@ class ProjectionFamily:
         Needs at least as many strands as the large base and an outside,
         nonzero character.
         """
-        if n < self.large.size:
+        if require_int(n, "n") < self.large.size:
             raise PreconditionError(f"witness pairs need at least {self.large.size} {self.unit}s")
         verdict = self.sigma_membership(n, c)
         if verdict.inside:
@@ -209,7 +239,7 @@ class ProjectionFamily:
     def nf_obstruction_demo(self, n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
         """Either certify a killing character alive on both rays, or exhibit the
         covering dead subspace together with its free-subgroup witness pair."""
-        if n < self.large.size:
+        if require_int(n, "n") < self.large.size:
             raise PreconditionError(
                 f"the obstruction demonstration needs at least {self.large.size} {self.unit}s"
             )
@@ -286,15 +316,17 @@ class PairBasis:
         return self.names[self.index(i, j)]
 
 
-@dataclass(frozen=True)
-class DeadSubspace:
+class DeadSubspace(Record):
     """One dead subspace: the characters vanishing on every generator that
     touches a strand outside kept, whose values on the kept strands satisfy
     the equations of the base group named by kind."""
 
-    kind: str
-    kept: tuple[int, ...]
-    basis: PairBasis
+    __slots__ = ("kind", "kept", "basis")
+
+    def __init__(self, kind: str, kept: tuple[int, ...], basis: PairBasis):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "basis", basis)
 
     @property
     def base(self) -> BaseGroup:
@@ -313,14 +345,22 @@ class DeadSubspace:
         return tuple([tuple([row.get(k, 0) for k in range(basis.dim)]) for row in rows])
 
 
-@dataclass(frozen=True)
-class ProjectionVerdict:
+class ProjectionVerdict(Record):
     """Membership verdict; outside verdicts carry their projection witness."""
 
-    status: str
-    witness: Optional[str] = None
-    kept: Optional[tuple[int, ...]] = None
-    base: Optional[str] = None
+    __slots__ = ("status", "witness", "kept", "base")
+
+    def __init__(
+        self,
+        status: str,
+        witness: Optional[str] = None,
+        kept: Optional[tuple[int, ...]] = None,
+        base: Optional[str] = None,
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "kept", kept)
+        object.__setattr__(self, "base", base)
 
     @property
     def inside(self) -> bool:

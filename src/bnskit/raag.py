@@ -9,7 +9,6 @@ The zero character counts as outside.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -24,7 +23,7 @@ from .characters import (
     kill_character,
     saturate,
 )
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, require_int
 from .graphs import (
     Graph,
     _components,
@@ -32,6 +31,7 @@ from .graphs import (
     is_clique,
     min_separating_clique_witness,
 )
+from .records import Record
 from .words import Word, raag_commute
 
 IN = "in"
@@ -42,13 +42,17 @@ LIVING_DISCONNECTED = "living-disconnected"
 NOT_DOMINATING = "not-dominating"
 
 
-@dataclass(frozen=True)
-class RaagSigmaVerdict:
+class RaagSigmaVerdict(Record):
     """Membership verdict; reason and offending vertices only when outside."""
 
-    status: str
-    reason: Optional[str] = None
-    offending: Optional[tuple[str, ...]] = None
+    __slots__ = ("status", "reason", "offending")
+
+    def __init__(
+        self, status: str, reason: Optional[str] = None, offending: Optional[tuple[str, ...]] = None
+    ):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "offending", offending)
 
     @property
     def inside(self) -> bool:
@@ -152,16 +156,26 @@ def _split_dead(g: Graph, lattice: SaturatedLattice) -> tuple[tuple[str, ...], l
     return tuple(dead), alive
 
 
-@dataclass(frozen=True)
-class KillTestResult:
+class KillTestResult(Record):
     """Outcome of killing a proper abelian subgroup and testing the sphere."""
 
-    lattice: SaturatedLattice
-    killing: VectorCharacter
-    specialized: Character
-    dead: tuple[str, ...]
-    verdict_plus: RaagSigmaVerdict
-    verdict_minus: RaagSigmaVerdict
+    __slots__ = ("lattice", "killing", "specialized", "dead", "verdict_plus", "verdict_minus")
+
+    def __init__(
+        self,
+        lattice: SaturatedLattice,
+        killing: VectorCharacter,
+        specialized: Character,
+        dead: tuple[str, ...],
+        verdict_plus: RaagSigmaVerdict,
+        verdict_minus: RaagSigmaVerdict,
+    ):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "killing", killing)
+        object.__setattr__(self, "specialized", specialized)
+        object.__setattr__(self, "dead", dead)
+        object.__setattr__(self, "verdict_plus", verdict_plus)
+        object.__setattr__(self, "verdict_minus", verdict_minus)
 
 
 def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
@@ -205,19 +219,35 @@ SPLITS = "splits"
 NO_CLAIM = "no-claim"
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(Record):
     """Splitting behavior over free abelian edge groups of rank 0..max_k."""
 
-    vertex_count: int
-    edge_count: int
-    is_clique: bool
-    max_k: int
-    min_separating_clique: Optional[int]
-    witness: Optional[tuple[str, ...]]
-    verdicts: tuple[str, ...]
-    nf_certified: bool
-    note: Optional[str]
+    __slots__ = (
+        "vertex_count", "edge_count", "is_clique", "max_k", "min_separating_clique", "witness", "verdicts",
+        "nf_certified", "note",
+    )
+
+    def __init__(
+        self,
+        vertex_count: int,
+        edge_count: int,
+        is_clique: bool,
+        max_k: int,
+        min_separating_clique: Optional[int],
+        witness: Optional[tuple[str, ...]],
+        verdicts: tuple[str, ...],
+        nf_certified: bool,
+        note: Optional[str],
+    ):
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "edge_count", edge_count)
+        object.__setattr__(self, "is_clique", is_clique)
+        object.__setattr__(self, "max_k", max_k)
+        object.__setattr__(self, "min_separating_clique", min_separating_clique)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "verdicts", verdicts)
+        object.__setattr__(self, "nf_certified", nf_certified)
+        object.__setattr__(self, "note", note)
 
 
 CLIQUE_NOTE = (
@@ -234,9 +264,9 @@ def virtual_split_report(g: Graph, max_k: int) -> SplitReport:
     over Z^m, and for k < m no finite-index subgroup splits over any Z^k;
     if no separating clique exists at all the group is certified to never
     virtually split over a subgroup without non-abelian free subgroups.
-    A max_k above MAX_SPLIT_RANK is a PreconditionError.
+    max_k must be an int; one above MAX_SPLIT_RANK is a PreconditionError.
     """
-    if max_k < 0:
+    if require_int(max_k, "max_k") < 0:
         raise InputError("max_k must be nonnegative")
     if max_k > MAX_SPLIT_RANK:
         raise PreconditionError(f"split reports support max_k at most {MAX_SPLIT_RANK}")
@@ -275,15 +305,24 @@ NOT_COMMENSURABLE = "not-commensurable"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class CompareResult:
+class CompareResult(Record):
     """Commensurability comparison through the minimal splitting rank."""
 
-    clique1: bool
-    clique2: bool
-    invariant1: Optional[int]
-    invariant2: Optional[int]
-    verdict: str
+    __slots__ = ("clique1", "clique2", "invariant1", "invariant2", "verdict")
+
+    def __init__(
+        self,
+        clique1: bool,
+        clique2: bool,
+        invariant1: Optional[int],
+        invariant2: Optional[int],
+        verdict: str,
+    ):
+        object.__setattr__(self, "clique1", clique1)
+        object.__setattr__(self, "clique2", clique2)
+        object.__setattr__(self, "invariant1", invariant1)
+        object.__setattr__(self, "invariant2", invariant2)
+        object.__setattr__(self, "verdict", verdict)
 
 
 def commensurability_compare(g1: Graph, g2: Graph) -> CompareResult:

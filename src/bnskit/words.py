@@ -8,11 +8,11 @@ graph group normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .graphs import Graph
+from .records import Record
 
 Letter = tuple[str, int]
 
@@ -109,18 +109,18 @@ def free_commute(u: Word, v: Word) -> bool:
 F2_ALPHABET = ("A", "B")
 
 
-@dataclass(frozen=True)
-class F2ZElement:
+class F2ZElement(Record):
     """An element of (free group on A, B) x (infinite cyclic center)."""
 
-    free_part: Word
-    central: int
+    __slots__ = ("free_part", "central")
 
-    def __post_init__(self):
-        if self.free_part.alphabet != F2_ALPHABET:
+    def __init__(self, free_part: Word, central: int):
+        if free_part.alphabet != F2_ALPHABET:
             raise InputError("free part must be a word over the A, B alphabet")
-        if free_reduce(self.free_part) != self.free_part:
+        if free_reduce(free_part) != free_part:
             raise InputError("free part must be freely reduced")
+        object.__setattr__(self, "free_part", free_part)
+        object.__setattr__(self, "central", require_int(central, "the central part"))
 
 
 def f2z(letters: Iterable[str | Letter], central: int = 0) -> F2ZElement:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -71,6 +72,24 @@ def test_basis_layout():
         basis(2)
     with pytest.raises(InputError):
         b.index(1, 5)
+
+
+@pytest.mark.parametrize("n", [4.0, 5.5, 37.0, True, "4", None], ids=repr)
+def test_strand_count_must_be_int(n):
+    # 4.0 found the cached 4-strand basis by hash and answered; with no
+    # cached basis, range raised a bare TypeError
+    c = chi(4, {"S(1,2)": 1, "S(1,3)": -1})
+    for call in (
+        lambda: braid.PureBraidBasis(n),
+        lambda: braid.sigma_membership(n, c),
+        lambda: braid.project_character(n, (1, 2, 3), c),
+        lambda: braid.witness_pair(n, c),
+        lambda: braid.dead_subspaces(n),
+        lambda: braid.nf_obstruction_demo(n, [[1, 0, 0, 0, 0, 0]]),
+    ):
+        with pytest.raises(InputError):
+            call()
+    assert braid.sigma_membership(4, c).base == "pb3-sum"
 
 
 def test_project_character():
@@ -146,11 +165,25 @@ def test_sigma_membership_goldens():
 
 def test_sigma_membership_matches_direct_equations_small_n():
     # the oracle evaluates the base groups' displayed equations on every
-    # kept strand set
+    # kept strand set; dense random draws are almost never dead on four
+    # strands, so constructed and zero-heavy 4-strand draws follow them
     rng = random.Random(23)
+    draws = []
     for _ in range(300):
         n = rng.choice((3, 4))
-        c = random_character(rng, n)
+        draws.append((n, random_character(rng, n)))
+    extra = random.Random(37)
+    for _ in range(200):
+        draw = extra.choice(
+            (
+                lambda: sample_projection_dead(extra, 4),
+                lambda: sample_exceptional_dead(extra, 4),
+                lambda: random_character(extra, 4, pool=(0, 0, 0, 0, 0, 1, -1)),
+            )
+        )
+        draws.append((4, draw()))
+    seen = Counter()
+    for n, c in draws:
         values = {
             tuple(map(int, nm[2:-1].split(","))): value
             for nm, value in zip(c.basis.names, c.values)
@@ -158,6 +191,9 @@ def test_sigma_membership_matches_direct_equations_small_n():
         }
         v = braid.sigma_membership(n, c)
         assert (v.status, v.witness, v.kept, v.base) == projection_sigma("braid", n, values)
+        seen[n, v.base or v.witness or v.status] += 1
+    for kind in ("pb3-sum", "pb4-exceptional", "zero", "in"):
+        assert seen[4, kind] >= 5, seen
 
 
 def test_sigma_membership_matches_subspace_union_n5_n6():

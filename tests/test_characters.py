@@ -169,6 +169,28 @@ def test_span_contains():
     assert span_contains([], (0, 0), 2)
 
 
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, False, Fraction(1), Fraction(1, 2), "1", None], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rows: hermite_form(rows, 2),
+        lambda rows: integer_kernel(rows, 2),
+        lambda rows: integer_rank(rows, 2),
+        lambda rows: span_contains(rows, [0, 1], 2),
+        lambda rows: span_contains([[1, 0]], rows[-1], 2),
+    ],
+    ids=["hermite_form", "integer_kernel", "integer_rank", "span_contains-rows", "span_contains-vector"],
+)
+def test_lattice_functions_take_only_int_entries(call, entry):
+    # the entry sits in the last row, after a valid one; at the parent
+    # span_contains([[1, 0]], [0.5, 0], 2) answered True without a word
+    with pytest.raises(InputError):
+        call([[1, 0], [entry, 0]])
+    with pytest.raises(InputError):
+        call([[1, 0], (0, entry)])
+    assert call([[1, 0], [0, 1]]) is not None
+
+
 def test_saturate():
     lat = saturate(AB, [(2, 0)])
     assert lat.rows == ((1, 0),)

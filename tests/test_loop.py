@@ -180,6 +180,20 @@ def test_witness_pair_errors():
         loop.witness_pair(3, chi(3, {}))  # zero
 
 
+@pytest.mark.parametrize("n", [3.0, 4.5, 37.0, True, "3", None], ids=repr)
+def test_loop_count_must_be_int(n):
+    c = chi(3, {"A(1,2)": 1, "A(2,1)": -1})
+    for call in (
+        lambda: loop.LoopBraidBasis(n),
+        lambda: loop.sigma_membership(n, c),
+        lambda: loop.witness_pair(n, c),
+        lambda: loop.nf_obstruction_demo(n, [[1, 0, 0, 0, 0, 0]]),
+    ):
+        with pytest.raises(InputError):
+            call()
+    assert not loop.sigma_membership(3, c).inside
+
+
 def test_witness_soundness():
     rng = random.Random(61)
     for n in (3, 4, 5, 6):

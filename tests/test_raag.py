@@ -193,6 +193,13 @@ def test_split_report_goldens():
         raag.virtual_split_report(P3, -1)
 
 
+@pytest.mark.parametrize("max_k", [True, False, 1.0, 2.5, "2", None], ids=repr)
+def test_split_report_max_k_must_be_int(max_k):
+    # True was reported as max_k=True, 1.0 failed inside range
+    with pytest.raises(InputError):
+        raag.virtual_split_report(P3, max_k)
+
+
 def test_compare_goldens():
     assert raag.commensurability_compare(C5, P3).verdict == raag.NOT_COMMENSURABLE
     r = raag.commensurability_compare(C5, C6)

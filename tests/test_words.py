@@ -96,6 +96,16 @@ def test_f2z_reduces_but_raw_constructor_rejects():
         F2ZElement(word(("A", "B"), ["A", ("A", -1)]), 0)
 
 
+@pytest.mark.parametrize("central", [1.5, 2.0, True, "1", None], ids=repr)
+def test_f2z_central_must_be_int(central):
+    # f2z(["A"], 1.5) built an element with central=1.5
+    with pytest.raises(InputError):
+        f2z(["A"], central)
+    with pytest.raises(InputError):
+        F2ZElement(word(("A", "B"), ["A"]), central)
+    assert f2z(["A"], 2).central == 2
+
+
 # -- graph group normal forms
 
 
