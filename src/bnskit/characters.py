@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DomainError, InputError
 from .records import Record
@@ -31,7 +31,8 @@ class GeneratorBasis(Record):
     __slots__ = ("names", "_positions")
     _fields = ("names",)
 
-    def __init__(self, names: tuple[str, ...]):
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
         if not names:
             raise InputError("a generator basis needs at least one name")
         positions = {name: i for i, name in enumerate(names)}
@@ -302,10 +303,6 @@ class SaturatedLattice(Record):
 
     __slots__ = ("basis", "annihilator")
 
-    def __init__(self, basis: GeneratorBasis, annihilator: tuple[Row, ...]):
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "annihilator", annihilator)
-
     @property
     def rank(self) -> int:
         return self.basis.dim - len(self.annihilator)
@@ -336,7 +333,8 @@ class VectorCharacter(Record):
 
     __slots__ = ("basis", "rows")
 
-    def __init__(self, basis: GeneratorBasis, rows: tuple[Character, ...]):
+    def __init__(self, basis: GeneratorBasis, rows: Iterable[Character]):
+        rows = tuple(rows)
         for row in rows:
             if row.basis != basis:
                 raise InputError("vector character row over the wrong basis")
@@ -376,10 +374,6 @@ class GenericPoint(Record):
     """
 
     __slots__ = ("point", "covering")
-
-    def __init__(self, point: Optional[Character], covering: Optional[int]):
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "covering", covering)
 
 
 EquationSystem = Sequence[Sequence[Fraction | int]]

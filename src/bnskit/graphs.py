@@ -213,10 +213,6 @@ class OutFinitenessReport(Record):
 
     __slots__ = ("separating_closed_star", "link_in_star")
 
-    def __init__(self, separating_closed_star: Optional[str], link_in_star: Optional[tuple[str, str]]):
-        object.__setattr__(self, "separating_closed_star", separating_closed_star)
-        object.__setattr__(self, "link_in_star", link_in_star)
-
     @property
     def finite(self) -> bool:
         return self.separating_closed_star is None and self.link_in_star is None

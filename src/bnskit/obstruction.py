@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .characters import Character, GeneratorBasis, Row, _first_combination, saturate
 from .records import Record
-from .words import Word
 
 if TYPE_CHECKING:
     from .projection import DeadSubspace
@@ -29,32 +28,9 @@ class WitnessPair(Record):
 
     __slots__ = ("u", "v", "designated")
 
-    def __init__(self, u: Word, v: Word, designated: tuple[int, ...]):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "designated", designated)
-
 
 class ObstructionReport(Record):
     __slots__ = ("branch", "character", "verdict_plus", "verdict_minus", "covering", "witness", "guidance")
-
-    def __init__(
-        self,
-        branch: str,
-        character: Character,
-        verdict_plus: Optional[object] = None,
-        verdict_minus: Optional[object] = None,
-        covering: Optional[DeadSubspace] = None,
-        witness: Optional[WitnessPair] = None,
-        guidance: str = "",
-    ):
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "verdict_plus", verdict_plus)
-        object.__setattr__(self, "verdict_minus", verdict_minus)
-        object.__setattr__(self, "covering", covering)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "guidance", guidance)
 
 
 CERTIFICATE_GUIDANCE = (
@@ -93,12 +69,16 @@ def run_obstruction(
             point,
             verdict_plus=membership(point),
             verdict_minus=membership(point.negated()),
+            covering=None,
+            witness=None,
             guidance=CERTIFICATE_GUIDANCE,
         )
     sample = sample_character(covered)
     return ObstructionReport(
         COVERED,
         sample,
+        verdict_plus=None,
+        verdict_minus=None,
         covering=covered,
         witness=witness_pair(sample),
         guidance=COVERED_GUIDANCE,

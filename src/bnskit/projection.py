@@ -37,13 +37,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .characters import Character, GeneratorBasis, Row, make_character
 from .errors import DomainError, InputError, PreconditionError, require_int
 from .obstruction import ObstructionReport, WitnessPair, run_obstruction
 from .records import Record
-from .words import F2ZElement, Word
+from .words import Word
 
 IN = "in"
 OUT = "out"
@@ -51,13 +51,15 @@ OUT = "out"
 ZERO = "zero"
 PROJECTION = "projection"
 
-Pair = tuple[int, int]
 # a word as (i, j, sign) moves along the generator of the pair (i, j)
 Moves = tuple[tuple[int, int, int], ...]
 
 # the most strands a pair basis is built for: its O(n^2) generators are made
 # before any input is read, so an unchecked n could exhaust memory
 MAX_STRANDS = 64
+
+# pair bases by (family, n), each built once; a family hashes by identity
+_BASES: dict[tuple["ProjectionFamily", int], "PairBasis"] = {}
 
 
 class BaseGroup(Record):
@@ -67,19 +69,10 @@ class BaseGroup(Record):
     a-th and b-th strand.
     """
 
-    __slots__ = ("kind", "size", "equations", "sample")
-
-    def __init__(
-        self,
-        kind: str,
-        size: int,
-        equations: tuple[Mapping[Pair, int], ...],
-        sample: Mapping[Pair, int],  # a nonzero dead character
-    ):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "equations", equations)
-        object.__setattr__(self, "sample", sample)
+    __slots__ = (
+        "kind", "size", "equations",
+        "sample",  # a nonzero dead character
+    )
 
 
 class ProjectionFamily(Record):
@@ -88,45 +81,29 @@ class ProjectionFamily(Record):
     Two families are equal only when they are the same object.
     """
 
-    _fields = (
-        "group", "unit", "letter", "ordered", "small", "large", "exceptional_pair", "free_pair", "reduce",
+    __slots__ = (
+        "group",
+        "unit",  # what one index counts: "strand"
+        "letter",  # generator name prefix
+        "ordered",  # one generator per ordered pair, or per unordered pair
+        "small", "large",
+        # words for the exceptional subspace of the large base on all strands
+        "exceptional_pair",
+        # deleted strand, kept strands -> two dying generators with free images
+        "free_pair",
+        # a word over the small base group -> its image in F2 x Z
+        "reduce",
     )
-    __slots__ = (*_fields, "_bases")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        group: str,  # "pure braid"
-        unit: str,  # what one index counts: "strand"
-        letter: str,  # generator name prefix
-        ordered: bool,  # one generator per ordered pair, or per unordered pair
-        small: BaseGroup,
-        large: BaseGroup,
-        # words for the exceptional subspace of the large base on all strands
-        exceptional_pair: tuple[Moves, Moves],
-        # deleted strand, kept strands -> two dying generators with free images
-        free_pair: Callable[[int, tuple[int, ...]], tuple[Pair, Pair]],
-        # a word over the small base group -> its image in F2 x Z
-        reduce: Callable[[Word], F2ZElement],
-    ):
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "letter", letter)
-        object.__setattr__(self, "ordered", ordered)
-        object.__setattr__(self, "small", small)
-        object.__setattr__(self, "large", large)
-        object.__setattr__(self, "exceptional_pair", exceptional_pair)
-        object.__setattr__(self, "free_pair", free_pair)
-        object.__setattr__(self, "reduce", reduce)
-        object.__setattr__(self, "_bases", {})
 
     def basis(self, n: int) -> "PairBasis":
         """The generators on n strands, built once per strand count; n must
         be an int, checked before the lookup, since 4.0 would find 4."""
-        found = self._bases.get(require_int(n, "n"))
+        key = (self, require_int(n, "n"))
+        found = _BASES.get(key)
         if found is None:
-            found = self._bases[n] = PairBasis(self, n)
+            found = _BASES[key] = PairBasis(self, n)
         return found
 
     def _check_basis(self, basis: "PairBasis", c: Character) -> None:
@@ -180,10 +157,10 @@ class ProjectionFamily(Record):
         basis = self.basis(n)
         self._check_basis(basis, c)
         if c.is_zero():
-            return ProjectionVerdict(OUT, ZERO)
+            return ProjectionVerdict(OUT, ZERO, None, None)
         held = basis._dead_holding((c.values,))
         if held is None:
-            return ProjectionVerdict(IN)
+            return ProjectionVerdict(IN, None, None, None)
         kind, kept = held
         return ProjectionVerdict(OUT, PROJECTION, kept, kind)
 
@@ -323,11 +300,6 @@ class DeadSubspace(Record):
 
     __slots__ = ("kind", "kept", "basis")
 
-    def __init__(self, kind: str, kept: tuple[int, ...], basis: PairBasis):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "kept", kept)
-        object.__setattr__(self, "basis", basis)
-
     @property
     def base(self) -> BaseGroup:
         family = self.basis.family
@@ -349,18 +321,6 @@ class ProjectionVerdict(Record):
     """Membership verdict; outside verdicts carry their projection witness."""
 
     __slots__ = ("status", "witness", "kept", "base")
-
-    def __init__(
-        self,
-        status: str,
-        witness: Optional[str] = None,
-        kept: Optional[tuple[int, ...]] = None,
-        base: Optional[str] = None,
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "kept", kept)
-        object.__setattr__(self, "base", base)
 
     @property
     def inside(self) -> bool:

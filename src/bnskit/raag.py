@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .characters import (
     Character,
     GeneratorBasis,
     SaturatedLattice,
-    VectorCharacter,
     _first_combination,
     abelianize,
     kill_character,
@@ -46,13 +45,6 @@ class RaagSigmaVerdict(Record):
     """Membership verdict; reason and offending vertices only when outside."""
 
     __slots__ = ("status", "reason", "offending")
-
-    def __init__(
-        self, status: str, reason: Optional[str] = None, offending: Optional[tuple[str, ...]] = None
-    ):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "reason", reason)
-        object.__setattr__(self, "offending", offending)
 
     @property
     def inside(self) -> bool:
@@ -91,7 +83,7 @@ def sigma_membership(g: Graph, c: Character) -> RaagSigmaVerdict:
     )
     if undominated:
         return RaagSigmaVerdict(OUT, NOT_DOMINATING, undominated)
-    return RaagSigmaVerdict(IN)
+    return RaagSigmaVerdict(IN, None, None)
 
 
 def sigma_complement_supports(g: Graph) -> list[tuple[str, ...]]:
@@ -161,22 +153,6 @@ class KillTestResult(Record):
 
     __slots__ = ("lattice", "killing", "specialized", "dead", "verdict_plus", "verdict_minus")
 
-    def __init__(
-        self,
-        lattice: SaturatedLattice,
-        killing: VectorCharacter,
-        specialized: Character,
-        dead: tuple[str, ...],
-        verdict_plus: RaagSigmaVerdict,
-        verdict_minus: RaagSigmaVerdict,
-    ):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "killing", killing)
-        object.__setattr__(self, "specialized", specialized)
-        object.__setattr__(self, "dead", dead)
-        object.__setattr__(self, "verdict_plus", verdict_plus)
-        object.__setattr__(self, "verdict_minus", verdict_minus)
-
 
 def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
     """Kill a proper subgroup generated by commuting words, then test both rays.
@@ -226,28 +202,6 @@ class SplitReport(Record):
         "vertex_count", "edge_count", "is_clique", "max_k", "min_separating_clique", "witness", "verdicts",
         "nf_certified", "note",
     )
-
-    def __init__(
-        self,
-        vertex_count: int,
-        edge_count: int,
-        is_clique: bool,
-        max_k: int,
-        min_separating_clique: Optional[int],
-        witness: Optional[tuple[str, ...]],
-        verdicts: tuple[str, ...],
-        nf_certified: bool,
-        note: Optional[str],
-    ):
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "edge_count", edge_count)
-        object.__setattr__(self, "is_clique", is_clique)
-        object.__setattr__(self, "max_k", max_k)
-        object.__setattr__(self, "min_separating_clique", min_separating_clique)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "verdicts", verdicts)
-        object.__setattr__(self, "nf_certified", nf_certified)
-        object.__setattr__(self, "note", note)
 
 
 CLIQUE_NOTE = (
@@ -309,20 +263,6 @@ class CompareResult(Record):
     """Commensurability comparison through the minimal splitting rank."""
 
     __slots__ = ("clique1", "clique2", "invariant1", "invariant2", "verdict")
-
-    def __init__(
-        self,
-        clique1: bool,
-        clique2: bool,
-        invariant1: Optional[int],
-        invariant2: Optional[int],
-        verdict: str,
-    ):
-        object.__setattr__(self, "clique1", clique1)
-        object.__setattr__(self, "clique2", clique2)
-        object.__setattr__(self, "invariant1", invariant1)
-        object.__setattr__(self, "invariant2", invariant2)
-        object.__setattr__(self, "verdict", verdict)
 
 
 def commensurability_compare(g1: Graph, g2: Graph) -> CompareResult:

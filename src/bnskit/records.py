@@ -1,18 +1,34 @@
 """Immutable value records, the base of the package's data and result classes.
 
-A record class lists its fields in ``__slots__`` and stores them in its own
-``__init__`` with ``object.__setattr__``; a class with slots that are not
-fields (a cache) names its fields in ``_fields`` instead.  Records of the
-same class with equal fields are equal and hash alike, a record prints as
+A record class lists its fields in ``__slots__``; a class with slots that are
+not fields (a cache) names its fields in ``_fields`` instead.  Unless the
+class body defines its own ``__init__`` (to check or convert its input), the
+class gets a generated one that takes every field, positionally or by
+keyword, in order and with no defaults.  Records of the same class with
+equal fields are equal and hash alike, a record prints as
 ``Name(field=value, ...)``, assigning or deleting a field raises
 ``AttributeError``, and copy and pickle rebuild a record from its fields, so
-each ``__init__`` takes the fields in order.  Each class keeps its own
+each ``__init__`` takes the fields in order.  Each class has its own
 ``__init__``, so tracing a constructor sees that class alone.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+# the globals of every generated __init__
+_INIT_GLOBALS = {"_set": object.__setattr__}
+
+
+def _initialiser(cls):
+    """``def __init__(self, f1, ...): _set(self, "f1", f1) ...`` for cls."""
+    fields = cls._fields
+    body = "".join([f"\n    _set(self, {name!r}, {name})" for name in fields])
+    namespace = {}
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", _INIT_GLOBALS, namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 class Record:
@@ -21,6 +37,8 @@ class Record:
     def __init_subclass__(cls):
         if "_fields" not in vars(cls):
             cls._fields = cls.__slots__
+        if "__init__" not in vars(cls):
+            cls.__init__ = _initialiser(cls)
         # the field values, read at C speed: a tuple, or the value itself
         # when there is one field
         cls._key = property(attrgetter(*cls._fields))

@@ -31,7 +31,7 @@ class Word:
         for g, s in letters:
             if g not in known:
                 raise InputError(f"letter {g!r} is not in the alphabet")
-            if s not in (1, -1):
+            if type(s) is not int or s not in (1, -1):
                 raise InputError(f"letter sign must be +1 or -1, got {s!r}")
         self.alphabet = alphabet
         self.letters = letters

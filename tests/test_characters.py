@@ -7,6 +7,7 @@ from bnskit import DomainError, Graph, InputError, make_character
 from bnskit.characters import (
     Character,
     GeneratorBasis,
+    VectorCharacter,
     abelianize,
     canonical_class,
     dead_support,
@@ -64,6 +65,17 @@ def test_abelianize():
     assert abelianize(ABC, w) == (1, 1, -1)
     with pytest.raises(InputError):
         abelianize(AB, w)
+
+
+def test_basis_and_vector_character_store_tuples():
+    listed = GeneratorBasis(["a", "b", "c"])
+    assert listed.names == ABC.names and listed == ABC and hash(listed) == hash(ABC)
+    assert GeneratorBasis(name for name in "abc") == ABC
+    assert abelianize(listed, word(["a", "b", "c"], ["a", ("c", -1)])) == (1, 0, -1)
+    row = make_character(ABC, {"a": 1})
+    vector = VectorCharacter(ABC, [row])
+    assert vector.rows == (row,) and vector == VectorCharacter(ABC, (row,))
+    assert hash(vector) == hash(VectorCharacter(ABC, (row,)))
 
 
 def test_hermite_form_goldens():

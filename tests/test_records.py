@@ -4,9 +4,12 @@ of frozen dataclasses, and no `dataclasses` import outside the command line.
 
 import copy
 import dataclasses
+import importlib
+import inspect
 import json
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -189,3 +192,57 @@ def test_projection_family_compares_by_identity():
     assert "_bases" not in repr(family)
     with pytest.raises(AttributeError):
         family.group = "other"
+    # each family builds its pair basis on n strands once
+    assert family.basis(4) is family.basis(4)
+    assert copy.basis(4) is copy.basis(4) and copy.basis(4) is not family.basis(4)
+    assert copy.basis(4).family is copy and copy.basis(4).names == family.basis(4).names
+
+
+# the record classes whose own __init__ checks or converts its input
+VALIDATING = {"GeneratorBasis", "Character", "VectorCharacter", "F2ZElement"}
+GENERATED = {
+    "SaturatedLattice", "GenericPoint", "OutFinitenessReport", "WitnessPair", "ObstructionReport", "BaseGroup",
+    "ProjectionFamily", "DeadSubspace", "ProjectionVerdict", "RaagSigmaVerdict", "KillTestResult", "SplitReport",
+    "CompareResult",
+}
+
+
+def _package_records():
+    modules = [importlib.import_module(f"bnskit.{m.name}") for m in pkgutil.iter_modules(bnskit.__path__)]
+    found = {
+        value
+        for module in modules
+        for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, Record) and value is not Record
+        and value.__module__ == module.__name__
+    }
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+RECORDS = _package_records()
+
+
+def test_every_record_class_has_its_own_init():
+    assert {cls.__name__ for cls in RECORDS} == VALIDATING | GENERATED
+    assert [cls.__name__ for cls in RECORDS if "__init__" not in vars(cls)] == []
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in RECORDS if cls.__name__ in GENERATED], ids=lambda cls: cls.__name__
+)
+def test_generated_init_takes_exactly_the_fields(cls):
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple([p.name for p in parameters]) == cls._fields
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in parameters)
+    values = {name: (i, name) for i, name in enumerate(cls._fields)}
+    by_keyword = cls(**values)
+    assert {name: getattr(by_keyword, name) for name in cls._fields} == values
+    assert cls(*values.values())._key == by_keyword._key
+    missing = dict(values)
+    missing.pop(cls._fields[-1])
+    with pytest.raises(TypeError):
+        cls(**missing)
+    with pytest.raises(TypeError):
+        cls(**values, extra=None)
+    with pytest.raises(TypeError):
+        cls(*values.values(), None)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +31,10 @@ def test_word_construction():
         word("ab", ["q"])
     with pytest.raises(InputError):
         Word(("a", "b"), [("a", 2)])
+    # a sign is an exact int: a bool, a float or a Fraction is refused
+    for sign in (True, -1.0, 1.0, Fraction(-1)):
+        with pytest.raises(InputError, match="letter sign"):
+            Word("ab", [("a", 1), ("b", sign)])
     with pytest.raises(InputError):
         Word(("a", "a"), [])
 
