@@ -64,7 +64,9 @@ class Character(Record):
 
     __slots__ = ("basis", "values")
 
-    def __init__(self, basis: GeneratorBasis, values: Sequence[Fraction | int]):
+    def __init__(self, basis: GeneratorBasis, values: Iterable[Fraction | int]):
+        # read once, so an iterator works too; a tuple is not copied
+        values = tuple(values)
         if len(values) != basis.dim:
             raise InputError("character length does not match basis dimension")
         object.__setattr__(self, "basis", basis)

@@ -9,6 +9,13 @@ from label semantics.  Conventions that the rest of the package relies on:
   hence nonempty, remainder);
 * for a disconnected graph the empty set is already separating, so
   min_separating_clique == 0 exactly for disconnected graphs.
+
+Two searches answer the separation questions.  The smallest separating
+clique, the paper's commensurability invariant, is read off the clique
+minimal separators that one MCS-M pass finds, in polynomial time.  The
+inclusion-minimal separating sets behind `raag complement` come from
+listing every minimal separator, and a graph can have exponentially many,
+so that list stops past MAX_MINIMAL_SEPARATORS.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InputError
+from .errors import InputError, PreconditionError
 from .records import Record
 
 
@@ -149,6 +156,64 @@ def _is_clique(adj: Sequence[int], mask: int) -> bool:
     return all(not mask & ~(adj[i] | 1 << i) for i in _bits(mask))
 
 
+def _size_then_order(mask: int) -> tuple[int, list[int]]:
+    return mask.bit_count(), _bits(mask)
+
+
+def _triangulation_separators(adj: Sequence[int]) -> Iterator[int]:
+    """The minimal separators of a minimal triangulation H of the graph,
+    from one MCS-M pass (Berry, Blair, Heggernes & Peyton 2004) read as in
+    MCS-M+ (Berry, Pogorelcnik & Simonet 2010), n - 1 at most; a set may
+    come more than once.
+
+    MCS-M numbers the vertices one by one, each time taking an unnumbered
+    vertex of largest label, the first in vertex order on ties.  Numbering
+    v raises the label of each unnumbered u that v reaches by a path whose
+    inner vertices are unnumbered with labels below u's, and makes uv an
+    edge of H.  So madj(v), the H-neighbours numbered before v, is the set
+    of vertices that raised v's label, and the label is |madj(v)|.  When the
+    chosen vertex's label is not above the previous one's, madj of it is a
+    minimal separator of H, and every minimal separator of H comes so.
+
+    The search from v walks the labels upwards.  At threshold j, `reached`
+    is v with all it reaches through unnumbered vertices of label below j,
+    and the label-j vertices beside it are the ones raised.  A higher
+    threshold only lets the walk through more vertices, so `reached` grows
+    and is never rebuilt.
+    """
+    n = len(adj)
+    madj = [0] * n
+    # by_label[j]: the unnumbered vertices of label j
+    by_label = [(1 << n) - 1] + [0] * n
+    top, previous = 0, -1
+    for _ in range(n):
+        while not by_label[top]:
+            top -= 1
+        v = by_label[top] & -by_label[top]
+        by_label[top] ^= v
+        i = v.bit_length() - 1
+        if top <= previous:
+            yield madj[i]
+        previous = top
+        reached, near, passable, raised = v, adj[i], 0, []
+        for j in range(top + 1):
+            hit = near & by_label[j]
+            passable |= by_label[j]
+            frontier = hit
+            while frontier:
+                reached |= frontier
+                near |= _reach(adj, frontier)
+                frontier = near & passable & ~reached
+            if hit:
+                raised.append((j, hit))
+        for j, hit in raised:
+            by_label[j] ^= hit
+            by_label[j + 1] |= hit
+            for u in _bits(hit):
+                madj[u] |= v
+        top += 1
+
+
 def _minimal_separators(adj: Sequence[int]) -> Iterator[int]:
     """Every minimal separator of a connected graph, once each.
 
@@ -177,8 +242,17 @@ def _minimal_separators(adj: Sequence[int]) -> Iterator[int]:
             add(s | adj[x])
 
 
+# the most minimal separators `_separating_sets` enumerates: a graph can have
+# exponentially many (more than 2^k for k disjoint paths of length 3
+# between two vertices), so an unchecked list could run for hours
+MAX_MINIMAL_SEPARATORS = 4096
+
+
 def _separating_sets(g: Graph) -> list[int]:
     """The inclusion-minimal separating sets, by size, then vertex order.
+
+    A graph with more than MAX_MINIMAL_SEPARATORS minimal separators is a
+    PreconditionError.
 
     A disconnected graph has only the empty one.  In a connected graph a
     separating set S is inclusion-minimal exactly when every component C of
@@ -194,12 +268,17 @@ def _separating_sets(g: Graph) -> list[int]:
     full = (1 << len(adj)) - 1
     if _splits(adj, full):
         return [0]
+    separators = list(islice(_minimal_separators(adj), MAX_MINIMAL_SEPARATORS + 1))
+    if len(separators) > MAX_MINIMAL_SEPARATORS:
+        raise PreconditionError(
+            f"graph has more than {MAX_MINIMAL_SEPARATORS} minimal separators"
+        )
     found = [
         s
-        for s in _minimal_separators(adj)
+        for s in separators
         if all(_reach(adj, c) & ~c == s for c in _components(adj, full & ~s))
     ]
-    found.sort(key=lambda s: (s.bit_count(), _bits(s)))
+    found.sort(key=_size_then_order)
     return found
 
 
@@ -264,18 +343,34 @@ def is_separating(g: Graph, s: Iterable[str]) -> bool:
 
 
 def min_separating_clique_witness(g: Graph) -> Optional[tuple[str, ...]]:
-    """First separating clique in (size, lex) enumeration order, if any.
-
-    A smallest separating clique has no separating proper subset, since each
-    is a smaller clique, so it is an inclusion-minimal separating set; the
-    witness is the first of those that is a clique.  That is () for a
+    """First separating clique in (size, vertex order), if any; () for a
     disconnected graph.
+
+    The candidates are the sets `_triangulation_separators` yields that are
+    cliques of G, fewer than n of them; the witness is the first candidate
+    in that order.  It is the first separating clique:
+
+    * A smallest separating clique K has no separating proper subset, since
+      each would be a smaller separating clique.  So K is an
+      inclusion-minimal separating set.
+    * Such a set is a minimal separator (see `_separating_sets`), and K is a
+      clique, so K is a clique minimal separator of G.
+    * A clique minimal separator crosses no other minimal separator, so it
+      is a minimal separator of every minimal triangulation H of G (Berry,
+      Pogorelcnik & Simonet 2010).  So every smallest separating clique is
+      a candidate.
+    * Every candidate S is a minimal separator of H and a clique of G.  H
+      has the vertices of G and more edges, so each component of H - S is a
+      union of components of G - S, and S separates G too.  So no candidate
+      is smaller than K.
+
+    The candidates of the smallest size are thus exactly the smallest
+    separating cliques.  A disconnected graph has K = (), and the pass
+    yields () as it starts on its second component.
     """
     adj = g._masks
-    for s in _separating_sets(g):
-        if _is_clique(adj, s):
-            return g._names(s)
-    return None
+    cliques = [s for s in _triangulation_separators(adj) if _is_clique(adj, s)]
+    return g._names(min(cliques, key=_size_then_order)) if cliques else None
 
 
 def min_separating_clique(g: Graph) -> Optional[int]:

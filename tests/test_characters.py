@@ -78,6 +78,17 @@ def test_basis_and_vector_character_store_tuples():
     assert hash(vector) == hash(VectorCharacter(ABC, (row,)))
 
 
+def test_character_takes_any_iterable_of_values():
+    expect = Character(AB, (1, 2))
+    assert Character(AB, iter([1, 2])) == expect
+    assert Character(AB, (x for x in (1, Fraction(2)))) == expect
+    assert Character(AB, [1, 2]).values == (Fraction(1), Fraction(2))
+    with pytest.raises(InputError):
+        Character(AB, iter([1, 2, 3]))
+    with pytest.raises(InputError):
+        Character(AB, (x for x in (1, 2.0)))
+
+
 def test_hermite_form_goldens():
     assert hermite_form([(2, 4), (1, 1)], 2) == ((1, 1), (0, 2))
     assert hermite_form([(0, 0)], 2) == ()

@@ -1,9 +1,12 @@
 """Separating cliques and complement supports against subset-scan oracles."""
 
 import random
+from pathlib import Path
 
-from bnskit import Graph, raag
-from bnskit.graphs import min_separating_clique_witness
+import pytest
+
+from bnskit import Graph, PreconditionError, cli, graphs, raag
+from bnskit.graphs import MAX_MINIMAL_SEPARATORS, min_separating_clique_witness
 
 from .oracles import (
     adjacency_masks,
@@ -12,10 +15,12 @@ from .oracles import (
     brute_min_separating_clique_witness,
 )
 
+DATA = Path(__file__).parent / "data"
+
 
 def named(n, edges):
     # labels out of step with the vertex order, so only the order can decide ties
-    names = [f"v{(5 * i + 3) % 11}" for i in range(n)]
+    names = [f"v{(5 * i + 3) % 13}" for i in range(n)]
     return names, Graph(names, [(names[i], names[j]) for i, j in edges])
 
 
@@ -65,3 +70,105 @@ def test_cycle_complement_is_every_non_adjacent_pair():
 
 def test_long_cycle_has_no_separating_clique():
     assert min_separating_clique_witness(cycle(40)) is None
+
+
+def test_witness_on_random_graphs_with_ten_to_twelve_vertices():
+    rng = random.Random(1212)
+    for _ in range(200):
+        n = rng.randrange(10, 13)
+        p = rng.choice((0.15, 0.25, 0.4, 0.6))
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        names, g = named(n, edges)
+        witness = brute_min_separating_clique_witness(n, adjacency_masks(n, edges))
+        expect = None if witness is None else tuple(names[i] for i in witness)
+        assert min_separating_clique_witness(g) == expect, edges
+
+
+def theta(k, pendant=False):
+    # s and t joined by k paths s-a_i-b_i-t: exponentially many minimal
+    # separators, and no clique one
+    vertices, edges = ["s", "t"], []
+    for i in range(k):
+        vertices += [f"a{i}", f"b{i}"]
+        edges += [("s", f"a{i}"), (f"a{i}", f"b{i}"), (f"b{i}", "t")]
+    if pendant:
+        vertices.append("p")
+        edges.append(("s", "p"))
+    return Graph(vertices, edges)
+
+
+def graph_file(tmp_path, g, name="g"):
+    path = tmp_path / f"{name}.graph"
+    edges = " ".join(f"{a}-{b}" for a, b in g.edges)
+    path.write_text(f"vertices: {' '.join(g.vertices)}\nedges: {edges}\n")
+    return str(path)
+
+
+def test_theta_graphs_have_no_separating_clique():
+    for k in range(2, 41):
+        assert min_separating_clique_witness(theta(k)) is None, k
+        assert min_separating_clique_witness(theta(k, pendant=True)) == ("s",), k
+
+
+def test_analyze_theta_graph_with_pendant_vertex(tmp_path):
+    g = theta(40, pendant=True)
+    assert len(g.vertices) == 83
+    report = cli.run(["--porcelain", "graph", "analyze", graph_file(tmp_path, g)])
+    assert report.exit_code == 0
+    assert "min_separating_clique=1" in report.porcelain
+    assert "witness=s" in report.porcelain
+
+
+def test_complement_stops_at_the_separator_cap(tmp_path):
+    report = cli.run(["--porcelain", "raag", "complement", graph_file(tmp_path, theta(20))])
+    assert report.exit_code == 2
+    assert report.porcelain == (f"error=graph has more than {MAX_MINIMAL_SEPARATORS} minimal separators",)
+    # theta(k) has 2^k + 2k + 1 minimal separators, all inclusion-minimal
+    # separating sets: 4,121 for k = 12, 2,071 for k = 11
+    with pytest.raises(PreconditionError):
+        raag.sigma_complement_supports(theta(12))
+    assert len(raag.sigma_complement_supports(theta(11))) == 2**11 + 23
+
+
+def test_witness_work_grows_polynomially_on_theta_graphs(monkeypatch):
+    # counts neighbour-mask unions, the unit of work of every graph search here
+    calls = 0
+    reach = graphs._reach
+
+    def counted(adj, mask):
+        nonlocal calls
+        calls += 1
+        return reach(adj, mask)
+
+    monkeypatch.setattr(graphs, "_reach", counted)
+    counts = {}
+    for k in range(4, 41):
+        calls = 0
+        assert min_separating_clique_witness(theta(k)) is None
+        counts[k] = calls
+        if k % 2 == 0 and k >= 8:
+            # doubling k doubles the vertex count; cubic work would give 8
+            assert counts[k] <= 8 * counts[k // 2], (k, counts[k // 2], counts[k])
+
+
+def test_invariant_commands_list_no_minimal_separators(tmp_path, monkeypatch):
+    paths = sorted(str(p) for p in DATA.glob("*.graph"))
+    paths += [graph_file(tmp_path, theta(6), "theta"), graph_file(tmp_path, theta(6, True), "pendant")]
+    paths.append(graph_file(tmp_path, cycle(9), "cycle"))
+    argvs = []
+    for path in paths:
+        argvs += [["graph", "analyze", path], ["raag", "split-report", path, "--max-k", "3"]]
+        argvs += [["raag", "compare", path, other] for other in paths]
+    argvs += [["--porcelain", *argv] for argv in argvs]
+    expect = [cli.run(argv) for argv in argvs]
+
+    def refuse(adj):
+        raise AssertionError("minimal separators listed")
+
+    monkeypatch.setattr(graphs, "_minimal_separators", refuse)
+    for argv, report in zip(argvs, expect):
+        got = cli.run(argv)
+        assert (got.exit_code, got.human, got.porcelain) == (
+            report.exit_code, report.human, report.porcelain
+        ), argv
+    assert any(report.exit_code == 0 for report in expect)
