@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import gcd, lcm
-from operator import mul
+from math import lcm
 from typing import Callable, Iterable, Sequence
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .records import Record
 from .words import Word
 
@@ -107,15 +106,6 @@ def make_character(
     for name, value in assignments.items():
         values[basis.index(name)] = Fraction(_exact(value, f"value of {name!r}"))
     return Character(basis, tuple(values))
-
-
-def dead_support(c: Character) -> tuple[str, ...]:
-    """Generators on which the character vanishes, in basis order."""
-    return tuple([n for n, v in zip(c.basis.names, c.values) if v == 0])
-
-
-def live_support(c: Character) -> tuple[str, ...]:
-    return tuple([n for n, v in zip(c.basis.names, c.values) if v != 0])
 
 
 def abelianize(basis: GeneratorBasis, w: Word) -> Row:
@@ -278,16 +268,6 @@ def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     return tuple([_dense(row, m, dim) for row in _normalized(_echelon(augmented, m + dim), m)])
 
 
-def integer_rank(rows: Iterable[Sequence[int]], dim: int) -> int:
-    return len(hermite_form(rows, dim))
-
-
-def span_contains(rows: Sequence[Sequence[int]], vec: Sequence[int], dim: int) -> bool:
-    """Is vec inside the rational span of the rows?"""
-    base = integer_rank(rows, dim)
-    return integer_rank(list(rows) + [list(vec)], dim) == base
-
-
 def _lattice_vector(basis: GeneratorBasis, vec: Sequence[int]) -> list[int]:
     """The vector as a list, if it is an int vector of the basis dimension."""
     v = list(vec)
@@ -308,16 +288,6 @@ class SaturatedLattice(Record):
     @property
     def rank(self) -> int:
         return self.basis.dim - len(self.annihilator)
-
-    @property
-    def rows(self) -> tuple[Row, ...]:
-        """Hermite basis of the lattice itself, computed on every read."""
-        return integer_kernel(self.annihilator, self.basis.dim)
-
-    def contains(self, vec: Sequence[int]) -> bool:
-        """Integer membership; equals rational-span membership by saturation."""
-        v = _lattice_vector(self.basis, vec)
-        return not any(sum(map(mul, row, v)) for row in self.annihilator)
 
 
 def saturate(basis: GeneratorBasis, vectors: Iterable[Sequence[int]]) -> SaturatedLattice:
@@ -353,19 +323,6 @@ def kill_character(lattice: SaturatedLattice) -> VectorCharacter:
     """
     basis = lattice.basis
     return VectorCharacter(basis, tuple([Character(basis, row) for row in lattice.annihilator]))
-
-
-def canonical_class(c: Character) -> Character:
-    """Primitive integer representative of the positive ray of c.
-
-    Only positive scaling is allowed: a character and its negative represent
-    different points of the character sphere.
-    """
-    if c.is_zero():
-        raise DomainError("the zero character has no canonical ray representative")
-    ints = _cleared(c.values)
-    g = gcd(*ints)
-    return Character(c.basis, tuple([Fraction(a // g) for a in ints]))
 
 
 class GenericPoint(Record):

@@ -31,7 +31,8 @@ class UsageError(BnsError):
 # ---------------------------------------------------------------------------
 # text formats
 
-_VALUE_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: \d alone also matches other scripts' digits
+_VALUE_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -54,9 +55,10 @@ def parse_graph_file(text: str) -> Graph:
         if line.startswith("vertices:"):
             saw_vertices = True
             for token in line[len("vertices:"):].split():
-                # '-' splits edges and '=' value lines; a trailing
+                # '-' splits edges and '=' value lines, and ',', ':' and '|'
+                # split porcelain sets, fields and rows; a trailing
                 # apostrophe (like '^-1') marks an inverse letter in words
-                for mark in "-=":
+                for mark in "-=,:|":
                     if mark in token:
                         raise ParseError(lineno, f"vertex name {token!r} may not contain {mark!r}")
                 if token.endswith("'"):
@@ -85,13 +87,6 @@ def parse_graph_file(text: str) -> Graph:
     if not saw_vertices:
         raise ParseError(1, "missing 'vertices:' line")
     return Graph(vertices, edges)
-
-
-def render_graph_file(g: Graph) -> str:
-    lines = ["vertices: " + " ".join(g.vertices)]
-    if g.edges:
-        lines.append("edges: " + " ".join(f"{a}-{b}" for a, b in g.edges))
-    return "\n".join(lines) + "\n"
 
 
 def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, str, int | Fraction]]:
@@ -130,15 +125,6 @@ def parse_character_file(text: str, basis: GeneratorBasis) -> Character:
     for _, index, _, value in _assignments(text, basis):
         values[index] = value
     return Character(basis, tuple(values))
-
-
-def render_character_file(c: Character) -> str:
-    lines = [
-        f"{name} = {value}"
-        for name, value in zip(c.basis.names, c.values)
-        if value != 0
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _parse_letter(lineno: int, token: str, known: set[str]) -> tuple[str, int]:

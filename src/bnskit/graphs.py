@@ -7,8 +7,8 @@ from label semantics.  Conventions that the rest of the package relies on:
 * the empty graph is not connected;
 * removing all vertices is not separating (separation needs a disconnected,
   hence nonempty, remainder);
-* for a disconnected graph the empty set is already separating, so
-  min_separating_clique == 0 exactly for disconnected graphs.
+* for a disconnected graph the empty set is already separating, so the
+  smallest separating clique is empty exactly for disconnected graphs.
 
 Two searches answer the separation questions.  The smallest separating
 clique, the paper's commensurability invariant, is read off the clique
@@ -309,20 +309,9 @@ def is_connected(g: Graph) -> bool:
     return bool(full) and next(_components(g._masks, full)) == full
 
 
-def is_dominating(g: Graph, s: Iterable[str]) -> bool:
-    """True iff every vertex outside s has a neighbor in s."""
-    inside = g._mask(s)
-    return all(inside >> i & 1 or m & inside for i, m in enumerate(g._masks))
-
-
 def is_clique(g: Graph, s: Iterable[str]) -> bool:
     """Empty sets and singletons are cliques."""
     return _is_clique(g._masks, g._mask(s))
-
-
-def connected_components(g: Graph) -> list[tuple[str, ...]]:
-    full = (1 << len(g.vertices)) - 1
-    return [g._names(c) for c in _components(g._masks, full)]
 
 
 def is_separating(g: Graph, s: Iterable[str]) -> bool:
@@ -367,26 +356,15 @@ def min_separating_clique_witness(g: Graph) -> Optional[tuple[str, ...]]:
     The candidates of the smallest size are thus exactly the smallest
     separating cliques.  A disconnected graph has K = (), and the pass
     yields () as it starts on its second component.
+
+    >>> min_separating_clique_witness(Graph("abc", [("a", "b"), ("b", "c")]))
+    ('b',)
+    >>> min_separating_clique_witness(Graph("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])) is None
+    True
     """
     adj = g._masks
     cliques = [s for s in _triangulation_separators(adj) if _is_clique(adj, s)]
     return g._names(min(cliques, key=_size_then_order)) if cliques else None
-
-
-def min_separating_clique(g: Graph) -> Optional[int]:
-    """Size of the smallest separating clique; None when no clique separates.
-
-    >>> min_separating_clique(Graph("abc", [("a", "b"), ("b", "c")]))
-    1
-    >>> min_separating_clique(Graph("abcd", [("a","b"),("b","c"),("c","d"),("d","a")])) is None
-    True
-    """
-    witness = min_separating_clique_witness(g)
-    return None if witness is None else len(witness)
-
-
-def closed_star(g: Graph, v: str) -> tuple[str, ...]:
-    return g.sort_vertices((v,) + g.neighbors(v))
 
 
 def out_finiteness_predicates(g: Graph) -> OutFinitenessReport:

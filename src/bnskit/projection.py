@@ -305,17 +305,6 @@ class DeadSubspace(Record):
         family = self.basis.family
         return family.small if self.kind == family.small.kind else family.large
 
-    @property
-    def equations(self) -> tuple[Row, ...]:
-        """The equations as dense rows, built on every read: one unit row per
-        generator touching a deleted strand, in basis order, then the base
-        equations on the kept strands."""
-        basis, kept = self.basis, self.kept
-        rows = [{k: 1} for k, (i, j) in enumerate(basis.pairs) if i not in kept or j not in kept]
-        for equation in self.base.equations:
-            rows.append({basis.index(kept[a - 1], kept[b - 1]): x for (a, b), x in equation.items()})
-        return tuple([tuple([row.get(k, 0) for k in range(basis.dim)]) for row in rows])
-
 
 class ProjectionVerdict(Record):
     """Membership verdict; outside verdicts carry their projection witness."""

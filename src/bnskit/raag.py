@@ -9,7 +9,6 @@ The zero character counts as outside.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
@@ -123,17 +122,6 @@ def _commuting_vectors(g: Graph, gens: Sequence[Word]) -> list[tuple[int, ...]]:
                 f"generator words {str(u)!r} and {str(v)!r} do not commute"
             )
     return [abelianize(basis, w) for w in gens]
-
-
-def dying_vertices(g: Graph, gens: Sequence[Word]) -> tuple[str, ...]:
-    """Vertex generators dying under every character that kills the subgroup.
-
-    Requires the generator words to commute pairwise; the result is then
-    always a clique.  A vertex dies exactly when its basis vector lies in the
-    rational span of the abelianized generators.
-    """
-    lattice = saturate(vertex_basis(g), _commuting_vectors(g, gens))
-    return _split_dead(g, lattice)[0]
 
 
 def _split_dead(g: Graph, lattice: SaturatedLattice) -> tuple[tuple[str, ...], list[int]]:

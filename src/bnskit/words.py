@@ -131,10 +131,6 @@ def f2z_multiply(x: F2ZElement, y: F2ZElement) -> F2ZElement:
     return F2ZElement(free_reduce(x.free_part * y.free_part), x.central + y.central)
 
 
-def f2z_inverse(x: F2ZElement) -> F2ZElement:
-    return F2ZElement(x.free_part.inverse(), -x.central)
-
-
 def f2z_commute(x: F2ZElement, y: F2ZElement) -> bool:
     """Centers always commute, so only the free parts matter."""
     return free_commute(x.free_part, y.free_part)

@@ -227,6 +227,19 @@ ISO_CLASSES = {
 # pure braid and pure loop braid membership by scanning every kept strand set
 # characters are dicts (i, j) -> nonzero value; braid pairs have i < j
 
+# (size, kind) of each family's two base groups, smaller first
+BASES = {
+    "braid": ((3, "pb3-sum"), (4, "pb4-exceptional")),
+    "loop": ((2, "plb2-all"), (3, "plb3-equations")),
+}
+
+
+def family_pairs(family: str, n: int) -> list[tuple[int, int]]:
+    """The generator pairs on n strands in lexicographic order: i < j for
+    "braid", i != j for "loop"."""
+    strands = range(1, n + 1)
+    return [(i, j) for i in strands for j in strands if i < j or (family == "loop" and i != j)]
+
 
 def _base_dead(family: str, kept, value) -> bool:
     """Is a character supported on `kept` dead in the group on those strands?"""
@@ -264,19 +277,54 @@ def projection_sigma(family: str, n: int, values: dict):
     "braid" or "loop" character in (size, lex) order over kept strand sets."""
     if not values:
         return ("out", "zero", None, None)
-    sizes = {"braid": ((3, "pb3-sum"), (4, "pb4-exceptional")),
-             "loop": ((2, "plb2-all"), (3, "plb3-equations"))}[family]
 
     def value(i, j):
         if family == "braid" and i > j:
             i, j = j, i
         return values.get((i, j), 0)
 
-    for size, base in sizes:
+    for size, base in BASES[family]:
         for kept in combinations(range(1, n + 1), size):
             if all(i in kept and j in kept for i, j in values) and _base_dead(family, kept, value):
                 return ("out", "projection", kept, base)
     return ("in", None, None, None)
+
+
+def _base_equations(family: str, kept) -> list[dict]:
+    """The equations cutting out the dead characters of the base group on
+    the kept strands, as dicts pair -> coefficient: the conditions
+    `_base_dead` tests, less the smaller base's subspaces."""
+    if family == "braid":
+        if len(kept) == 3:
+            return [{pair: 1 for pair in combinations(kept, 2)}]
+        t1, t2, t3, t4 = kept
+        # opposite bands agree and the bands at the first strand sum to zero
+        return [
+            {(t1, t2): 1, (t3, t4): -1},
+            {(t1, t3): 1, (t2, t4): -1},
+            {(t1, t4): 1, (t2, t3): -1},
+            {(t1, t2): 1, (t1, t3): 1, (t1, t4): 1},
+        ]
+    if len(kept) == 2:
+        return []  # the 2-loop group is free of rank 2
+    # the values flowing into each kept loop sum to zero
+    return [{(s, t): 1 for s in kept if s != t} for t in kept]
+
+
+def dead_subspaces(family: str, n: int) -> list[tuple[str, tuple[int, ...], list[tuple[int, ...]]]]:
+    """(kind, kept, equations) of every dead subspace of a "braid" or "loop"
+    family on n strands: the smaller base first, kept sets in lex order.
+    The equations are dense integer rows over `family_pairs(family, n)`: one
+    unit row per generator touching a deleted strand, in pair order, then
+    the base equations on the kept strands."""
+    pairs = family_pairs(family, n)
+    out = []
+    for size, kind in BASES[family]:
+        for kept in combinations(range(1, n + 1), size):
+            rows = [{pair: 1} for pair in pairs if not (pair[0] in kept and pair[1] in kept)]
+            rows += _base_equations(family, kept)
+            out.append((kind, kept, [tuple([row.get(pair, 0) for pair in pairs]) for row in rows]))
+    return out
 
 
 # ---------------------------------------------------------------------------

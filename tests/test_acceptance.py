@@ -14,8 +14,8 @@ from pathlib import Path
 import pytest
 
 from bnskit import Graph, make_character
-from bnskit.characters import abelianize, integer_kernel, saturate
-from bnskit.graphs import is_clique, min_separating_clique
+from bnskit.characters import abelianize, saturate
+from bnskit.graphs import is_clique, min_separating_clique_witness
 from bnskit.words import word
 from bnskit import braid, loop, raag
 from bnskit.characters import Character, GeneratorBasis, kill_character
@@ -33,6 +33,9 @@ from .oracles import (
     adjacency_masks,
     all_labeled_graphs,
     brute_min_separating_clique,
+    brute_min_separating_clique_witness,
+    dead_subspaces,
+    dense_hermite_form,
     rewriting_canon,
     sigma_alive,
 )
@@ -126,15 +129,20 @@ def test_acceptance_03_separating_clique_goldens():
     names = tuple("abcde")
     for edges, n, expect in cases:
         g = named_graph(names[:n], edges)
-        got = min_separating_clique(g)
+        masks = adjacency_masks(n, edges)
+        witness = min_separating_clique_witness(g)
+        got = None if witness is None else len(witness)
         assert got == expect, (edges, got)
-        assert got == brute_min_separating_clique(n, adjacency_masks(n, edges))
+        assert got == brute_min_separating_clique(n, masks)
+        brute = brute_min_separating_clique_witness(n, masks)
+        assert witness == (None if brute is None else tuple(names[i] for i in brute))
     print("ACCEPTANCE 03 PASS")
 
 
 # ---------------------------------------------------------------------------
-# 4. killing a commuting-generator subgroup: annihilator kernel identity,
-#    dying-vertex bounds, clique shape, conjugation/power invariance
+# 4. killing a commuting-generator subgroup: the killing rows cut out the
+#    generators' span, dying-vertex bounds, clique shape, conjugation/power
+#    invariance
 
 
 def random_graph(rng, n):
@@ -175,6 +183,14 @@ def word_power(w, k):
     return out
 
 
+def dead_vertices(g, gens):
+    """The vertices dying under every character that kills the commuting
+    words: the dead vertices of `raag.kill_and_test`, for any subgroup,
+    proper or not."""
+    lattice = saturate(raag.vertex_basis(g), raag._commuting_vectors(g, gens))
+    return raag._split_dead(g, lattice)[0]
+
+
 def test_acceptance_04_kill_machinery_properties():
     start = time.monotonic()
     rng = random.Random(4242)
@@ -185,12 +201,18 @@ def test_acceptance_04_kill_machinery_properties():
             random_clique_word(rng, g, clique) for _ in range(rng.randrange(1, 4))
         ]
         basis = raag.vertex_basis(g)
-        lat = saturate(basis, [abelianize(basis, w) for w in gens])
-        killing = kill_character(lat)
-        rows_int = [tuple(int(v) for v in row.values) for row in killing.rows]
-        assert integer_kernel(rows_int, basis.dim) == lat.rows
+        vectors = [abelianize(basis, w) for w in gens]
+        killing = kill_character(saturate(basis, vectors))
+        assert all(row.pair(v) == 0 for row in killing.rows for v in vectors)
+        rank = len(dense_hermite_form(vectors, basis.dim))
+        assert len(killing.rows) == basis.dim - rank
 
-        dead = raag.dying_vertices(g, gens)
+        dead = dead_vertices(g, gens)
+        # a vertex dies exactly when its unit vector is in the generators' span
+        units = [tuple(int(i == j) for j in range(basis.dim)) for i in range(basis.dim)]
+        assert dead == tuple(
+            v for v, unit in zip(g.vertices, units) if len(dense_hermite_form(vectors + [unit], basis.dim)) == rank
+        )
         assert len(dead) <= len(gens)
         assert is_clique(g, dead)
 
@@ -203,8 +225,8 @@ def test_acceptance_04_kill_machinery_properties():
         )
         conjugated = [conjugator * w * conjugator.inverse() for w in gens]
         powered = [word_power(w, rng.choice((-3, -2, -1, 1, 2, 3))) for w in gens]
-        assert raag.dying_vertices(g, conjugated) == dead
-        assert raag.dying_vertices(g, powered) == dead
+        assert dead_vertices(g, conjugated) == dead
+        assert dead_vertices(g, powered) == dead
     elapsed = time.monotonic() - start
     assert elapsed < 60, f"budget exceeded: {elapsed:.1f}s"
     print("ACCEPTANCE 04 PASS")
@@ -269,8 +291,8 @@ def test_acceptance_06_braid_goldens():
     e12 = pb_chi(5, {"S(1,2)": 1})
     assert braid.sigma_membership(5, e12).inside
     # independent route: e12 lies in none of the finitely many dead subspaces
-    for sub in braid.dead_subspaces(5):
-        assert any(e12.pair(eq) != 0 for eq in sub.equations)
+    for _, _, equations in dead_subspaces("braid", 5):
+        assert any(e12.pair(eq) != 0 for eq in equations)
     print("ACCEPTANCE 06 PASS")
 
 
@@ -423,8 +445,9 @@ def check_obstruction(rep, family, n, basis_names, vectors):
     # every character killing the lattice satisfies the covering equations
     basis = GeneratorBasis(basis_names)
     killing = kill_character(saturate(basis, vectors))
+    equations = dead_equations(family, n)[rep.covering.kind, rep.covering.kept]
     for row in killing.rows:
-        for eq in rep.covering.equations:
+        for eq in equations:
             assert row.pair(eq) == 0
     assert not family.sigma_membership(n, c).inside
     if family is braid:
@@ -434,13 +457,17 @@ def check_obstruction(rep, family, n, basis_names, vectors):
     return "covered"
 
 
+def dead_equations(family, n):
+    """The oracle's dead subspaces of the family on n strands, as
+    (kind, kept) -> equations."""
+    name = "braid" if family is braid else "loop"
+    return {(kind, kept): equations for kind, kept, equations in dead_subspaces(name, n)}
+
+
 def codim3_equations(family, n):
     # the only dead subspaces a rank-3 lattice can fill out completely
     kind = braid.PB4_EXCEPTIONAL if family is braid else loop.PLB3_EQUATIONS
-    for sub in family.dead_subspaces(n):
-        if sub.kind == kind:
-            return [tuple(int(x) for x in eq) for eq in sub.equations]
-    return None
+    return next((eqs for (k, _), eqs in dead_equations(family, n).items() if k == kind), None)
 
 
 def test_acceptance_09_obstruction_pipeline_totality():

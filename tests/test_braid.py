@@ -11,7 +11,7 @@ from bnskit.words import f2z_generate_free, word
 from bnskit import braid
 from bnskit.obstruction import CERTIFICATE, COVERED
 
-from .oracles import projection_sigma
+from .oracles import dead_subspaces, projection_sigma
 
 
 def basis(n):
@@ -200,7 +200,7 @@ def test_sigma_membership_matches_subspace_union_n5_n6():
     # Out iff the character satisfies the equations of some dead subspace
     rng = random.Random(31)
     for n in (5, 6):
-        subs = braid.dead_subspaces(n)
+        subs = [equations for _, _, equations in dead_subspaces("braid", n)]
         for _ in range(150):
             c = rng.choice(
                 (
@@ -211,9 +211,7 @@ def test_sigma_membership_matches_subspace_union_n5_n6():
             )()
             if c.is_zero():
                 continue
-            in_union = any(
-                all(c.pair(eq) == 0 for eq in sub.equations) for sub in subs
-            )
+            in_union = any(all(c.pair(eq) == 0 for eq in equations) for equations in subs)
             assert braid.sigma_membership(n, c).inside == (not in_union)
 
 

@@ -21,8 +21,6 @@ from bnskit.cli import (
     parse_graph_file,
     parse_vector_file,
     parse_words_file,
-    render_character_file,
-    render_graph_file,
     run,
 )
 
@@ -49,6 +47,9 @@ def test_parse_graph_file():
         ("vertices: a a' c\n", 1, "may not end in an apostrophe"),
         ("vertices: a\nvertices: b^-1\n", 2, "may not contain '-'"),
         ("vertices: a b=c\n", 1, "may not contain '='"),
+        ("vertices: a,b\n", 1, "may not contain ','"),
+        ("vertices: a:b\n", 1, "may not contain ':'"),
+        ("vertices: a b|c\n", 1, "may not contain '|'"),
         ("points: a b\n", 1, "expected"),
         ("", 1, "missing"),
         ("vertices: a b\n# fine\nedges: a-q\n", 3, "undeclared"),
@@ -130,6 +131,8 @@ _VALUE_LINES += [
         ("X(1,2) = 1/0\n", "line 1: malformed rational '1/0'"),
         ("X(1,2) = 1\n\nX(1,2) = 2\n", "line 3: generator 'X(1,2)' assigned twice"),
         ("X(1,9) = 1\n", "line 1: unknown generator 'X(1,9)'"),
+        # an Arabic-Indic three: only ASCII digits are read
+        ("X(1,2) = \u0663\n", "line 1: malformed rational '\u0663'"),
     )
     for family in ("braid", "loop")
 ]
@@ -150,7 +153,7 @@ def test_value_lines_through_run(tmp_path, text, family, obstruct, sigma):
     format reads, and every error line, for both families."""
     letter = "S(" if family == "braid" else "A("
     path = tmp_path / "values.txt"
-    path.write_text(text.replace("X(", letter))
+    path.write_text(text.replace("X(", letter), encoding="utf-8")
     for command, porcelain in (("obstruct", obstruct), ("sigma", sigma)):
         porcelain = tuple([line.replace("X(", letter) for line in porcelain])
         report = run([family, command, "-n", "4", str(path)])
@@ -174,13 +177,17 @@ def test_graph_round_trip():
         Graph("abc"),
         Graph("wxyz", [("w", "x"), ("y", "z"), ("x", "y")]),
     ):
-        assert parse_graph_file(render_graph_file(g)) == g
+        text = "vertices: " + " ".join(g.vertices) + "\n"
+        if g.edges:
+            text += "edges: " + " ".join(f"{a}-{b}" for a, b in g.edges) + "\n"
+        assert parse_graph_file(text) == g
 
 
 def test_character_round_trip():
     for values in ({}, {"a": Fraction(1, 2)}, {"a": -3, "c": Fraction(7, 5)}):
         c = make_character(ABC, values)
-        assert parse_character_file(render_character_file(c), ABC) == c
+        text = "".join(f"{name} = {value}\n" for name, value in zip(ABC.names, c.values) if value)
+        assert parse_character_file(text, ABC) == c
 
 
 def run_ok(argv):

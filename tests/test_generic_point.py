@@ -4,7 +4,8 @@
 by a Fraction dot product; the library clears each equation to its nonzero
 integer terms.  Both must return the same point, or the same first covering
 subspace.  Obstruction reports, which decide covering in closed form, must
-agree with the dense search over every dead subspace.
+agree with the dense search over every dead subspace, whose equations come
+from `oracles.dead_subspaces`.
 """
 
 import random
@@ -16,7 +17,7 @@ from bnskit import InputError, braid, loop, projection
 from bnskit.characters import GeneratorBasis, generic_point_avoiding, kill_character, saturate
 from bnskit.obstruction import CERTIFICATE
 
-from .oracles import dense_generic_point, dense_hermite_form
+from .oracles import dead_subspaces, dense_generic_point, dense_hermite_form
 
 VALUES = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
 
@@ -83,6 +84,11 @@ def random_case(rng):
     return dim, spanning, dense
 
 
+def family_subspaces(family, n):
+    """The oracle's (kind, kept, equations) of each dead subspace."""
+    return dead_subspaces("braid" if family is braid else "loop", n)
+
+
 def test_search_matches_dense_reference_on_seeded_inputs():
     rng = random.Random(4011)
     seen = set()
@@ -121,14 +127,14 @@ def obstruction_cases(rng, family, n):
     dim = family.FAMILY.basis(n).dim
     cases = [[[rng.randint(-3, 3) for _ in range(dim)] for _ in range(2)] for _ in range(2)]
     cases.append([[rng.choice((0, 0, 0, 1, -1)) for _ in range(dim)] for _ in range(3)])
-    subspaces = family.dead_subspaces(n)
-    for sub in rng.sample(subspaces, 3):
-        cases.append([list(eq) for eq in sub.equations])
+    subspaces = [equations for _, _, equations in family_subspaces(family, n)]
+    for equations in rng.sample(subspaces, 3):
+        cases.append([list(eq) for eq in equations])
     cases.append([[int(j == k) for j in range(dim)] for k in range(dim)])
     # a base equation has more than one term; the vanishing rows have one
-    with_block = [sub for sub in subspaces if any(sum(map(bool, eq)) > 1 for eq in sub.equations)]
+    with_block = [eqs for eqs in subspaces if any(sum(map(bool, eq)) > 1 for eq in eqs)]
     for _ in range(2):
-        equations = [list(eq) for eq in rng.choice(with_block).equations]
+        equations = [list(eq) for eq in rng.choice(with_block)]
         equations.pop(rng.choice([k for k, eq in enumerate(equations) if sum(map(bool, eq)) > 1]))
         cases.append(equations)
     return cases
@@ -141,13 +147,13 @@ def obstruction_cases(rng, family, n):
 def test_obstruction_reports_match_dense_reference(family, n):
     rng = random.Random(4021 + 17 * n + (family is loop))
     basis = family.FAMILY.basis(n).generators
-    subspaces = family.dead_subspaces(n)
+    subspaces = family_subspaces(family, n)
     branches = set()
     for vectors in obstruction_cases(rng, family, n):
         report = family.nf_obstruction_demo(n, vectors)
         killing = kill_character(saturate(basis, vectors))
         point, covering = dense_generic_point(
-            basis.dim, [row.values for row in killing.rows], [s.equations for s in subspaces]
+            basis.dim, [row.values for row in killing.rows], [eqs for _, _, eqs in subspaces]
         )
         branches.add(report.branch)
         if point is not None:
@@ -158,10 +164,10 @@ def test_obstruction_reports_match_dense_reference(family, n):
             assert report.covering is None and report.witness is None
             continue
         assert report.branch != CERTIFICATE
-        expect = subspaces[covering]
-        assert (report.covering.kind, report.covering.kept) == (expect.kind, expect.kept)
+        kind, kept, equations = subspaces[covering]
+        assert (report.covering.kind, report.covering.kept) == (kind, kept)
         assert not report.character.is_zero()
-        assert all(report.character.pair(eq) == 0 for eq in expect.equations)
+        assert all(report.character.pair(eq) == 0 for eq in equations)
         assert report.witness == family.witness_pair(n, report.character)
     assert len(branches) == 2
 

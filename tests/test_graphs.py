@@ -4,21 +4,16 @@ import pytest
 
 from bnskit import Graph, InputError
 from bnskit.graphs import (
-    closed_star,
-    connected_components,
     induced_subgraph,
     is_clique,
     is_connected,
-    is_dominating,
     is_separating,
-    min_separating_clique,
     min_separating_clique_witness,
     out_finiteness_predicates,
 )
 
 from .oracles import (
     adjacency_masks,
-    all_labeled_graphs,
     brute_min_separating_clique,
     mask_connected,
 )
@@ -81,25 +76,11 @@ def test_connectivity_conventions():
     assert is_connected(Graph("a"))
 
 
-def test_dominating():
-    assert is_dominating(P3, ["b"])
-    assert not is_dominating(P3, ["a"])
-    assert is_dominating(P3, ["a", "b"])
-    assert not is_dominating(C5, ["v0"])
-    assert is_dominating(C5, ["v0", "v2"])
-
-
 def test_clique_predicate():
     assert is_clique(P3, [])
     assert is_clique(P3, ["a", "b"])
     assert not is_clique(P3, ["a", "c"])
     assert is_clique(K3, "abc")
-
-
-def test_components():
-    assert connected_components(TWO_PARTS) == [("a", "b"), ("c", "d")]
-    assert connected_components(P3) == [("a", "b", "c")]
-    assert connected_components(Graph("")) == []
 
 
 def test_separating_conventions():
@@ -113,15 +94,13 @@ def test_separating_conventions():
 
 
 def test_min_separating_clique_goldens():
-    assert min_separating_clique(P3) == 1
     assert min_separating_clique_witness(P3) == ("b",)
-    assert min_separating_clique(C4) is None
-    assert min_separating_clique(C5) is None
-    assert min_separating_clique(BOWTIE) == 1
-    assert min_separating_clique(DIAMOND) == 2
-    assert min_separating_clique(TWO_PARTS) == 0
+    assert min_separating_clique_witness(C4) is None
+    assert min_separating_clique_witness(C5) is None
+    assert min_separating_clique_witness(BOWTIE) == ("v2",)
+    assert min_separating_clique_witness(DIAMOND) == ("v1", "v2")
     assert min_separating_clique_witness(TWO_PARTS) == ()
-    assert min_separating_clique(K3) is None
+    assert min_separating_clique_witness(K3) is None
 
 
 def test_min_separating_clique_witness_is_separating_clique():
@@ -130,11 +109,6 @@ def test_min_separating_clique_witness_is_separating_clique():
         if w is not None:
             assert is_clique(g, w)
             assert is_separating(g, w)
-
-
-def test_closed_star():
-    assert closed_star(P3, "a") == ("a", "b")
-    assert closed_star(STAR, "c") == ("c", "x", "y", "z")
 
 
 def test_out_finiteness_star_graph():
@@ -171,12 +145,11 @@ def test_connectivity_against_union_find():
         g = graph_from_indices(n, edges)
         masks = adjacency_masks(n, edges)
         assert is_connected(g) == mask_connected(n, masks, (1 << n) - 1)
-        # induced subgraphs too
+        # induced subgraphs too, built directly
         subset = rng.randrange(1, 1 << n)
         keep = [f"v{i}" for i in range(n) if subset >> i & 1]
-        assert is_connected(induced_subgraph(g, keep)) == mask_connected(
-            n, masks, subset
-        )
+        kept = [(f"v{i}", f"v{j}") for i, j in edges if subset >> i & 1 and subset >> j & 1]
+        assert is_connected(Graph(keep, kept)) == mask_connected(n, masks, subset)
 
 
 def test_min_separating_clique_against_brute_force():
@@ -185,7 +158,7 @@ def test_min_separating_clique_against_brute_force():
         n = rng.randrange(1, 7)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = [p for p in pairs if rng.random() < 0.45]
-        g = graph_from_indices(n, edges)
-        assert min_separating_clique(g) == brute_min_separating_clique(
+        witness = min_separating_clique_witness(graph_from_indices(n, edges))
+        assert (None if witness is None else len(witness)) == brute_min_separating_clique(
             n, adjacency_masks(n, edges)
         )

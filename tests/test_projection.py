@@ -1,4 +1,5 @@
-"""Closed-form membership of both projection families against a subset scan."""
+"""Closed-form membership of both projection families against a subset scan,
+and their dead subspaces against the oracle's list."""
 
 import random
 from collections import Counter
@@ -6,14 +7,9 @@ from fractions import Fraction
 
 from bnskit import braid, loop, make_character
 
-from .oracles import projection_sigma
+from .oracles import dead_subspaces, family_pairs, projection_sigma
 
 FAMILIES = {"braid": (braid, range(3, 8)), "loop": (loop, range(2, 7))}
-
-
-def family_pairs(family, n):
-    strands = range(1, n + 1)
-    return [(i, j) for i in strands for j in strands if i < j or (family == "loop" and i != j)]
 
 
 def nonzero(rng):
@@ -71,3 +67,15 @@ def test_sigma_membership_matches_subset_scan():
     assert checked >= 2000
     for outcome in ("in", "zero", "pb3-sum", "pb4-exceptional", "plb2-all", "plb3-equations"):
         assert outcomes[outcome] >= 20, outcomes
+
+
+def test_dead_subspaces_match_oracle():
+    """The package lists the oracle's subspaces in the oracle's order, over
+    generators in the oracle's pair order, so the oracle's equations are
+    the ones other tests check the package against."""
+    for family, module, ns in (("braid", braid, range(4, 8)), ("loop", loop, range(3, 7))):
+        for n in ns:
+            letter = module.FAMILY.letter
+            assert module.FAMILY.basis(n).names == tuple([f"{letter}({i},{j})" for i, j in family_pairs(family, n)])
+            got = [(sub.kind, sub.kept) for sub in module.dead_subspaces(n)]
+            assert got == [(kind, kept) for kind, kept, _ in dead_subspaces(family, n)]

@@ -1,5 +1,6 @@
-"""The surface the README documents: its Library example, and a package
-namespace that holds only the names that example and the error docs use.
+"""The surface the README documents: its Library example, a package
+namespace that holds only the names that example and the error docs use,
+and no public function or class that nothing uses.
 
 `import bnskit` loads the graph, character, word and error modules only;
 the families and the command line load when they are imported by name.
@@ -14,7 +15,10 @@ from pathlib import Path
 
 import bnskit
 
+from .test_tracer_names import _load_tracing
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = Path(bnskit.__file__).resolve().parent
 
 TOP_LEVEL = ["BnsError", "DomainError", "Graph", "InputError", "ParseError", "PreconditionError", "make_character"]
 
@@ -68,3 +72,61 @@ def test_import_loads_only_the_documented_namespace():
     done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == {"loaded": [], "unresolved": []}
+
+
+def _references(node: ast.AST, modules: set[str]) -> set[tuple[str | None, str]]:
+    """The names node uses: (None, name) for a bare name, which may be
+    defined or imported in any module, and (module, name) for an attribute
+    of a package module, like `raag.kill_and_test`.  An attribute of any
+    other object is a field or method and names no module-level definition."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add((None, sub.id))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name) and sub.value.id in modules:
+            found.add((sub.value.id, sub.attr))
+    return found
+
+
+def test_every_public_definition_has_a_user():
+    """Each public module-level function or class is used by package code
+    outside its own definition, exported in `__all__`, or wrapped by the
+    benchmark's tracer.  Uses from inside a definition that has no user do
+    not count, so a chain of unused helpers is reported whole."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+    # each top-level statement, with the public definition it is, if any
+    statements = [
+        (
+            (module, node.name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            else None,
+            _references(node, set(trees)),
+        )
+        for module, tree in trees.items()
+        for node in tree.body
+    ]
+    tracing = _load_tracing()
+    traced = {
+        (module, name)
+        for listed in (tracing.TIMED, tracing.COUNTED)
+        for module, names in listed.items()
+        for name in names
+    }
+    unused = {
+        key
+        for key, _ in statements
+        if key is not None and key not in traced and key[1] not in bnskit.__all__
+    }
+    while True:
+        used = {
+            (module, name)
+            for key, refs in statements
+            if key not in unused
+            for module, name in unused
+            if (None, name) in refs or (module, name) in refs
+        }
+        if not used:
+            break
+        unused -= used
+    unused = sorted(f"{module}.{name}" for module, name in unused)
+    assert unused == [], unused
