@@ -268,17 +268,6 @@ def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     return tuple([_dense(row, m, dim) for row in _normalized(_echelon(augmented, m + dim), m)])
 
 
-def _lattice_vector(basis: GeneratorBasis, vec: Sequence[int]) -> list[int]:
-    """The vector as a list, if it is an int vector of the basis dimension."""
-    v = list(vec)
-    if len(v) != basis.dim:
-        raise InputError("vector length does not match basis dimension")
-    for a in v:
-        if not isinstance(a, int) or isinstance(a, bool):
-            raise InputError("saturate expects integer vectors")
-    return v
-
-
 class SaturatedLattice(Record):
     """A saturated sublattice of Z^dim, stored by the Hermite basis of its
     integer annihilator: exactly the vectors pairing to zero with each row."""
@@ -296,7 +285,6 @@ def saturate(basis: GeneratorBasis, vectors: Iterable[Sequence[int]]) -> Saturat
     Equals (rational span of the vectors) intersected with the integer
     lattice: the kernel of the vectors' integer kernel, which is kept.
     """
-    vectors = [_lattice_vector(basis, v) for v in vectors]
     return SaturatedLattice(basis, integer_kernel(vectors, basis.dim))
 
 

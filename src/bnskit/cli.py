@@ -501,6 +501,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _ascii_int(text: str) -> int:
+    """An optional sign and ASCII digits, like a value line's integers;
+    `int` alone also reads other scripts' digits, '_' and spaces."""
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 @functools.cache
 def _parser() -> _Parser:
     """The argument parser, built on first use and kept for the process."""
@@ -516,7 +527,7 @@ def _parser() -> _Parser:
         # an operand ending in * takes any number of files
         sub = group.add_parser(name)
         if int_option:
-            sub.add_argument(int_option, type=int, required=True)
+            sub.add_argument(int_option, type=_ascii_int, required=True)
         for operand in operands:
             sub.add_argument(operand.rstrip("*"), nargs="*" if operand.endswith("*") else None)
         sub.set_defaults(handler=handler, **defaults)

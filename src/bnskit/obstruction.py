@@ -11,22 +11,14 @@ after projection.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Sequence
 
-from .characters import Character, GeneratorBasis, Row, _first_combination, saturate
+from .characters import _first_combination, saturate
+from .errors import PreconditionError, require_int
 from .records import Record
-
-if TYPE_CHECKING:
-    from .projection import DeadSubspace
 
 CERTIFICATE = "certificate"
 COVERED = "covered"
-
-
-class WitnessPair(Record):
-    """Two kernel words that stay free after projecting to designated strands."""
-
-    __slots__ = ("u", "v", "designated")
 
 
 class ObstructionReport(Record):
@@ -47,23 +39,20 @@ COVERED_GUIDANCE = (
 )
 
 
-def run_obstruction(
-    basis: GeneratorBasis,
-    vectors: Sequence[Sequence[int]],
-    covering: Callable[[Sequence[Row]], Optional[DeadSubspace]],
-    sample_character: Callable[[DeadSubspace], Character],
-    membership: Callable[[Character], object],
-    witness_pair: Callable[[Character], WitnessPair],
-) -> ObstructionReport:
-    """Run the two-branch obstruction pipeline over a generator lattice.
-
-    covering names the dead subspace holding all the annihilator rows, or
-    None; a character avoids every dead subspace when membership says inside.
-    """
-    annihilator = saturate(basis, vectors).annihilator
-    covered = covering(annihilator)
+def run_obstruction(family, n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
+    """Run the two-branch obstruction pipeline for a `ProjectionFamily` on n
+    strands; a character avoids every dead subspace when `sigma_membership`
+    says IN."""
+    if require_int(n, "n") < family.large.size:
+        raise PreconditionError(
+            f"the obstruction demonstration needs at least {family.large.size} {family.unit}s"
+        )
+    basis = family.basis(n)
+    annihilator = saturate(basis.generators, vectors).annihilator
+    covered = basis.covering(annihilator)
     if covered is None:
-        point = _first_combination(basis, annihilator, lambda c: membership(c).inside)
+        membership = lambda c: family.sigma_membership(n, c)
+        point = _first_combination(basis.generators, annihilator, lambda c: membership(c).inside)
         return ObstructionReport(
             CERTIFICATE,
             point,
@@ -73,13 +62,13 @@ def run_obstruction(
             witness=None,
             guidance=CERTIFICATE_GUIDANCE,
         )
-    sample = sample_character(covered)
+    sample = covered.sample()
     return ObstructionReport(
         COVERED,
         sample,
         verdict_plus=None,
         verdict_minus=None,
         covering=covered,
-        witness=witness_pair(sample),
+        witness=family.witness_pair(n, sample),
         guidance=COVERED_GUIDANCE,
     )

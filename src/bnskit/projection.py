@@ -39,9 +39,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .characters import Character, GeneratorBasis, Row, make_character
+from .characters import Character, GeneratorBasis, make_character
 from .errors import DomainError, InputError, PreconditionError, require_int
-from .obstruction import ObstructionReport, WitnessPair, run_obstruction
+from .obstruction import ObstructionReport, run_obstruction
 from .records import Record
 from .words import Word
 
@@ -206,34 +206,10 @@ class ProjectionFamily(Record):
             for kept in combinations(range(1, n + 1), base.size)
         ]
 
-    def _sample_dead_character(self, sub: DeadSubspace) -> Character:
-        basis, kept = sub.basis, sub.kept
-        return make_character(
-            basis.generators,
-            {basis.name(kept[a - 1], kept[b - 1]): v for (a, b), v in sub.base.sample.items()},
-        )
-
     def nf_obstruction_demo(self, n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
         """Either certify a killing character alive on both rays, or exhibit the
         covering dead subspace together with its free-subgroup witness pair."""
-        if require_int(n, "n") < self.large.size:
-            raise PreconditionError(
-                f"the obstruction demonstration needs at least {self.large.size} {self.unit}s"
-            )
-        basis = self.basis(n)
-
-        def covering(rows: Sequence[Row]) -> Optional[DeadSubspace]:
-            held = basis._dead_holding(rows)
-            return None if held is None else DeadSubspace(*held, basis)
-
-        return run_obstruction(
-            basis.generators,
-            vectors,
-            covering,
-            self._sample_dead_character,
-            lambda c: self.sigma_membership(n, c),
-            lambda c: self.witness_pair(n, c),
-        )
+        return run_obstruction(self, n, vectors)
 
 
 class PairBasis:
@@ -283,6 +259,11 @@ class PairBasis:
                 return base.kind, kept
         return None
 
+    def covering(self, rows: Sequence[Sequence]) -> Optional[DeadSubspace]:
+        """The dead subspace holding every row, or None."""
+        held = self._dead_holding(rows)
+        return None if held is None else DeadSubspace(*held, self)
+
     def index(self, i: int, j: int) -> int:
         try:
             return self._index[(i, j)]
@@ -304,6 +285,20 @@ class DeadSubspace(Record):
     def base(self) -> BaseGroup:
         family = self.basis.family
         return family.small if self.kind == family.small.kind else family.large
+
+    def sample(self) -> Character:
+        """The base group's nonzero dead character, moved onto the kept strands."""
+        basis, kept = self.basis, self.kept
+        return make_character(
+            basis.generators,
+            {basis.name(kept[a - 1], kept[b - 1]): v for (a, b), v in self.base.sample.items()},
+        )
+
+
+class WitnessPair(Record):
+    """Two kernel words that stay free after projecting to designated strands."""
+
+    __slots__ = ("u", "v", "designated")
 
 
 class ProjectionVerdict(Record):

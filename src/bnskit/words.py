@@ -148,10 +148,15 @@ def f2z_generate_free(x: F2ZElement, y: F2ZElement) -> bool:
 def raag_normal_form(g: Graph, w: Word) -> Word:
     """ShortLex normal form of w in the graph group of g.
 
-    Two phases.  First, repeatedly delete pairs x^e ... x^-e whose separating
-    letters all commute with x; when no such pair is left the word is
-    geodesic.  Second, among all geodesic rewritings pick the ShortLex-least
-    one by greedily emitting the least letter that can commute to the front.
+    Two phases.  First, one left-to-right pass keeps a geodesic prefix: a
+    letter x^e scans back from the prefix's end past letters that commute
+    with x and are not x; if the scan stops on x^-e that letter is deleted,
+    otherwise x^e is appended.  The prefix stays geodesic, since a geodesic
+    word times x^e is geodesic unless x^-e can be commuted to its end, and
+    then deleting it gives the least possible length (Crisp, Godelle &
+    Wiest 2009).  Second, among all geodesic rewritings pick the
+    ShortLex-least one by greedily emitting the least letter that can
+    commute to the front; it is the same for every geodesic input.
 
     >>> g = Graph("ab", [("a", "b")])
     >>> str(raag_normal_form(g, word("ab", ["b", "a", ("b", -1)])))
@@ -162,27 +167,18 @@ def raag_normal_form(g: Graph, w: Word) -> Word:
     # bit i of nonadj[j]: generator i does not commute with generator j
     nonadj = g._nonadjacency
     index = g._index
-    letters = [(index[name], s) for name, s in w.letters]
 
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        length = len(letters)
-        for i in range(length - 1):
-            gi, si = letters[i]
-            blocker = nonadj[gi]
-            for j in range(i + 1, length):
-                gj, sj = letters[j]
-                if gj == gi:
-                    if sj == -si:
-                        del letters[j]
-                        del letters[i]
-                        shrinking = True
-                        break
-                elif blocker & (1 << gj):
-                    break
-            if shrinking:
-                break
+    letters: list[tuple[int, int]] = []
+    for name, s in w.letters:
+        gi = index[name]
+        blocker = nonadj[gi]
+        j = len(letters) - 1
+        while j >= 0 and letters[j][0] != gi and not blocker >> letters[j][0] & 1:
+            j -= 1
+        if j >= 0 and letters[j] == (gi, -s):
+            del letters[j]
+        else:
+            letters.append((gi, s))
 
     out: list[tuple[int, int]] = []
     while letters:

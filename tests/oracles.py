@@ -195,6 +195,48 @@ def rewriting_canon(n_gens: int, adjacent, max_len: int) -> dict:
     return canon
 
 
+def two_phase_normal_form(n: int, masks, letters) -> list[tuple[int, int]]:
+    """ShortLex normal form of a graph group word given as (vertex, sign)
+    pairs, by the package's earlier two-phase algorithm.
+
+    First delete one pair x^e ... x^-e whose letters in between all commute
+    with x, and rescan from the first letter, until no such pair is left.
+    Then emit, over and over, the least letter (a before a^-1 before b) that
+    commutes with every letter before it.
+    """
+    full = (1 << n) - 1
+    nonadj = [full & ~(m | 1 << j) for j, m in enumerate(masks)]
+    letters = list(letters)
+    shrinking = True
+    while shrinking:
+        shrinking = False
+        for i in range(len(letters) - 1):
+            gi, si = letters[i]
+            for j in range(i + 1, len(letters)):
+                gj, sj = letters[j]
+                if gj == gi:
+                    if sj == -si:
+                        del letters[j]
+                        del letters[i]
+                        shrinking = True
+                        break
+                elif nonadj[gi] >> gj & 1:
+                    break
+            if shrinking:
+                break
+    out = []
+    while letters:
+        seen = 0
+        best = best_key = None
+        for pos, (g, s) in enumerate(letters):
+            key = (g, 0 if s == 1 else 1)
+            if not seen & nonadj[g] and (best_key is None or key < best_key):
+                best, best_key = pos, key
+            seen |= 1 << g
+        out.append(letters.pop(best))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # small catalogue of graphs up to isomorphism (<= 4 vertices)
 

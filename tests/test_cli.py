@@ -268,6 +268,41 @@ def test_strand_count_limit(tmp_path):
     assert run(["braid", "sigma", "-n", "64", str(char)]).exit_code == 0
 
 
+_DATA = Path(__file__).parent / "data"
+_SIGMA = ["braid", "sigma", str(_DATA / "pb3_dead.char")]
+_SPLIT = ["raag", "split-report", str(_DATA / "c4.graph")]
+
+
+@pytest.mark.parametrize(
+    "argv,exit_code,line",
+    [
+        # an optional sign and ASCII digits, like a value line's integers
+        (_SIGMA + ["-n", "4"], 0, "status=out"),
+        (_SIGMA + ["-n", "+4"], 0, "status=out"),
+        (_SPLIT + ["--max-k", "2"], 0, "min_separating_clique=none"),
+        # an Arabic-Indic four and three, an underscore, spaces
+        (_SIGMA + ["-n", "\u0664"], 1, "error=argument -n: invalid int value: '\u0664'"),
+        (_SIGMA + ["-n", "-\u0663"], 1, "error=argument -n: invalid int value: '-\u0663'"),
+        (_SIGMA + ["-n", "1_0"], 1, "error=argument -n: invalid int value: '1_0'"),
+        (_SIGMA + ["-n", " 4 "], 1, "error=argument -n: invalid int value: ' 4 '"),
+        (_SIGMA + ["-n", "abc"], 1, "error=argument -n: invalid int value: 'abc'"),
+        (_SPLIT + ["--max-k", "\u0663"], 1, "error=argument --max-k: invalid int value: '\u0663'"),
+        # past the interpreter's digit limit, with the same message
+        (_SIGMA + ["-n", "7" * 5000], 1, f"error=argument -n: invalid int value: '{'7' * 5000}'"),
+        # well-formed but out of range
+        (_SIGMA + ["-n", "-3"], 2, "error=pure braid computations need at least 3 strands"),
+        (_SPLIT + ["--max-k", "-1"], 2, "error=max_k must be nonnegative"),
+    ],
+    ids=["n", "plus", "max-k", "n-arabic", "n-minus-arabic", "n-underscore", "n-spaces", "n-word",
+         "max-k-arabic", "n-long", "n-negative", "max-k-negative"],
+)
+def test_integer_options(argv, exit_code, line):
+    report = run(["--porcelain", *argv])
+    assert report.exit_code == exit_code and line in report.porcelain
+    if exit_code:
+        assert report.porcelain == (line,)
+
+
 def test_split_report_rank_limit(tmp_path):
     graph = tmp_path / "p3.graph"
     graph.write_text("vertices: a b c\nedges: a-b b-c\n")

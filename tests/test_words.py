@@ -1,9 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from bnskit import Graph, InputError
+from bnskit import Graph, InputError, words
 from bnskit.words import (
     F2ZElement,
     Word,
@@ -18,7 +19,7 @@ from bnskit.words import (
     word,
 )
 
-from .oracles import rewriting_canon
+from .oracles import adjacency_masks, rewriting_canon, two_phase_normal_form
 
 
 def test_word_construction():
@@ -186,3 +187,86 @@ def test_raag_commute():
     u = c * a * c.inverse()
     v = c * b * c.inverse()
     assert raag_commute(g, u, v)
+
+
+def _cycle(n: int, complement: bool = False) -> tuple[Graph, tuple[int, ...]]:
+    """The n-cycle on v0..v(n-1), or its complement, with its neighbour masks."""
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if ((j - i) % n in (1, n - 1)) != complement]
+    names = tuple(f"v{i}" for i in range(n))
+    return Graph(names, [(names[i], names[j]) for i, j in edges]), adjacency_masks(n, edges)
+
+
+def _random_letters(rng, n: int, length: int) -> list[tuple[int, int]]:
+    return [(rng.randrange(n), rng.choice((1, -1))) for _ in range(length)]
+
+
+def _reducing_letters(rng, n: int, masks, length: int) -> list[tuple[int, int]]:
+    """A word equal to 1: w w^-1, shuffled by swaps of adjacent commuting
+    letters, with cancelling pairs inserted."""
+    half = _random_letters(rng, n, length // 2)
+    letters = half + [(g, -s) for g, s in reversed(half)]
+    for _ in range(length):
+        pos = rng.randrange(len(letters) - 1)
+        (a, _), (b, _) = letters[pos], letters[pos + 1]
+        if masks[a] >> b & 1:
+            letters[pos], letters[pos + 1] = letters[pos + 1], letters[pos]
+    for _ in range(rng.randrange(1, 10)):
+        g, s = rng.randrange(n), rng.choice((1, -1))
+        pos = rng.randrange(len(letters) + 1)
+        letters[pos:pos] = [(g, s), (g, -s)]
+    return letters
+
+
+def test_normal_form_matches_two_phase_reference_on_long_words():
+    """The one-pass reduction gives the same words as the earlier two-phase
+    algorithm, kept in the package-free oracle, on long random and reducing
+    words over cycles and their complements."""
+    rng = random.Random(1515)
+    reducing = 0
+    for k in range(200):
+        n = rng.randint(4, 12)
+        g, masks = _cycle(n, complement=k % 4 >= 2)
+        length = rng.randint(50, 400)
+        if k % 2:
+            letters = _reducing_letters(rng, n, masks, length)
+        else:
+            letters = _random_letters(rng, n, length)
+        expected = two_phase_normal_form(n, masks, letters)
+        nf = raag_normal_form(g, Word(g.vertices, [(g.vertices[i], s) for i, s in letters]))
+        assert [(g.index(name), s) for name, s in nf.letters] == expected
+        reducing += not expected
+    assert reducing >= 100
+
+
+def _traced_lines(fn, *args) -> tuple[object, int]:
+    """fn(*args) and the number of line events run in `bnskit/words.py`."""
+    count = 0
+    words_file = words.__file__
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == words_file else None)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, count
+
+
+def test_normal_form_reduction_work_grows_linearly():
+    """A word times its inverse reduces with work linear in its length: the
+    line events in the words module at most triple when the length doubles.
+    No clock is read."""
+    g, _ = _cycle(8)
+    rng = random.Random(808)
+    counts = []
+    for length in (50, 100, 200, 400, 800):
+        w = Word(g.vertices, [(g.vertices[i], s) for i, s in _random_letters(rng, 8, length)])
+        nf, count = _traced_lines(raag_normal_form, g, w * w.inverse())
+        assert nf.letters == ()
+        counts.append(count)
+    assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
