@@ -26,7 +26,7 @@ from .projection import (  # IN, OUT, PROJECTION and ZERO are re-exported
     BaseGroup,
     ProjectionFamily,
 )
-from .words import F2ZElement, Word, f2z, f2z_multiply
+from .words import F2_ALPHABET, F2ZElement, Word, f2z, free_reduce
 
 PB3_SUM = "pb3-sum"
 PB4_EXCEPTIONAL = "pb4-exceptional"
@@ -43,6 +43,7 @@ def pb3_reduce(w: Word) -> F2ZElement:
 
     The first two bands map to the free generators and the product of all
     three bands is the central full twist, pinning down the third band.
+    The letters' free images are concatenated and freely reduced once.
 
     >>> basis = PureBraidBasis(3)
     >>> z = pb3_reduce(Word(basis.names, [(n, 1) for n in basis.names]))
@@ -51,13 +52,13 @@ def pb3_reduce(w: Word) -> F2ZElement:
     """
     if w.alphabet != PureBraidBasis(3).names:
         raise InputError("word alphabet is not over the 3-strand generators")
-    acc = f2z([])
+    free = []
+    central = 0
     for name, sign in w.letters:
         image = _PB3_IMAGES[name]
-        if sign < 0:
-            image = F2ZElement(image.free_part.inverse(), -image.central)
-        acc = f2z_multiply(acc, image)
-    return acc
+        free += image.free_part.letters if sign > 0 else image.free_part.inverse().letters
+        central += sign * image.central
+    return F2ZElement(free_reduce(Word(F2_ALPHABET, free)), central)
 
 
 FAMILY = ProjectionFamily(
@@ -88,7 +89,7 @@ FAMILY = ProjectionFamily(
     exceptional_pair=(((1, 2, 1), (3, 4, -1)), ((1, 3, 1), (2, 4, -1))),
     # the bands from j to the two least kept strands
     free_pair=lambda j, kept: ((j, kept[0]), (j, kept[1])),
-    reduce=pb3_reduce,
+    reduce=lambda w: pb3_reduce(w).free_part,
 )
 
 PureBraidBasis = FAMILY.basis

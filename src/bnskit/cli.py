@@ -21,7 +21,7 @@ from .characters import Character, GeneratorBasis, abelianize
 from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError
 from .graphs import Graph, is_clique, is_connected, min_separating_clique_witness, out_finiteness_predicates
 from .obstruction import CERTIFICATE
-from .words import Word, f2z_generate_free
+from .words import Word, free_commute
 
 
 class UsageError(BnsError):
@@ -423,7 +423,7 @@ def _cmd_projection_witness(args) -> RenderedReport:
     image = lambda w: module.FAMILY.reduce(module.project_word(args.n, pair.designated, w))
     pairing_u = _fmt_rational(c.pair(abelianize(c.basis, pair.u)))
     pairing_v = _fmt_rational(c.pair(abelianize(c.basis, pair.v)))
-    free = f2z_generate_free(image(pair.u), image(pair.v))
+    free = not free_commute(image(pair.u), image(pair.v))
     porcelain = {
         "u": str(pair.u),
         "v": str(pair.v),

@@ -22,7 +22,7 @@ from .projection import (  # IN, OUT, PROJECTION and ZERO are re-exported
     BaseGroup,
     ProjectionFamily,
 )
-from .words import F2_ALPHABET, Word, f2z, free_reduce
+from .words import F2_ALPHABET, Word, free_reduce
 
 PLB2_ALL = "plb2-all"
 PLB3_EQUATIONS = "plb3-equations"
@@ -60,7 +60,7 @@ FAMILY = ProjectionFamily(
     exceptional_pair=(((1, 2, 1), (3, 2, 1)), ((2, 1, 1), (3, 1, 1))),
     # the two moves between i and the least kept index
     free_pair=lambda i, kept: ((i, kept[0]), (kept[0], i)),
-    reduce=lambda w: f2z(plb2_reduce(w).letters),
+    reduce=plb2_reduce,
 )
 
 LoopBraidBasis = FAMILY.basis

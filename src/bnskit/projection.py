@@ -91,7 +91,7 @@ class ProjectionFamily(Record):
         "exceptional_pair",
         # deleted strand, kept strands -> two dying generators with free images
         "free_pair",
-        # a word over the small base group -> its image in F2 x Z
+        # a word over the small base group -> its freely reduced image in F2
         "reduce",
     )
     __eq__ = object.__eq__

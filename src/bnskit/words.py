@@ -127,40 +127,16 @@ def f2z(letters: Iterable[str | Letter], central: int = 0) -> F2ZElement:
     return F2ZElement(free_reduce(word(F2_ALPHABET, letters)), central)
 
 
-def f2z_multiply(x: F2ZElement, y: F2ZElement) -> F2ZElement:
-    return F2ZElement(free_reduce(x.free_part * y.free_part), x.central + y.central)
+def _geodesic(g: Graph, w: Word) -> list[tuple[int, int]]:
+    """A geodesic word equal to w in the graph group of g, as (index, sign).
 
-
-def f2z_commute(x: F2ZElement, y: F2ZElement) -> bool:
-    """Centers always commute, so only the free parts matter."""
-    return free_commute(x.free_part, y.free_part)
-
-
-def f2z_generate_free(x: F2ZElement, y: F2ZElement) -> bool:
-    """Do x and y generate a rank-2 free subgroup modulo the center?
-
-    Two elements of a free group do so exactly when they fail to commute;
-    a trivial free part commutes with everything, so it is covered too.
-    """
-    return not f2z_commute(x, y)
-
-
-def raag_normal_form(g: Graph, w: Word) -> Word:
-    """ShortLex normal form of w in the graph group of g.
-
-    Two phases.  First, one left-to-right pass keeps a geodesic prefix: a
-    letter x^e scans back from the prefix's end past letters that commute
-    with x and are not x; if the scan stops on x^-e that letter is deleted,
-    otherwise x^e is appended.  The prefix stays geodesic, since a geodesic
-    word times x^e is geodesic unless x^-e can be commuted to its end, and
-    then deleting it gives the least possible length (Crisp, Godelle &
-    Wiest 2009).  Second, among all geodesic rewritings pick the
-    ShortLex-least one by greedily emitting the least letter that can
-    commute to the front; it is the same for every geodesic input.
-
-    >>> g = Graph("ab", [("a", "b")])
-    >>> str(raag_normal_form(g, word("ab", ["b", "a", ("b", -1)])))
-    'a'
+    One left-to-right pass keeps a geodesic prefix: a letter x^e scans back
+    from the prefix's end past letters that commute with x and are not x; if
+    the scan stops on x^-e that letter is deleted, otherwise x^e is appended.
+    The prefix stays geodesic, since a geodesic word times x^e is geodesic
+    unless x^-e can be commuted to its end, and then deleting it gives the
+    least possible length (Crisp, Godelle & Wiest 2009).  So the result is
+    empty exactly when w equals 1.
     """
     if w.alphabet != g.vertices:
         raise InputError("word alphabet must equal the graph's vertex tuple")
@@ -179,7 +155,22 @@ def raag_normal_form(g: Graph, w: Word) -> Word:
             del letters[j]
         else:
             letters.append((gi, s))
+    return letters
 
+
+def raag_normal_form(g: Graph, w: Word) -> Word:
+    """ShortLex normal form of w in the graph group of g.
+
+    Among all geodesic rewritings of `_geodesic(g, w)`, pick the
+    ShortLex-least one by greedily emitting the least letter that can
+    commute to the front; it is the same for every geodesic input.
+
+    >>> g = Graph("ab", [("a", "b")])
+    >>> str(raag_normal_form(g, word("ab", ["b", "a", ("b", -1)])))
+    'a'
+    """
+    letters = _geodesic(g, w)
+    nonadj = g._nonadjacency
     out: list[tuple[int, int]] = []
     while letters:
         best = -1
@@ -203,5 +194,4 @@ def raag_commute(g: Graph, u: Word, v: Word) -> bool:
     >>> raag_commute(g, word("abc", "aab"), word("abc", "bbb"))
     True
     """
-    comm = u * v * u.inverse() * v.inverse()
-    return not raag_normal_form(g, comm).letters
+    return not _geodesic(g, u * v * u.inverse() * v.inverse())

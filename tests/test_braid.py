@@ -7,11 +7,12 @@ import pytest
 
 from bnskit import DomainError, InputError, PreconditionError, make_character
 from bnskit.characters import abelianize
-from bnskit.words import f2z_generate_free, word
-from bnskit import braid
+from bnskit.words import free_commute, word
+from bnskit import braid, words
 from bnskit.obstruction import CERTIFICATE, COVERED
 
 from .oracles import dead_subspaces, projection_sigma
+from .test_words import _traced_lines
 
 
 def basis(n):
@@ -272,7 +273,7 @@ def test_witness_soundness_up_to_seven_strands():
             assert c.pair(abelianize(gens, pair.v)) == 0
             ru = braid.pb3_reduce(braid.project_word(n, pair.designated, pair.u))
             rv = braid.pb3_reduce(braid.project_word(n, pair.designated, pair.v))
-            assert f2z_generate_free(ru, rv)
+            assert not free_commute(ru.free_part, rv.free_part)
 
 
 def test_project_word():
@@ -294,6 +295,43 @@ def test_pb3_reduce():
     s13 = word(names, ["S(1,3)"])
     conj = braid.pb3_reduce(full_twist * s13 * full_twist.inverse())
     assert str(conj.free_part) == "B" and conj.central == 0
+
+
+def _pb3_reference(letters) -> tuple[list[tuple[str, int]], int]:
+    """Free part by a stack reduction of the band images, and the central
+    part as the signed count of S(2,3) letters."""
+    images = {"S(1,2)": [("A", 1)], "S(1,3)": [("B", 1)], "S(2,3)": [("B", -1), ("A", -1)]}
+    stack = []
+    for name, sign in letters:
+        image = images[name] if sign == 1 else [(x, -e) for x, e in reversed(images[name])]
+        for letter in image:
+            if stack and stack[-1] == (letter[0], -letter[1]):
+                stack.pop()
+            else:
+                stack.append(letter)
+    return stack, sum(sign for name, sign in letters if name == "S(2,3)")
+
+
+def test_pb3_reduce_matches_stack_reference():
+    names = basis(3).generators.names
+    rng = random.Random(303)
+    for _ in range(40):
+        letters = [(rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(0, 1000))]
+        z = braid.pb3_reduce(word(names, letters))
+        assert (list(z.free_part.letters), z.central) == _pb3_reference(letters)
+
+
+def test_pb3_reduce_work_grows_linearly():
+    """The line events in the words and braid modules at most triple when
+    the length of a random 3-strand word doubles.  No clock is read."""
+    names = basis(3).generators.names
+    rng = random.Random(304)
+    counts = []
+    for length in (125, 250, 500, 1000):
+        w = word(names, [(rng.choice(names), rng.choice((1, -1))) for _ in range(length)])
+        _, count = _traced_lines({words.__file__, braid.__file__}, braid.pb3_reduce, w)
+        counts.append(count)
+    assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
 
 
 def test_abelianization_contradiction_mirror():

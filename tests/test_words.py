@@ -1,6 +1,8 @@
+import importlib.util
 import random
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +11,6 @@ from bnskit.words import (
     F2ZElement,
     Word,
     f2z,
-    f2z_commute,
-    f2z_generate_free,
-    f2z_multiply,
     free_commute,
     free_reduce,
     raag_commute,
@@ -83,16 +82,15 @@ def test_free_commute():
 def test_f2z_arithmetic():
     x = f2z(["A"], 2)
     y = f2z(["B"], -1)
-    p = f2z_multiply(x, y)
+    # a product is the reduced concatenation with the central parts added
+    p = f2z(x.free_part.letters + y.free_part.letters, x.central + y.central)
     assert str(p.free_part) == "A B" and p.central == 1
-    inv = F2ZElement(p.free_part.inverse(), -p.central)
-    unit = f2z_multiply(p, inv)
+    unit = f2z(p.free_part.letters + p.free_part.inverse().letters, 0)
     assert len(unit.free_part) == 0 and unit.central == 0
-    assert f2z_commute(x, f2z(["A", "A"], 5))
-    assert not f2z_commute(x, y)
-    # central parts never obstruct freeness of the free images
-    assert f2z_generate_free(x, y)
-    assert not f2z_generate_free(x, f2z([], 3))
+    # the center commutes with everything, so only the free parts decide
+    assert free_commute(x.free_part, f2z(["A", "A"], 5).free_part)
+    assert not free_commute(x.free_part, y.free_part)
+    assert free_commute(x.free_part, f2z([], 3).free_part)
 
 
 def test_f2z_reduces_but_raw_constructor_rejects():
@@ -204,8 +202,14 @@ def _reducing_letters(rng, n: int, masks, length: int) -> list[tuple[int, int]]:
     """A word equal to 1: w w^-1, shuffled by swaps of adjacent commuting
     letters, with cancelling pairs inserted."""
     half = _random_letters(rng, n, length // 2)
-    letters = half + [(g, -s) for g, s in reversed(half)]
-    for _ in range(length):
+    return _rewritten(rng, n, masks, half + [(g, -s) for g, s in reversed(half)], length)
+
+
+def _rewritten(rng, n: int, masks, letters, swaps: int) -> list[tuple[int, int]]:
+    """The same group element: `swaps` tries at swapping adjacent commuting
+    letters, then a few cancelling pairs inserted."""
+    letters = list(letters)
+    for _ in range(swaps):
         pos = rng.randrange(len(letters) - 1)
         (a, _), (b, _) = letters[pos], letters[pos + 1]
         if masks[a] >> b & 1:
@@ -238,10 +242,9 @@ def test_normal_form_matches_two_phase_reference_on_long_words():
     assert reducing >= 100
 
 
-def _traced_lines(fn, *args) -> tuple[object, int]:
-    """fn(*args) and the number of line events run in `bnskit/words.py`."""
+def _traced_lines(files, fn, *args) -> tuple[object, int]:
+    """fn(*args) and the number of line events run in the source `files`."""
     count = 0
-    words_file = words.__file__
 
     def local(frame, event, arg):
         nonlocal count
@@ -249,7 +252,7 @@ def _traced_lines(fn, *args) -> tuple[object, int]:
         return local
 
     previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename == words_file else None)
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename in files else None)
     try:
         result = fn(*args)
     finally:
@@ -266,7 +269,62 @@ def test_normal_form_reduction_work_grows_linearly():
     counts = []
     for length in (50, 100, 200, 400, 800):
         w = Word(g.vertices, [(g.vertices[i], s) for i, s in _random_letters(rng, 8, length)])
-        nf, count = _traced_lines(raag_normal_form, g, w * w.inverse())
+        nf, count = _traced_lines({words.__file__}, raag_normal_form, g, w * w.inverse())
         assert nf.letters == ()
         counts.append(count)
     assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
+
+
+def test_raag_commute_work_grows_linearly():
+    """Two random words that do not commute are told apart with work linear
+    in their length: the line events in the words module at most triple
+    when the length doubles.  No clock is read."""
+    g, _ = _cycle(8)
+    rng = random.Random(1111)
+    counts = []
+    for length in (125, 250, 500, 1000):
+        u, v = (
+            Word(g.vertices, [(g.vertices[i], s) for i, s in _random_letters(rng, 8, length)])
+            for _ in range(2)
+        )
+        commute, count = _traced_lines({words.__file__}, raag_commute, g, u, v)
+        assert commute is False
+        counts.append(count)
+    assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
+
+
+def _bench_oracles():
+    """The benchmark's package-free checkers, loaded straight from their file."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_raag_commute_matches_heap_reference_on_long_words():
+    """`raag_commute` agrees with the benchmark oracle's heap-of-pieces
+    normal form on long words over cycles and their complements: pairs that
+    are one word and a rewriting of it, powers of one word, and random."""
+    check_commute = _bench_oracles().check_commute
+    rng = random.Random(1616)
+    seen = set()
+    for k in range(60):
+        n = rng.randint(4, 12)
+        g, masks = _cycle(n, complement=k % 2 == 1)
+        length = rng.randint(50, 2000)
+        kind = k % 3
+        if kind == 0:
+            u = _random_letters(rng, n, length)
+            v = _rewritten(rng, n, masks, u, length)
+        elif kind == 1:
+            w = _random_letters(rng, n, rng.randint(1, 20))
+            u = w * rng.randint(1, length // len(w))
+            v = w * rng.randint(1, length // len(w))
+        else:
+            u, v = (_random_letters(rng, n, length) for _ in range(2))
+        to_word = lambda letters: Word(g.vertices, [(g.vertices[i], s) for i, s in letters])
+        commute = raag_commute(g, to_word(u), to_word(v))
+        assert check_commute(n, masks, u, v, commute) is None
+        seen.add((kind, commute))
+    assert seen == {(0, True), (1, True), (2, False)}
