@@ -21,7 +21,8 @@ from .errors import InputError
 from .records import Record
 from .words import Word
 
-Row = tuple[int, ...]
+# a lattice row: the (column, value) pairs of its nonzero entries, in column order
+Row = tuple[tuple[int, int], ...]
 
 
 class GeneratorBasis(Record):
@@ -108,7 +109,7 @@ def make_character(
     return Character(basis, tuple(values))
 
 
-def abelianize(basis: GeneratorBasis, w: Word) -> Row:
+def abelianize(basis: GeneratorBasis, w: Word) -> tuple[int, ...]:
     """Exponent-sum vector of a word, in basis order."""
     if w.alphabet != basis.names:
         raise InputError("word alphabet must equal the basis names")
@@ -125,7 +126,7 @@ def abelianize(basis: GeneratorBasis, w: Word) -> Row:
 # One sparse elimination core serves the Hermite form and the kernel: a row
 # is a dict from column to nonzero int.  `_echelon` brings rows to echelon
 # form column by column, and `_normalized` makes the result canonical.
-# Dense tuples are built only for the caller.
+# Callers get each row as its nonzero (column, value) pairs, a `Row`.
 
 SparseRow = dict[int, int]
 
@@ -215,11 +216,8 @@ def _normalized(echelon: dict[int, SparseRow], start: int = 0) -> list[SparseRow
     return [echelon[col] for col in pivots]
 
 
-def _dense(row: SparseRow, start: int, width: int) -> Row:
-    out = [0] * width
-    for col, a in row.items():
-        out[col - start] = a
-    return tuple(out)
+def _pairs(row: SparseRow, start: int) -> Row:
+    return tuple(sorted([(col - start, a) for col, a in row.items()]))
 
 
 def _checked_rows(rows: Iterable[Sequence[int]], dim: int) -> list[Sequence[int]]:
@@ -243,7 +241,7 @@ def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     multiple), so the row lattice is preserved.
     """
     echelon = _echelon([{col: a for col, a in enumerate(r) if a} for r in _checked_rows(rows, dim)], dim)
-    return tuple([_dense(row, 0, dim) for row in _normalized(echelon)])
+    return tuple([_pairs(row, 0) for row in _normalized(echelon)])
 
 
 def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
@@ -257,15 +255,18 @@ def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     column is the one with the latest identity column; the rows it reduces
     gain an identity entry after their own, so the kernel rows mostly come
     out of the first m columns already in echelon form, with few entries.
+
+    >>> integer_kernel([(1, 2, 3)], 3)
+    (((0, 1), (1, 1), (2, -1)), ((1, 3), (2, -2)))
     """
     rows = _checked_rows(rows, dim)
     m = len(rows)
-    augmented = []
-    for j in range(dim):
-        row = {k: r[j] for k, r in enumerate(rows) if r[j]}
-        row[m + j] = 1
-        augmented.append(row)
-    return tuple([_dense(row, m, dim) for row in _normalized(_echelon(augmented, m + dim), m)])
+    augmented = [{m + j: 1} for j in range(dim)]
+    for k, r in enumerate(rows):
+        # the nonzero columns, found at C speed: input vectors may be mostly zero
+        for j in compress(range(dim), r):
+            augmented[j][k] = r[j]
+    return tuple([_pairs(row, m) for row in _normalized(_echelon(augmented, m + dim), m)])
 
 
 class SaturatedLattice(Record):
@@ -310,7 +311,13 @@ def kill_character(lattice: SaturatedLattice) -> VectorCharacter:
     vector outside survives at least one row.
     """
     basis = lattice.basis
-    return VectorCharacter(basis, tuple([Character(basis, row) for row in lattice.annihilator]))
+    rows = []
+    for row in lattice.annihilator:
+        values = [0] * basis.dim
+        for j, a in row:
+            values[j] = a
+        rows.append(Character(basis, values))
+    return VectorCharacter(basis, rows)
 
 
 class GenericPoint(Record):
@@ -350,7 +357,7 @@ def _integer_basis(
     return hermite_form(cleared, basis.dim)
 
 
-def _cleared_equations(dim: int, system: EquationSystem) -> list[tuple[tuple[int, int], ...]]:
+def _cleared_equations(dim: int, system: EquationSystem) -> list[Row]:
     """Each equation of a bad subspace as its nonzero (column, coefficient)
     terms, after clearing its denominators by their positive lcm, which keeps
     its zero set.  An equation that is zero everywhere is dropped."""
@@ -365,9 +372,10 @@ def _cleared_equations(dim: int, system: EquationSystem) -> list[tuple[tuple[int
     return equations
 
 
-def _holds(equations: Sequence[tuple[tuple[int, int], ...]], rows: Sequence[Sequence[int]]) -> bool:
+def _holds(equations: Sequence[Row], rows: Iterable[Row]) -> bool:
     """Does the subspace the equations cut out hold every row?"""
-    return not any(sum(a * row[j] for j, a in terms) for terms in equations for row in rows)
+    rows = [dict(row) for row in rows]
+    return not any(sum([a * row.get(j, 0) for j, a in terms]) for terms in equations for row in rows)
 
 
 def _first_combination(
@@ -381,19 +389,13 @@ def _first_combination(
     candidates are independent (a Vandermonde determinant), so each such
     subspace holds fewer than len(rows) of them.
     """
-    columns = list(range(basis.dim))
-    # each row's nonzero columns, found at C speed once the row is needed:
-    # the rows are mostly zero, and t = 0 needs only the first
-    supports: list[list[int]] = []
     t = 0
     while True:
         values = [0] * basis.dim
         coeff = 1
-        for i, row in enumerate(rows):
-            if i == len(supports):
-                supports.append(list(compress(columns, row)))
-            for j in supports[i]:
-                values[j] += coeff * row[j]
+        for row in rows:
+            for j, a in row:
+                values[j] += coeff * a
             coeff *= t
             if not coeff:
                 break
@@ -427,6 +429,6 @@ def generic_point_avoiding(
     if not u_rows:
         return GenericPoint(Character(basis, tuple([Fraction(0)] * basis.dim)), None)
     point = _first_combination(
-        basis, u_rows, lambda c: not any(_holds(equations, (c.values,)) for equations in systems)
+        basis, u_rows, lambda c: not any(_holds(equations, [enumerate(c.values)]) for equations in systems)
     )
     return GenericPoint(point, None)

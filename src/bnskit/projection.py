@@ -36,10 +36,10 @@ obstruction pipeline needs no list of dead subspaces:
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Optional, Sequence
 
-from .characters import Character, GeneratorBasis, make_character
+from .characters import Character, GeneratorBasis, Row, make_character
 from .errors import DomainError, InputError, PreconditionError, require_int
 from .obstruction import ObstructionReport, run_obstruction
 from .records import Record
@@ -112,7 +112,7 @@ class ProjectionFamily(Record):
 
     def _deletion(self, n: int, kept: Sequence[int]) -> tuple[dict[int, int], "PairBasis"]:
         """Kept strands relabeled 1..m preserving order, and the basis on m strands."""
-        kept_t = sorted(set(kept))
+        kept_t = sorted({require_int(s, f"a kept {self.unit}") for s in kept})
         if any(i < 1 or i > n for i in kept_t):
             raise InputError(f"kept {self.unit}s must lie in 1..n")
         if len(kept_t) < self.small.size:
@@ -156,9 +156,10 @@ class ProjectionFamily(Record):
         """First dead projection in (size, lex) order, in closed form."""
         basis = self.basis(n)
         self._check_basis(basis, c)
-        if c.is_zero():
+        nonzero = tuple(compress(enumerate(c.values), c.values))
+        if not nonzero:
             return ProjectionVerdict(OUT, ZERO, None, None)
-        held = basis._dead_holding((c.values,))
+        held = basis._dead_holding((nonzero,))
         if held is None:
             return ProjectionVerdict(IN, None, None, None)
         kind, kept = held
@@ -241,25 +242,24 @@ class PairBasis:
     def dim(self) -> int:
         return len(self.pairs)
 
-    def _dead_holding(self, rows: Sequence[Sequence]) -> Optional[tuple[str, tuple[int, ...]]]:
+    def _dead_holding(self, rows: Sequence[Row]) -> Optional[tuple[str, tuple[int, ...]]]:
         """Kind and kept strands of the dead subspace holding every row, or
         None; unique by the module docstring's lemma, and the first one when
         no row is nonzero."""
         small, large = self.family.small, self.family.large
         touched = set()
         for row in rows:
-            for pair, value in zip(self.pairs, row):
-                if value:
-                    touched.update(pair)
+            for k, _ in row:
+                touched.update(self.pairs[k])
             if len(touched) > large.size:
                 return None
         kept = tuple(sorted(touched)) or tuple(range(1, small.size + 1))
         for base in (small, large):
-            if len(kept) == base.size and all(_equations_hold(self, base, kept, row) for row in rows):
+            if len(kept) == base.size and all(_equations_hold(self, base, kept, dict(row)) for row in rows):
                 return base.kind, kept
         return None
 
-    def covering(self, rows: Sequence[Sequence]) -> Optional[DeadSubspace]:
+    def covering(self, rows: Sequence[Row]) -> Optional[DeadSubspace]:
         """The dead subspace holding every row, or None."""
         held = self._dead_holding(rows)
         return None if held is None else DeadSubspace(*held, self)
@@ -311,8 +311,8 @@ class ProjectionVerdict(Record):
         return self.status == IN
 
 
-def _equations_hold(basis: PairBasis, base: BaseGroup, kept: tuple[int, ...], row: Sequence) -> bool:
-    value = lambda a, b: row[basis.index(kept[a - 1], kept[b - 1])]
+def _equations_hold(basis: PairBasis, base: BaseGroup, kept: tuple[int, ...], row: dict[int, int]) -> bool:
+    value = lambda a, b: row.get(basis.index(kept[a - 1], kept[b - 1]), 0)
     return all(
         sum(coefficient * value(a, b) for (a, b), coefficient in equation.items()) == 0
         for equation in base.equations

@@ -125,15 +125,10 @@ def _commuting_vectors(g: Graph, gens: Sequence[Word]) -> list[tuple[int, ...]]:
 
 
 def _split_dead(g: Graph, lattice: SaturatedLattice) -> tuple[tuple[str, ...], list[int]]:
-    """Dead vertices, whose unit vectors lie in the lattice because their
-    annihilator column is zero, and the indices of the living ones."""
-    dead, alive = [], []
-    for i, v in enumerate(g.vertices):
-        if any(row[i] for row in lattice.annihilator):
-            alive.append(i)
-        else:
-            dead.append(v)
-    return tuple(dead), alive
+    """Dead vertices, whose unit vectors lie in the lattice because no
+    annihilator row holds their column, and the indices of the living ones."""
+    living = {j for row in lattice.annihilator for j, _ in row}
+    return tuple([v for i, v in enumerate(g.vertices) if i not in living]), sorted(living)
 
 
 class KillTestResult(Record):

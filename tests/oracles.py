@@ -314,22 +314,44 @@ def _supported_on(value, kept, sub) -> bool:
     )
 
 
-def projection_sigma(family: str, n: int, values: dict):
-    """(status, witness, kept, base) of the first dead projection of a
-    "braid" or "loop" character in (size, lex) order over kept strand sets."""
-    if not values:
-        return ("out", "zero", None, None)
+def _lookup(family: str, values: dict):
+    """value(i, j) of a character given as a dict; braid pairs are unordered."""
 
     def value(i, j):
         if family == "braid" and i > j:
             i, j = j, i
         return values.get((i, j), 0)
 
+    return value
+
+
+def projection_sigma(family: str, n: int, values: dict):
+    """(status, witness, kept, base) of the first dead projection of a
+    "braid" or "loop" character in (size, lex) order over kept strand sets."""
+    if not values:
+        return ("out", "zero", None, None)
+    value = _lookup(family, values)
     for size, base in BASES[family]:
         for kept in combinations(range(1, n + 1), size):
             if all(i in kept and j in kept for i, j in values) and _base_dead(family, kept, value):
                 return ("out", "projection", kept, base)
     return ("in", None, None, None)
+
+
+def projection_inside(family: str, n: int, values: dict) -> bool:
+    """Is a "braid" or "loop" character inside?  `projection_sigma`'s test,
+    run only on the kept sets holding every touched strand, the only ones
+    the character projects onto, so it is cheap at any n."""
+    if not values:
+        return False
+    value = _lookup(family, values)
+    touched = {s for pair in values for s in pair}
+    rest = [s for s in range(1, n + 1) if s not in touched]
+    for size, _ in BASES[family]:
+        for extra in combinations(rest, size - len(touched)) if size >= len(touched) else ():
+            if _base_dead(family, tuple(sorted(touched.union(extra))), value):
+                return False
+    return True
 
 
 def _base_equations(family: str, kept) -> list[dict]:

@@ -11,7 +11,7 @@ from bnskit.words import free_commute, word
 from bnskit import braid, words
 from bnskit.obstruction import CERTIFICATE, COVERED
 
-from .oracles import dead_subspaces, projection_sigma
+from .oracles import dead_subspaces, family_pairs, projection_inside, projection_sigma
 from .test_words import _traced_lines
 
 
@@ -365,8 +365,9 @@ def test_obstruction_covered_branch():
 
     # generators spanning the annihilated lattice of the exceptional subspace
     rows = [(1, 0, -1, -1, 0, 1), (0, 1, -1, -1, 1, 0)]
-    gens = integer_kernel(rows, 6)
-    rep = braid.nf_obstruction_demo(4, list(gens))
+    # the kernel rows are (column, value) pairs; the pipeline reads dense vectors
+    gens = [tuple(dict(row).get(j, 0) for j in range(6)) for row in integer_kernel(rows, 6)]
+    rep = braid.nf_obstruction_demo(4, gens)
     assert rep.branch == COVERED
     assert rep.covering.kind == braid.PB4_EXCEPTIONAL
     assert rep.covering.kept == (1, 2, 3, 4)
@@ -390,9 +391,35 @@ def test_obstruction_at_the_strand_limit(tmp_path):
     assert rep.branch == CERTIFICATE
     assert rep.verdict_plus.inside and rep.verdict_minus.inside
     assert all(rep.character.pair(v) == 0 for v in vectors)
+    # both rays are inside by the oracle too, not only by the package's verdicts
+    values = {p: v for p, v in zip(family_pairs("braid", 64), rep.character.values) if v}
+    assert projection_inside("braid", 64, values)
+    assert projection_inside("braid", 64, {p: -v for p, v in values.items()})
     path = tmp_path / "v.vec"
     path.write_text("S(1,2) = 1\n")
     assert run(["braid", "obstruct", "-n", "65", str(path)]).exit_code == 2
+
+
+def test_obstruction_covered_at_the_strand_limit():
+    """The covered branch at n = 64: the vectors span everything that the
+    pb3-sum subspace on strands {1,2,3} kills, so every killing character
+    lies in it, and the witness words' free images do not commute."""
+    pairs = family_pairs("braid", 64)
+    vectors = []
+    for k, (_, j) in enumerate(pairs):
+        if j > 3:
+            vectors.append([0] * len(pairs))
+            vectors[-1][k] = 1
+    vectors.append([int(j <= 3) for _, j in pairs])
+    rep = braid.nf_obstruction_demo(64, vectors)
+    assert rep.branch == COVERED
+    assert (rep.covering.kind, rep.covering.kept) == (braid.PB3_SUM, (1, 2, 3))
+    sample = [(k, v) for k, v in enumerate(rep.character.values) if v]
+    assert all(sum(vec[k] * v for k, v in sample) == 0 for vec in vectors)
+    pair = rep.witness
+    ru = braid.pb3_reduce(braid.project_word(64, pair.designated, pair.u))
+    rv = braid.pb3_reduce(braid.project_word(64, pair.designated, pair.v))
+    assert not free_commute(ru.free_part, rv.free_part)
 
 
 def test_obstruction_rejects_small_n():

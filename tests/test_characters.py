@@ -16,12 +16,26 @@ from bnskit.characters import (
     saturate,
 )
 from bnskit.words import word
-from bnskit import braid, characters, raag
+from bnskit import braid, characters, loop, raag
 
 from .oracles import dense_hermite_form
 
 AB = GeneratorBasis(("a", "b"))
 ABC = GeneratorBasis(("a", "b", "c"))
+
+
+def dense(rows, dim):
+    """Lattice rows, each given as the (column, value) pairs of its nonzero
+    entries in column order, written out as dim-tuples."""
+    out = []
+    for row in rows:
+        columns = [j for j, _ in row]
+        assert columns == sorted(set(columns)) and all(a for _, a in row), row
+        values = [0] * dim
+        for j, a in row:
+            values[j] = a
+        out.append(tuple(values))
+    return tuple(out)
 
 
 def in_span(rows, vec, dim):
@@ -31,7 +45,7 @@ def in_span(rows, vec, dim):
 
 def lattice_contains(lattice, vec):
     """Does vec pair to zero with every row of the lattice's annihilator?"""
-    return not any(sum(a * b for a, b in zip(row, vec)) for row in lattice.annihilator)
+    return not any(sum(a * b for a, b in zip(row, vec)) for row in dense(lattice.annihilator, len(vec)))
 
 
 def test_basis_validation():
@@ -89,11 +103,11 @@ def test_character_takes_any_iterable_of_values():
 
 
 def test_hermite_form_goldens():
-    assert hermite_form([(2, 4), (1, 1)], 2) == ((1, 1), (0, 2))
+    assert dense(hermite_form([(2, 4), (1, 1)], 2), 2) == ((1, 1), (0, 2))
     assert hermite_form([(0, 0)], 2) == ()
-    assert hermite_form([(-1, 0), (0, -1)], 2) == ((1, 0), (0, 1))
+    assert dense(hermite_form([(-1, 0), (0, -1)], 2), 2) == ((1, 0), (0, 1))
     # pivots positive, entries above reduced into [0, pivot)
-    rows = hermite_form([(3, 7), (0, 5)], 2)
+    rows = dense(hermite_form([(3, 7), (0, 5)], 2), 2)
     assert rows == ((3, 2), (0, 5))
 
 
@@ -105,8 +119,8 @@ def test_hermite_form_idempotent_and_span_preserving():
             tuple(rng.randrange(-5, 6) for _ in range(dim))
             for _ in range(rng.randrange(4))
         ]
-        h = hermite_form(rows, dim)
-        assert hermite_form(h, dim) == h
+        h = dense(hermite_form(rows, dim), dim)
+        assert dense(hermite_form(h, dim), dim) == h
         for row in rows:
             assert in_span(h, row, dim)
         for row in h:
@@ -114,8 +128,8 @@ def test_hermite_form_idempotent_and_span_preserving():
 
 
 def test_integer_kernel_goldens():
-    assert integer_kernel([(1, 2, 3)], 3) == ((1, 1, -1), (0, 3, -2))
-    assert integer_kernel([], 2) == ((1, 0), (0, 1))
+    assert dense(integer_kernel([(1, 2, 3)], 3), 3) == ((1, 1, -1), (0, 3, -2))
+    assert dense(integer_kernel([], 2), 2) == ((1, 0), (0, 1))
     assert integer_kernel([(1, 0), (0, 1)], 2) == ()
 
 
@@ -127,12 +141,12 @@ def test_integer_kernel_properties():
             tuple(rng.randrange(-4, 5) for _ in range(dim))
             for _ in range(rng.randrange(3))
         ]
-        ker = integer_kernel(rows, dim)
+        ker = dense(integer_kernel(rows, dim), dim)
         for k in ker:
             assert all(sum(a * b for a, b in zip(row, k)) == 0 for row in rows)
         assert len(ker) == dim - len(dense_hermite_form(rows, dim))
         # kernels are saturated: double kernel recovers the rational row space
-        back = integer_kernel(ker, dim)
+        back = dense(integer_kernel(ker, dim), dim)
         for row in rows:
             assert in_span(back, row, dim)
 
@@ -160,9 +174,9 @@ def test_elimination_core_matches_dense_reference():
             k = rng.randrange(len(rows))
             rows.insert(rng.randrange(len(rows) + 1), rng.choice(([0] * dim, list(rows[k]))))
             rows[k] = [rng.choice((-3, -2, -1, 2, 3)) * a for a in rows[k]]
-        h = hermite_form(rows, dim)
+        h = dense(hermite_form(rows, dim), dim)
         assert h == tuple(dense_hermite_form(rows, dim))
-        ker = integer_kernel(rows, dim)
+        ker = dense(integer_kernel(rows, dim), dim)
         assert ker == _kernel_reference(rows, dim)
         assert len(ker) == dim - len(h)
         assert all(sum(a * b for a, b in zip(k, row)) == 0 for k in ker for row in rows)
@@ -173,11 +187,11 @@ def test_elimination_core_matches_dense_reference():
         seen["non-unit pivot"] += any(next(a for a in row if a) > 1 for row in h + ker)
     assert min(seen.values()) >= 20, seen
     # no rows: the kernel is everything; full rank: it is nothing
-    assert integer_kernel([], 5) == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
+    assert dense(integer_kernel([], 5), 5) == tuple(tuple(int(i == j) for j in range(5)) for i in range(5))
     full = [[rng.randint(-4, 4) for _ in range(12)] for _ in range(14)]
     assert len(dense_hermite_form(full, 12)) == 12
     assert integer_kernel(full, 12) == ()
-    assert hermite_form(full, 12) == tuple(dense_hermite_form(full, 12))
+    assert dense(hermite_form(full, 12), 12) == tuple(dense_hermite_form(full, 12))
     for rows, dim in (([(1, 2)], 3), ([(1, 2, 3), (1,)], 3), ([(1, 2, 3, 4)], 3)):
         with pytest.raises(InputError):
             hermite_form(rows, dim)
@@ -202,11 +216,11 @@ def test_lattice_functions_take_only_int_entries(call, entry):
 
 def test_saturate():
     lat = saturate(AB, [(2, 0)])
-    assert lat.annihilator == ((0, 1),) and lat.rank == 1
-    assert integer_kernel(lat.annihilator, 2) == ((1, 0),)
+    assert dense(lat.annihilator, 2) == ((0, 1),) and lat.rank == 1
+    assert dense(integer_kernel(dense(lat.annihilator, 2), 2), 2) == ((1, 0),)
     assert lattice_contains(lat, (1, 0)) and not lattice_contains(lat, (0, 1))
     lat2 = saturate(AB, [(2, 3)])
-    assert integer_kernel(lat2.annihilator, 2) == ((2, 3),)  # already primitive
+    assert dense(integer_kernel(dense(lat2.annihilator, 2), 2), 2) == ((2, 3),)  # already primitive
     assert lattice_contains(lat2, (4, 6)) and not lattice_contains(lat2, (1, 1))
     assert saturate(AB, []).rank == 0
     with pytest.raises(InputError):
@@ -259,7 +273,7 @@ def test_saturate_idempotent_random():
                 coeffs = [extra.randrange(-3, 4) for _ in vecs]
                 vecs.append(tuple(sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(dim)))
         lat = saturate(basis, vecs)
-        rows = integer_kernel(lat.annihilator, dim)
+        rows = dense(integer_kernel(dense(lat.annihilator, dim), dim), dim)
         assert saturate(basis, rows) == lat
         for v in vecs:
             assert lattice_contains(lat, v)
@@ -269,7 +283,7 @@ def test_saturate_idempotent_random():
         # the stored annihilator is the vectors' integer kernel, and it is
         # what kill_character returns
         assert lat.annihilator == integer_kernel(vecs, dim)
-        assert [r.values for r in kill_character(lat).rows] == list(lat.annihilator)
+        assert tuple([r.values for r in kill_character(lat).rows]) == dense(lat.annihilator, dim)
         assert lat.rank == len(rows) == len(dense_hermite_form(vecs, dim))
         for _ in range(4):
             scale = extra.randrange(-2, 3)
@@ -316,6 +330,20 @@ def test_one_integer_kernel_per_obstruction_and_kill(monkeypatch):
     assert calls == [4]
 
 
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("family", [braid, loop], ids=["braid", "loop"])
+def test_annihilator_is_stored_sparse(family, n):
+    """The annihilator of two dense vectors keeps only its nonzero entries,
+    a few per row: at most 8 per generator in all, where dense rows would
+    hold dim each, about dim^2 in all."""
+    rng = random.Random(1)
+    generators = family.FAMILY.basis(n).generators
+    vectors = [tuple(rng.randint(-9, 9) for _ in range(generators.dim)) for _ in range(2)]
+    lat = saturate(generators, vectors)
+    assert len(lat.annihilator) == generators.dim - 2
+    assert sum(map(len, lat.annihilator)) <= 8 * generators.dim
+
+
 def test_kill_character():
     lat = saturate(AB, [(2, 3)])
     kc = kill_character(lat)
@@ -343,7 +371,7 @@ def test_kill_character_annihilates_exactly():
             for v in vecs:
                 assert row.pair(v) == 0
         # the kernel of the killing rows is the vectors' rational span again
-        kernel = integer_kernel([tuple(int(x) for x in r.values) for r in kc.rows], dim)
+        kernel = dense(integer_kernel([tuple(int(x) for x in r.values) for r in kc.rows], dim), dim)
         assert len(kernel) == len(dense_hermite_form(vecs, dim))
         assert all(in_span(kernel, v, dim) for v in vecs)
 
@@ -399,7 +427,7 @@ def test_generic_point_random_avoids():
                 )
         else:
             eqs = bad[gp.covering]
-            rows = hermite_form(spanning, dim)
+            rows = dense(hermite_form(spanning, dim), dim)
             for row in rows:
                 for eq in eqs:
                     assert sum(e * x for e, x in zip(eq, row)) == 0

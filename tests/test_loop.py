@@ -9,7 +9,7 @@ from bnskit.words import free_commute, word
 from bnskit import loop
 from bnskit.obstruction import CERTIFICATE, COVERED
 
-from .oracles import dead_subspaces
+from .oracles import dead_subspaces, family_pairs, projection_inside
 
 
 def basis(n):
@@ -244,12 +244,55 @@ def test_obstruction_covered_branch():
     from bnskit.characters import integer_kernel
 
     rows = [(1, 0, 0, 0, 0, -1), (0, 1, 0, -1, 0, 0), (0, 0, 1, 0, -1, 0)]
-    gens = integer_kernel(rows, 6)
-    rep = loop.nf_obstruction_demo(3, list(gens))
+    # the kernel rows are (column, value) pairs; the pipeline reads dense vectors
+    gens = [tuple(dict(row).get(j, 0) for j in range(6)) for row in integer_kernel(rows, 6)]
+    rep = loop.nf_obstruction_demo(3, gens)
     assert rep.branch == COVERED
     assert rep.covering.kind == loop.PLB3_EQUATIONS
     assert str(rep.witness.u) == "A(1,2) A(3,2)"
     assert str(rep.witness.v) == "A(2,1) A(3,1)"
+
+
+def test_obstruction_at_the_strand_limit(tmp_path):
+    """Loop obstruct at the largest loop count, n = 64 (4,032 generators),
+    on two seeded vectors; the answer is checked, not the time taken."""
+    from bnskit.cli import run
+
+    rng = random.Random(64)
+    dim = basis(64).dim
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(2)]
+    rep = loop.nf_obstruction_demo(64, vectors)
+    assert rep.branch == CERTIFICATE
+    assert rep.verdict_plus.inside and rep.verdict_minus.inside
+    assert all(rep.character.pair(v) == 0 for v in vectors)
+    # both rays are inside by the oracle too, not only by the package's verdicts
+    values = {p: v for p, v in zip(family_pairs("loop", 64), rep.character.values) if v}
+    assert projection_inside("loop", 64, values)
+    assert projection_inside("loop", 64, {p: -v for p, v in values.items()})
+    path = tmp_path / "v.vec"
+    path.write_text("A(1,2) = 1\n")
+    assert run(["loop", "obstruct", "-n", "65", str(path)]).exit_code == 2
+
+
+def test_obstruction_covered_at_the_strand_limit():
+    """The covered branch at n = 64: the vectors span everything that the
+    plb2-all subspace on loops {1,2} kills, so every killing character
+    lies in it, and the witness words' free images do not commute."""
+    pairs = family_pairs("loop", 64)
+    vectors = []
+    for k, (i, j) in enumerate(pairs):
+        if max(i, j) > 2:
+            vectors.append([0] * len(pairs))
+            vectors[-1][k] = 1
+    rep = loop.nf_obstruction_demo(64, vectors)
+    assert rep.branch == COVERED
+    assert (rep.covering.kind, rep.covering.kept) == (loop.PLB2_ALL, (1, 2))
+    sample = [(k, v) for k, v in enumerate(rep.character.values) if v]
+    assert all(sum(vec[k] * v for k, v in sample) == 0 for vec in vectors)
+    pair = rep.witness
+    ru = loop.plb2_reduce(loop.project_word(64, pair.designated, pair.u))
+    rv = loop.plb2_reduce(loop.project_word(64, pair.designated, pair.v))
+    assert not free_commute(ru, rv)
 
 
 def test_obstruction_rejects_small_n():

@@ -5,9 +5,12 @@ import random
 from collections import Counter
 from fractions import Fraction
 
-from bnskit import braid, loop, make_character
+import pytest
 
-from .oracles import dead_subspaces, family_pairs, projection_sigma
+from bnskit import InputError, braid, loop, make_character
+from bnskit.words import word
+
+from .oracles import dead_subspaces, family_pairs, projection_inside, projection_sigma
 
 FAMILIES = {"braid": (braid, range(3, 8)), "loop": (loop, range(2, 7))}
 
@@ -62,6 +65,7 @@ def test_sigma_membership_matches_subset_scan():
                 v = module.sigma_membership(n, c)
                 expected = projection_sigma(family, n, values)
                 assert (v.status, v.witness, v.kept, v.base) == expected, (family, n, values)
+                assert projection_inside(family, n, values) == v.inside
                 outcomes[expected[3] or expected[1] or expected[0]] += 1
                 checked += 1
     assert checked >= 2000
@@ -79,3 +83,22 @@ def test_dead_subspaces_match_oracle():
             assert module.FAMILY.basis(n).names == tuple([f"{letter}({i},{j})" for i, j in family_pairs(family, n)])
             got = [(sub.kind, sub.kept) for sub in module.dead_subspaces(n)]
             assert got == [(kind, kept) for kind, kept, _ in dead_subspaces(family, n)]
+
+
+@pytest.mark.parametrize("strand", [1.0, True, 1.5], ids=repr)
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("call", ["project_word", "project_character"])
+def test_kept_strands_must_be_ints(call, family, strand):
+    """A kept strand that is not an int is an InputError: 1.5 was dropped
+    from the kept strands, and 1.0 and True were taken as strand 1."""
+    module = FAMILIES[family][0]
+    generators = module.FAMILY.basis(4).generators
+    names = [f"{module.FAMILY.letter}(1,2)", f"{module.FAMILY.letter}(2,3)"]
+    if call == "project_word":
+        arg = word(generators.names, names)
+    else:
+        arg = make_character(generators, dict.fromkeys(names, 1))
+    project = getattr(module, call)
+    with pytest.raises(InputError):
+        project(4, [strand, 2, 3], arg)
+    assert project(4, [1, 2, 3], arg) is not None

@@ -70,7 +70,7 @@ def _instances():
     )
     yield (
         lambda: saturate(ab(), [(2, 0)]),
-        "SaturatedLattice(basis=GeneratorBasis(names=('a', 'b')), annihilator=((0, 1),))",
+        "SaturatedLattice(basis=GeneratorBasis(names=('a', 'b')), annihilator=(((1, 1),),))",
     )
     yield (
         lambda: kill_character(saturate(ab(), [(2, 0)])),
