@@ -3,7 +3,10 @@
 A character is a rational-valued linear functional on the abelianization,
 recorded by its values on an ordered generator basis.  Everything here is
 exact integer / Fraction arithmetic: no floating point is used anywhere in
-the package, so equality tests against zero are trustworthy.
+the package, so equality tests against zero are trustworthy.  Each value has
+one canonical form: an int when it is integral, otherwise a Fraction in
+lowest terms.  The lattice data the package works with (subgroup vectors,
+annihilator rows, killing characters) are ints, so they stay ints.
 
 The integer lattice routines (Hermite form, kernels, saturation) are small
 and self-contained; arbitrary-precision ints make them safe at the sizes
@@ -59,53 +62,66 @@ def _exact(value, what: str = "a character value"):
     return value
 
 
+def _rational(value, what: str = "a character value") -> int | Fraction:
+    """The canonical form of an exact value: an int when it is integral,
+    otherwise a Fraction in lowest terms.  A float or a bool is an
+    InputError."""
+    q = value if type(value) is Fraction else Fraction(_exact(value, what))
+    return q.numerator if q.denominator == 1 else q
+
+
 class Character(Record):
-    """A rational character, stored by its value on each basis generator."""
+    """A rational character, stored by its value on each basis generator.
+
+    Each value is an int when it is integral, otherwise a Fraction:
+
+    >>> Character(GeneratorBasis("ab"), [Fraction(4, 2), Fraction(1, 2)]).values
+    (2, Fraction(1, 2))
+    """
 
     __slots__ = ("basis", "values")
 
-    def __init__(self, basis: GeneratorBasis, values: Iterable[Fraction | int]):
+    def __init__(self, basis: GeneratorBasis, values: Iterable[int | Fraction]):
         # read once, so an iterator works too; a tuple is not copied
         values = tuple(values)
         if len(values) != basis.dim:
             raise InputError("character length does not match basis dimension")
         object.__setattr__(self, "basis", basis)
-        # a Fraction is immutable, so one is kept as it is
-        object.__setattr__(
-            self, "values", tuple([v if type(v) is Fraction else Fraction(_exact(v)) for v in values])
-        )
+        object.__setattr__(self, "values", tuple([v if type(v) is int else _rational(v) for v in values]))
 
-    def __call__(self, name: str) -> Fraction:
+    def __call__(self, name: str) -> int | Fraction:
         return self.values[self.basis.index(name)]
 
     def is_zero(self) -> bool:
         return not any(self.values)
 
-    def scaled(self, q: Fraction | int) -> "Character":
-        q = Fraction(_exact(q))
+    def scaled(self, q: int | Fraction) -> "Character":
+        q = q if type(q) is int else _rational(q)
         return Character(self.basis, tuple([v * q for v in self.values]))
 
     def negated(self) -> "Character":
         return Character(self.basis, tuple([-v for v in self.values]))
 
-    def pair(self, vec: Sequence[int]) -> Fraction:
+    def pair(self, vec: Sequence[int]) -> int | Fraction:
         """Value of the character on a group element given by exponent vector."""
         if len(vec) != self.basis.dim:
             raise InputError("vector length does not match basis dimension")
-        entries = [_exact(x, "a vector entry") for x in vec]
-        return sum((v * x for v, x in zip(self.values, entries)), Fraction(0))
+        # every entry is checked, even where the character is zero
+        entries = [x if type(x) is int else _rational(x, "a vector entry") for x in vec]
+        total = sum([v * x for v, x in zip(self.values, entries) if v], 0)
+        return total if type(total) is int else _rational(total)
 
 
 def make_character(
-    basis: GeneratorBasis, assignments: dict[str, Fraction | int]
+    basis: GeneratorBasis, assignments: dict[str, int | Fraction]
 ) -> Character:
     """Build a character from a sparse name -> value mapping.
 
     Values must be exact: a float or a bool is rejected, not converted.
     """
-    values = [Fraction(0)] * basis.dim
+    values = [0] * basis.dim
     for name, value in assignments.items():
-        values[basis.index(name)] = Fraction(_exact(value, f"value of {name!r}"))
+        values[basis.index(name)] = value if type(value) is int else _rational(value, f"value of {name!r}")
     return Character(basis, tuple(values))
 
 
@@ -349,8 +365,7 @@ def _integer_basis(
                 raise InputError("spanning character over the wrong basis")
             values = row.values
         else:
-            # an int clears as it is, so integer rows skip the Fraction
-            values = [x if type(x) is int else Fraction(_exact(x, "a spanning value")) for x in row]
+            values = [x if type(x) is int else _rational(x, "a spanning value") for x in row]
             if len(values) != basis.dim:
                 raise InputError("spanning vector length does not match basis dimension")
         cleared.append(_cleared(values))
@@ -365,7 +380,7 @@ def _cleared_equations(dim: int, system: EquationSystem) -> list[Row]:
     for eq in system:
         if len(eq) != dim:
             raise InputError("equation length does not match basis dimension")
-        values = _cleared([Fraction(_exact(e, "an equation coefficient")) for e in eq])
+        values = _cleared([e if type(e) is int else _rational(e, "an equation coefficient") for e in eq])
         terms = tuple([(j, a) for j, a in enumerate(values) if a])
         if terms:
             equations.append(terms)
@@ -427,7 +442,7 @@ def generic_point_avoiding(
         if _holds(equations, u_rows):
             return GenericPoint(None, index)
     if not u_rows:
-        return GenericPoint(Character(basis, tuple([Fraction(0)] * basis.dim)), None)
+        return GenericPoint(Character(basis, (0,) * basis.dim), None)
     point = _first_combination(
         basis, u_rows, lambda c: not any(_holds(equations, [enumerate(c.values)]) for equations in systems)
     )

@@ -36,8 +36,11 @@ _VALUE_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
+    """Number and text of each line holding more than a comment.  A line
+    ends only at LF, CR LF or CR; `str.splitlines` would also end one at a
+    form feed, U+2028 and the like, and miscount the lines after it."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped:
             out.append((lineno, stripped))
@@ -121,7 +124,7 @@ def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, s
 
 def parse_character_file(text: str, basis: GeneratorBasis) -> Character:
     """Parse 'name = p/q' lines; generators not listed get the value zero."""
-    values = [Fraction(0)] * basis.dim
+    values = [0] * basis.dim
     for _, index, _, value in _assignments(text, basis):
         values[index] = value
     return Character(basis, tuple(values))
@@ -172,7 +175,7 @@ def _fmt_braced(items: Iterable[str]) -> str:
     return "{" + ",".join(items) + "}"
 
 
-def _fmt_rational(value: Fraction) -> str:
+def _fmt_rational(value: int | Fraction) -> str:
     try:
         return str(value)
     except ValueError:
@@ -183,11 +186,7 @@ def _fmt_rational(value: Fraction) -> str:
 
 
 def _fmt_character(c: Character) -> str:
-    parts = [
-        f"{name}:{_fmt_rational(value)}"
-        for name, value in zip(c.basis.names, c.values)
-        if value != 0
-    ]
+    parts = [f"{name}:{_fmt_rational(value)}" for name, value in zip(c.basis.names, c.values) if value]
     return " ".join(parts) if parts else "0"
 
 

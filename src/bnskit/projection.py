@@ -35,7 +35,6 @@ obstruction pipeline needs no list of dead subspaces:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, compress
 from typing import Optional, Sequence
 
@@ -131,11 +130,11 @@ class ProjectionFamily(Record):
         basis = self.basis(n)
         self._check_basis(basis, c)
         relabel, target = self._deletion(n, kept)
-        values = [Fraction(0)] * target.dim
+        values = [0] * target.dim
         for (i, j), value in zip(basis.pairs, c.values):
             if i in relabel and j in relabel:
                 values[target.index(relabel[i], relabel[j])] = value
-            elif value != 0:
+            elif value:
                 return None
         return Character(target.generators, tuple(values))
 

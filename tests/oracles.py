@@ -6,9 +6,21 @@ calls into the package, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import importlib.util
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from pathlib import Path
+
+
+def bench_oracles():
+    """The benchmark's package-free checkers (`bench/oracles.py`), loaded
+    straight from their file, since `bench` is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("bench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

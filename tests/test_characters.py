@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bnskit import Graph, InputError, make_character
 from bnskit.characters import (
@@ -15,6 +17,7 @@ from bnskit.characters import (
     kill_character,
     saturate,
 )
+from bnskit.cli import parse_character_file
 from bnskit.words import word
 from bnskit import braid, characters, loop, raag
 
@@ -71,6 +74,75 @@ def test_character_basics():
         make_character(AB, {"q": 1})
     with pytest.raises(InputError):
         Character(AB, (Fraction(1),))
+
+
+def canonical(values):
+    """Is every integral value an int (and not a bool), every other one a Fraction?"""
+    return all(type(v) is (int if v.denominator == 1 else Fraction) for v in values)
+
+
+# an exact value: an int, or a Fraction that is integral about a third of the time
+EXACT = st.one_of(st.integers(-30, 30), st.builds(Fraction, st.integers(-30, 30), st.integers(1, 3)))
+B4 = braid.FAMILY.basis(4)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(
+    values=st.lists(EXACT, min_size=B4.dim, max_size=B4.dim),
+    q=EXACT,
+    widen=st.integers(1, 4),
+    vectors=st.lists(st.lists(st.integers(-3, 3), min_size=B4.dim, max_size=B4.dim), max_size=3),
+    inexact=st.sampled_from([0.5, 2.0, -0.0, True, False]),
+    at=st.integers(0, B4.dim - 1),
+)
+def test_integral_values_are_ints_everywhere(values, q, widen, vectors, inexact, at):
+    """Every way to build a character stores an integral value as an int and
+    any other as a Fraction, so 2 and Fraction(4, 2) give the same character,
+    repr and hash; a float or a bool is an InputError at each entry point."""
+    gens = B4.generators
+    c = Character(gens, values)
+    assert canonical(c.values) and c.values == tuple(values)
+    # the same values, each as a Fraction: Fraction(4, 2) is Fraction(2, 1)
+    as_fractions = [Fraction(v) for v in values]
+    text = "".join(f"{name} = {v.numerator * widen}/{v.denominator * widen}\n" for name, v in zip(gens.names, as_fractions))
+    for same in (
+        Character(gens, as_fractions),
+        Character(gens, iter(as_fractions)),
+        make_character(gens, dict(zip(gens.names, as_fractions))),
+        make_character(gens, dict(zip(gens.names, values))),
+        parse_character_file(text, gens),
+    ):
+        assert canonical(same.values)
+        assert same == c and repr(same) == repr(c) and hash(same) == hash(c)
+    for scale in (q, Fraction(q)):
+        scaled = c.scaled(scale)
+        assert canonical(scaled.values) and scaled.values == tuple([v * q for v in values])
+    assert canonical(c.negated().values) and c.negated().values == tuple([-v for v in values])
+    for vector in vectors:
+        paired = c.pair(vector)
+        assert canonical([paired]) and paired == sum(v * x for v, x in zip(values, vector))
+    # zero off strands 1-3, so the character projects onto them
+    on_three = Character(gens, [v if 4 not in pair else 0 for pair, v in zip(B4.pairs, values)])
+    projected = braid.project_character(4, (1, 2, 3), on_three)
+    assert canonical(projected.values)
+    assert projected.values == tuple([v for pair, v in zip(B4.pairs, values) if 4 not in pair])
+    for row in kill_character(saturate(gens, vectors)).rows:
+        assert canonical(row.values) and all(row.pair(vector) == 0 for vector in vectors)
+    point = generic_point_avoiding(gens, [as_fractions], []).point
+    assert canonical(point.values)
+    # one inexact value anywhere is refused, not converted
+    bad = [*values[:at], inexact, *values[at + 1:]]
+    refused = [
+        lambda: Character(gens, bad),
+        lambda: make_character(gens, dict(zip(gens.names, bad))),
+        lambda: c.scaled(inexact),
+        lambda: c.pair([*[0] * at, inexact, *[0] * (B4.dim - at - 1)]),
+        lambda: saturate(gens, [*vectors, [*[0] * at, inexact, *[0] * (B4.dim - at - 1)]]),
+        lambda: generic_point_avoiding(gens, [bad], []),
+    ]
+    for call in refused:
+        with pytest.raises(InputError):
+            call()
 
 
 def test_abelianize():
@@ -342,6 +414,30 @@ def test_annihilator_is_stored_sparse(family, n):
     lat = saturate(generators, vectors)
     assert len(lat.annihilator) == generators.dim - 2
     assert sum(map(len, lat.annihilator)) <= 8 * generators.dim
+
+
+@pytest.mark.parametrize("n", [16, 32, 64])
+@pytest.mark.parametrize("family", [braid, loop], ids=["braid", "loop"])
+def test_kernel_row_operations_stay_quadratic_in_n(monkeypatch, family, n):
+    """Saturating two dense vectors takes at most 32 n^2 kernel row
+    operations, a few per generator; there are about n^2/2 generators for
+    braids and n^2 for loops.  The counts read 6.0 / 5.7 / 1.0 n^2 for
+    braids and 5.4 / 9.5 / 13.7 n^2 for loops at n = 16 / 32 / 64, so the
+    bound leaves more than twice the room; reducing every row against every
+    other, about dim^2 operations, would pass it at least 30-fold at n = 64."""
+    calls = []
+    add_multiple = characters._add_multiple
+
+    def counted(row, q, other):
+        calls.append(q)
+        add_multiple(row, q, other)
+
+    monkeypatch.setattr(characters, "_add_multiple", counted)
+    rng = random.Random(1)
+    generators = family.FAMILY.basis(n).generators
+    vectors = [tuple(rng.randint(-9, 9) for _ in range(generators.dim)) for _ in range(2)]
+    assert len(saturate(generators, vectors).annihilator) == generators.dim - 2
+    assert 0 < len(calls) <= 32 * n**2
 
 
 def test_kill_character():

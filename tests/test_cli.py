@@ -53,6 +53,9 @@ def test_parse_graph_file():
         ("points: a b\n", 1, "expected"),
         ("", 1, "missing"),
         ("vertices: a b\n# fine\nedges: a-q\n", 3, "undeclared"),
+        # a form feed or U+2028 does not end a line
+        ("vertices: a b\x0c\nedges: a-q\n", 2, "undeclared"),
+        ("vertices: a\u2028edges: a-b\n", 1, "may not contain ':'"),
     ],
 )
 def test_parse_graph_file_errors(text, lineno, fragment):
@@ -163,9 +166,43 @@ def test_value_lines_through_run(tmp_path, text, family, obstruct, sigma):
             assert report.human == "error: " + porcelain[0][len("error="):]
 
 
+# the characters other than LF and CR that `str.splitlines` ends a line at
+_NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_LINE_ENDS = [
+    pytest.param(
+        f"X(1,2) = 1{sep}X(1,3) = 2\nX(2,3) = 3/0\n",
+        f"line 1: malformed rational {repr('1' + sep + 'X(1,3) = 2')}",
+        id=f"inside-{ord(sep):x}",
+    )
+    for sep in _NOT_LINE_ENDS
+] + [
+    # at the end of a line it is trimmed like a space
+    pytest.param(f"X(1,2) = 1{sep}\nX(1,3) = 3/0\n", "line 2: malformed rational '3/0'", id=f"trailing-{ord(sep):x}")
+    for sep in _NOT_LINE_ENDS
+] + [
+    pytest.param("X(1,2) = 1\r\nX(1,3) = 1\rX(1,2) = 2\n", "line 3: generator 'X(1,2)' assigned twice", id="crlf-cr"),
+    pytest.param("\r\n\r\rX(1,2) = 1/0", "line 4: malformed rational '1/0'", id="blank-crlf-cr"),
+]
+
+
+@pytest.mark.parametrize("family", ["braid", "loop"])
+@pytest.mark.parametrize("text,message", _LINE_ENDS)
+def test_lines_end_only_at_lf_or_cr(tmp_path, family, text, message):
+    """The line number of an error counts only LF, CR LF and CR line ends."""
+    letter = "S(" if family == "braid" else "A("
+    path = tmp_path / "values.txt"
+    path.write_bytes(text.replace("X(", letter).encode("utf-8"))
+    for command in ("obstruct", "sigma"):
+        report = run(["--porcelain", family, command, "-n", "4", str(path)])
+        assert (report.exit_code, report.porcelain) == (1, ("error=" + message.replace("X(", letter),))
+
+
 def test_parse_words_file():
     words = parse_words_file("a b^-1\nc c'\n\n# blank and comment lines skipped\n", "abc")
     assert [str(w) for w in words] == ["a b^-1", "c c^-1"]
+    # only LF, CR LF and CR end a word's line; U+2028 separates letters
+    words = parse_words_file("a\u2028b\r\nc\rb'\x85a", "abc")
+    assert [str(w) for w in words] == ["a b", "c", "b^-1 a"]
     with pytest.raises(ParseError) as err:
         parse_words_file("a\nq\n", "abc")
     assert err.value.line == 2

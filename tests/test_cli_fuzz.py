@@ -3,6 +3,9 @@
 Graph files go through `graph analyze` and `raag complement`; character and
 vector files through `braid`/`loop` `sigma` and `obstruct` on at most five
 strands; words and character files through `raag kill` and `raag sigma`.
+When every character or vector file of a `sigma` or `obstruct` run is well
+formed and the run succeeds, its answer is checked by the benchmark's
+package-free checkers in `bench/oracles.py`, loaded straight from their file.
 
 The examples are derandomized, so every run of the suite tries the same
 inputs, and no deadline applies, so no outcome depends on machine speed.
@@ -15,6 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bnskit import cli
+
+from .oracles import bench_oracles
+
+ORACLES = bench_oracles()
 
 NAMES = [f"v{i}" for i in range(12)] + ["", "a-b", "v0"]
 VERTEX_TOKEN = st.sampled_from(NAMES)
@@ -74,7 +81,9 @@ def test_graph_commands_end_in_an_exit_code(text):
 
 
 def run_all(files, argvs):
-    """Write the files, run each command on them, and check its exit code."""
+    """Write the files, run each command on them, check its exit code, and
+    return the reports."""
+    reports = []
     with tempfile.TemporaryDirectory() as directory:
         paths = []
         for k, text in enumerate(files):
@@ -86,6 +95,8 @@ def run_all(files, argvs):
             assert report.exit_code in (0, 1, 2)
             if report.exit_code:
                 assert any(line.startswith("error=") for line in report.porcelain)
+            reports.append(report)
+    return reports
 
 
 GENERATOR_NAMES = sorted(
@@ -119,15 +130,18 @@ def valid_names(family, n):
 @st.composite
 def projection_files(draw, family, n):
     """Well-formed integer assignments over the family's generators on n
-    strands, some with one damaged line, or any character text."""
+    strands, some with one damaged line, or any character text.  Returns
+    the text, and the values by strand pair if the file is well formed,
+    else None."""
     names = valid_names(family, n)
     if not names or draw(st.integers(0, 3)) == 0:
-        return draw(CHARACTER_TEXT)
+        return draw(CHARACTER_TEXT), None
     values = draw(st.dictionaries(st.sampled_from(names), st.integers(-3, 3), max_size=len(names)))
     lines = [f"{name} = {value}" for name, value in values.items()]
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(ASSIGNMENT, LINE)))
-    return "\n".join(lines)
+        return "\n".join(lines), None
+    return "\n".join(lines), {ORACLES.parse_generator(name): value for name, value in values.items()}
 
 
 @st.composite
@@ -143,7 +157,12 @@ def projection_commands(draw):
 def test_character_and_vector_files_end_in_an_exit_code(command):
     family, n, files = command
     obstruct = [family, "obstruct", "-n", n, *range(1, len(files))]
-    run_all(files, [[family, "sigma", "-n", n, 0], obstruct])
+    sigma, obstructed = run_all([text for text, _ in files], [[family, "sigma", "-n", n, 0], obstruct])
+    values = [parsed for _, parsed in files]
+    if sigma.exit_code == 0 and values[0] is not None:
+        assert ORACLES.check_projection_sigma(family, int(n), values[0], 0, sigma.porcelain) is None
+    if obstructed.exit_code == 0 and None not in values[1:]:
+        assert ORACLES.check_obstruction(family, int(n), values[1:], 0, obstructed.porcelain) is None
 
 
 @st.composite

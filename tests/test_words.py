@@ -1,8 +1,6 @@
-import importlib.util
 import random
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -18,7 +16,7 @@ from bnskit.words import (
     word,
 )
 
-from .oracles import adjacency_masks, rewriting_canon, two_phase_normal_form
+from .oracles import adjacency_masks, bench_oracles, rewriting_canon, two_phase_normal_form
 
 
 def test_word_construction():
@@ -293,20 +291,11 @@ def test_raag_commute_work_grows_linearly():
     assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
 
 
-def _bench_oracles():
-    """The benchmark's package-free checkers, loaded straight from their file."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
-    spec = importlib.util.spec_from_file_location("bench_oracles", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_raag_commute_matches_heap_reference_on_long_words():
     """`raag_commute` agrees with the benchmark oracle's heap-of-pieces
     normal form on long words over cycles and their complements: pairs that
     are one word and a rewriting of it, powers of one word, and random."""
-    check_commute = _bench_oracles().check_commute
+    check_commute = bench_oracles().check_commute
     rng = random.Random(1616)
     seen = set()
     for k in range(60):
