@@ -56,15 +56,17 @@ class GeneratorBasis(Record):
 
 
 def _exact(value, what: str = "a character value"):
-    """Pass an exact value through; a float or a bool is an InputError."""
-    if isinstance(value, (bool, float)):
-        raise InputError(f"{what} must be exact, got {type(value).__name__}")
-    return value
+    """Pass an exact value through: an int that is not a bool, or a
+    Fraction.  Anything else (a float, a bool, a str, None) is an
+    InputError naming its type, not a value for `Fraction` to read."""
+    if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    raise InputError(f"{what} must be an int or a Fraction, got {type(value).__name__}")
 
 
 def _rational(value, what: str = "a character value") -> int | Fraction:
     """The canonical form of an exact value: an int when it is integral,
-    otherwise a Fraction in lowest terms.  A float or a bool is an
+    otherwise a Fraction in lowest terms.  Any other value is an
     InputError."""
     q = value if type(value) is Fraction else Fraction(_exact(value, what))
     return q.numerator if q.denominator == 1 else q
@@ -117,7 +119,8 @@ def make_character(
 ) -> Character:
     """Build a character from a sparse name -> value mapping.
 
-    Values must be exact: a float or a bool is rejected, not converted.
+    Values must be exact, an int or a Fraction: a float, a bool or a str
+    is rejected, not converted.
     """
     values = [0] * basis.dim
     for name, value in assignments.items():

@@ -493,6 +493,32 @@ _PROJECTION_GROUPS = {
 
 # ---------------------------------------------------------------------------
 # argument parsing
+#
+# `bnskit [--porcelain] GROUP COMMAND [options] operands`.  The group and
+# command are picked from `_COMMANDS` by hand, reading each token as
+# argparse's nested subparsers read it; only the chosen command's own parser
+# is built, and it reads everything after the command.
+
+# group -> command -> (handler, int option or None, operands, fixed defaults);
+# an operand ending in * takes any number of files
+_COMMANDS = {
+    "graph": {"analyze": (_cmd_graph_analyze, None, ("graph",), {})},
+    "raag": {
+        "sigma": (_cmd_raag_sigma, None, ("graph", "character"), {}),
+        "kill": (_cmd_raag_kill, None, ("graph", "words"), {}),
+        "complement": (_cmd_raag_complement, None, ("graph",), {}),
+        "split-report": (_cmd_raag_split_report, "--max-k", ("graph",), {}),
+        "compare": (_cmd_raag_compare, None, ("graph1", "graph2"), {}),
+    },
+    **{
+        group: {
+            "sigma": (_cmd_projection_sigma, "-n", ("character",), {"module": module, "note": note}),
+            "witness": (_cmd_projection_witness, "-n", ("character",), {"module": module, "note": note}),
+            "obstruct": (_cmd_projection_obstruct, "-n", ("vectors*",), {"module": module, "note": note}),
+        }
+        for group, (module, note) in _PROJECTION_GROUPS.items()
+    },
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -512,46 +538,105 @@ def _ascii_int(text: str) -> int:
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The argument parser, built on first use and kept for the process."""
-    # no abbreviations: main picks the output format by the exact '--porcelain'
-    parser = _Parser(prog="bnskit", add_help=True, allow_abbrev=False)
-    parser.add_argument("--porcelain", action="store_true", help="key=value output")
-    groups = parser.add_subparsers(dest="group", required=True)
-
-    def commands(name: str, help_text: str):
-        return groups.add_parser(name, help=help_text).add_subparsers(dest="command", required=True)
-
-    def command(group, name, handler, *operands, int_option=None, **defaults) -> None:
-        # an operand ending in * takes any number of files
-        sub = group.add_parser(name)
-        if int_option:
-            sub.add_argument(int_option, type=_ascii_int, required=True)
-        for operand in operands:
-            sub.add_argument(operand.rstrip("*"), nargs="*" if operand.endswith("*") else None)
-        sub.set_defaults(handler=handler, **defaults)
-
-    graph = commands("graph", "plain graph computations")
-    command(graph, "analyze", _cmd_graph_analyze, "graph")
-    raag_cmds = commands("raag", "right-angled Artin groups")
-    command(raag_cmds, "sigma", _cmd_raag_sigma, "graph", "character")
-    command(raag_cmds, "kill", _cmd_raag_kill, "graph", "words")
-    command(raag_cmds, "complement", _cmd_raag_complement, "graph")
-    command(raag_cmds, "split-report", _cmd_raag_split_report, "graph", int_option="--max-k")
-    command(raag_cmds, "compare", _cmd_raag_compare, "graph1", "graph2")
-    for name, (module, note) in _PROJECTION_GROUPS.items():
-        family = commands(name, f"{module.FAMILY.group} groups")
-        command(family, "sigma", _cmd_projection_sigma, "character", int_option="-n", module=module, note=note)
-        command(family, "witness", _cmd_projection_witness, "character", int_option="-n", module=module, note=note)
-        command(family, "obstruct", _cmd_projection_obstruct, "vectors*", int_option="-n", module=module, note=note)
-
+def _parser(group: str, command: str) -> _Parser:
+    """The parser of one command, built on first use and kept for the process."""
+    handler, int_option, operands, defaults = _COMMANDS[group][command]
+    # no abbreviations: '--max' is not '--max-k'
+    parser = _Parser(prog=f"bnskit {group} {command}", allow_abbrev=False)
+    if int_option:
+        parser.add_argument(int_option, type=_ascii_int, required=True)
+    for operand in operands:
+        parser.add_argument(operand.rstrip("*"), nargs="*" if operand.endswith("*") else None)
+    parser.set_defaults(handler=handler, group=group, command=command, **defaults)
     return parser
+
+
+def _usage(group: Optional[str]) -> str:
+    """The help of the top level or of one group: its grammar and that of
+    each of its commands, in the style of an argparse usage."""
+    head = f"bnskit {group} [-h]" if group else "bnskit [-h] [--porcelain] GROUP"
+    lines = [f"usage: {head} COMMAND [options] operands", "", "commands:"]
+    for name, commands in ({group: _COMMANDS[group]} if group else _COMMANDS).items():
+        for command, (_, int_option, operands, _) in commands.items():
+            words = [f"bnskit {name} {command}"]
+            if int_option:
+                words.append(f"{int_option} {int_option.lstrip('-').replace('-', '_').upper()}")
+            words += [f"[{o[:-1]} ...]" if o.endswith("*") else o for o in operands]
+            lines.append("  " + " ".join(words))
+    return "\n".join(lines) + "\n"
+
+
+# argparse reads these as operands, since no option looks like a negative number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _level_option(token: str, options: tuple[str, ...]) -> Optional[tuple[str, Optional[str]]]:
+    """How argparse reads a token at a level whose options are `options`:
+    None for an operand, else the option it names ('' for an unknown one)
+    and the argument attached to it, if any."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    if token in options:
+        return token, None
+    name, equals, attached = token.partition("=")
+    if equals and name in options:
+        return name, attached
+    if token[:2] == "-h":  # a single-letter option runs on into its argument
+        return "-h", token[2:]
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
+
+
+def _choose(argv: list[str], start: int, group: Optional[str], extras: list[str]) -> tuple[str, int]:
+    """The group (or, given the group, the command) named at or after
+    argv[start], and the index after it.  Unknown options before it go to
+    extras; -h or --help prints the level's usage and exits."""
+    dest, choices = ("command", _COMMANDS[group]) if group else ("group", _COMMANDS)
+    options = ("-h", "--help") if group else ("-h", "--help", "--porcelain")
+    for i in range(start, len(argv)):
+        token = argv[i]
+        # argparse reads '--' here as the choice itself, if anything follows
+        option = None if token == "--" else _level_option(token, options)
+        if option is None:
+            if token == "--" and i + 1 == len(argv):
+                break
+            if token not in choices:
+                listed = ", ".join(map(repr, choices))
+                raise UsageError(f"argument {dest}: invalid choice: {token!r} (choose from {listed})")
+            return token, i + 1
+        name, attached = option
+        if not name:
+            extras.append(token)
+            continue
+        if attached is not None:
+            # '-hh' is -h twice; what is left after the h's is ignored, and an error
+            rest = attached.lstrip("h") if name == "-h" else attached
+            if rest or not attached:
+                label = name if name == "--porcelain" else "-h/--help"
+                raise UsageError(f"argument {label}: ignored explicit argument {rest!r}")
+        if name != "--porcelain":
+            sys.stdout.write(_usage(group))
+            raise SystemExit(0)
+    raise UsageError(f"the following arguments are required: {dest}")
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments of one invocation, with the errors and the help that
+    argparse's nested subparsers give; one `parse_known_args` in all."""
+    extras: list[str] = []
+    group, start = _choose(argv, 0, None, extras)
+    command, start = _choose(argv, start, group, extras)
+    args, unknown = _parser(group, command).parse_known_args(argv[start:])
+    if extras or unknown:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras + unknown)}")
+    return args
 
 
 def run(argv: Sequence[str]) -> RenderedReport:
     """Parse and execute one invocation, capturing errors as exit codes."""
     try:
-        args = _parser().parse_args(list(argv))
+        args = _parse(list(argv))
     except UsageError as e:
         return _error_report(1, str(e))
     try:

@@ -6,7 +6,10 @@ calls into the package, so agreement is evidence rather than tautology.
 
 from __future__ import annotations
 
+import argparse
+import functools
 import importlib.util
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -537,3 +540,76 @@ def dense_generic_point(dim, spanning, bad):
         if not any(satisfies(candidate, eqs) for eqs in bad):
             return tuple(Fraction(a) for a in candidate), None
         t += 1
+
+
+# ---------------------------------------------------------------------------
+# the command line's grammar, read by argparse's nested subparsers: group,
+# then command, then the command's own options and operands
+
+# group -> command -> (int option or None, operands); an operand ending in *
+# takes any number of files
+CLI_COMMANDS = {
+    "graph": {"analyze": (None, ("graph",))},
+    "raag": {
+        "sigma": (None, ("graph", "character")),
+        "kill": (None, ("graph", "words")),
+        "complement": (None, ("graph",)),
+        "split-report": ("--max-k", ("graph",)),
+        "compare": (None, ("graph1", "graph2")),
+    },
+    **{
+        family: {"sigma": ("-n", ("character",)), "witness": ("-n", ("character",)), "obstruct": ("-n", ("vectors*",))}
+        for family in ("braid", "loop")
+    },
+}
+
+
+class CliUsageError(Exception):
+    """A command line the reference parser rejects; the message is the
+    text after `error=`."""
+
+
+class _NestedParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise CliUsageError(message)
+
+
+def _cli_int(text: str) -> int:
+    if re.fullmatch(r"[+-]?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+@functools.cache
+def _nested_cli_parser() -> _NestedParser:
+    """One parser for the whole command line, with a subparser level for the
+    group and one for the command, none of them taking abbreviations."""
+    parser = _NestedParser(prog="bnskit", allow_abbrev=False)
+    parser.add_argument("--porcelain", action="store_true")
+    groups = parser.add_subparsers(dest="group", required=True)
+    for group, commands in CLI_COMMANDS.items():
+        level = groups.add_parser(group, allow_abbrev=False).add_subparsers(dest="command", required=True)
+        for command, (int_option, operands) in commands.items():
+            sub = level.add_parser(command, allow_abbrev=False)
+            if int_option:
+                sub.add_argument(int_option, type=_cli_int, required=True)
+            for operand in operands:
+                sub.add_argument(operand.rstrip("*"), nargs="*" if operand.endswith("*") else None)
+    return parser
+
+
+def cli_arguments(args: argparse.Namespace):
+    """(group, command, int option value or None, operand values) of parsed
+    arguments."""
+    int_option, operands = CLI_COMMANDS[args.group][args.command]
+    number = None if int_option is None else getattr(args, int_option.lstrip("-").replace("-", "_"))
+    return args.group, args.command, number, tuple([getattr(args, o.rstrip("*")) for o in operands])
+
+
+def nested_cli_parse(argv):
+    """What the nested parser reads from argv, as `cli_arguments` gives it;
+    a CliUsageError if it rejects argv."""
+    return cli_arguments(_nested_cli_parser().parse_args(list(argv)))

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -92,13 +93,15 @@ B4 = braid.FAMILY.basis(4)
     q=EXACT,
     widen=st.integers(1, 4),
     vectors=st.lists(st.lists(st.integers(-3, 3), min_size=B4.dim, max_size=B4.dim), max_size=3),
-    inexact=st.sampled_from([0.5, 2.0, -0.0, True, False]),
+    other=st.sampled_from([0.5, 2.0, -0.0, True, False, "1/2", "1e3", "nan", None, [1], Decimal(1)]),
     at=st.integers(0, B4.dim - 1),
 )
-def test_integral_values_are_ints_everywhere(values, q, widen, vectors, inexact, at):
+def test_integral_values_are_ints_everywhere(values, q, widen, vectors, other, at):
     """Every way to build a character stores an integral value as an int and
     any other as a Fraction, so 2 and Fraction(4, 2) give the same character,
-    repr and hash; a float or a bool is an InputError at each entry point."""
+    repr and hash; any value that is neither an int nor a Fraction (a float,
+    a bool, a str, None, a list, a Decimal) is an InputError at each entry
+    point, not a value for `Fraction` to read."""
     gens = B4.generators
     c = Character(gens, values)
     assert canonical(c.values) and c.values == tuple(values)
@@ -130,14 +133,14 @@ def test_integral_values_are_ints_everywhere(values, q, widen, vectors, inexact,
         assert canonical(row.values) and all(row.pair(vector) == 0 for vector in vectors)
     point = generic_point_avoiding(gens, [as_fractions], []).point
     assert canonical(point.values)
-    # one inexact value anywhere is refused, not converted
-    bad = [*values[:at], inexact, *values[at + 1:]]
+    # one such value anywhere is refused, not converted
+    bad = [*values[:at], other, *values[at + 1:]]
     refused = [
         lambda: Character(gens, bad),
         lambda: make_character(gens, dict(zip(gens.names, bad))),
-        lambda: c.scaled(inexact),
-        lambda: c.pair([*[0] * at, inexact, *[0] * (B4.dim - at - 1)]),
-        lambda: saturate(gens, [*vectors, [*[0] * at, inexact, *[0] * (B4.dim - at - 1)]]),
+        lambda: c.scaled(other),
+        lambda: c.pair([*[0] * at, other, *[0] * (B4.dim - at - 1)]),
+        lambda: saturate(gens, [*vectors, [*[0] * at, other, *[0] * (B4.dim - at - 1)]]),
         lambda: generic_point_avoiding(gens, [bad], []),
     ]
     for call in refused:

@@ -1,21 +1,26 @@
+import argparse
 import io
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bnskit
 
-from bnskit import Graph, ParseError, PreconditionError, make_character, raag
+from bnskit import Graph, ParseError, PreconditionError, cli, make_character, raag
 from bnskit.braid import PureBraidBasis
 from bnskit.loop import LoopBraidBasis
 from bnskit.characters import GeneratorBasis
 from bnskit.cli import (
     RenderedReport,
+    UsageError,
     main,
     parse_character_file,
     parse_graph_file,
@@ -23,6 +28,8 @@ from bnskit.cli import (
     parse_words_file,
     run,
 )
+
+from . import oracles
 
 ABC = GeneratorBasis(("a", "b", "c"))
 
@@ -329,9 +336,12 @@ _SPLIT = ["raag", "split-report", str(_DATA / "c4.graph")]
         # well-formed but out of range
         (_SIGMA + ["-n", "-3"], 2, "error=pure braid computations need at least 3 strands"),
         (_SPLIT + ["--max-k", "-1"], 2, "error=max_k must be nonnegative"),
+        # options are spelled out: a prefix of --max-k is no --max-k
+        (_SPLIT + ["--max", "2"], 1, "error=the following arguments are required: --max-k"),
+        (_SPLIT + ["--max-", "2"], 1, "error=the following arguments are required: --max-k"),
     ],
     ids=["n", "plus", "max-k", "n-arabic", "n-minus-arabic", "n-underscore", "n-spaces", "n-word",
-         "max-k-arabic", "n-long", "n-negative", "max-k-negative"],
+         "max-k-arabic", "n-long", "n-negative", "max-k-negative", "max-abbreviated", "max-dash-abbreviated"],
 )
 def test_integer_options(argv, exit_code, line):
     report = run(["--porcelain", *argv])
@@ -418,16 +428,99 @@ def test_run_rejects_non_utf8_input(tmp_path, monkeypatch):
     assert report.porcelain == ("error=cannot read '-': not valid UTF-8",)
 
 
-def test_module_run_writes_nothing_to_stderr():
+def _module_run(*argv):
     src = str(Path(bnskit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "bnskit.cli", *argv], capture_output=True, text=True, env=env)
+
+
+def test_module_run_writes_nothing_to_stderr():
     char = Path(__file__).parent / "data" / "pb3_dead.char"
-    done = subprocess.run(
-        [sys.executable, "-m", "bnskit.cli", "--porcelain", "braid", "sigma", "-n", "3", str(char)],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    done = _module_run("--porcelain", "braid", "sigma", "-n", "3", str(char))
     assert done.returncode == 0
     assert done.stderr == ""
     assert "status=out" in done.stdout.splitlines()
+
+
+def test_help_at_every_level_prints_a_usage():
+    for argv in (["-h"], ["raag", "--help"], ["raag", "kill", "-h"]):
+        done = _module_run(*argv)
+        assert (done.returncode, done.stderr) == (0, ""), argv
+        assert done.stdout.startswith("usage:"), argv
+
+
+def test_one_parse_and_one_parser_per_run(monkeypatch):
+    """A run builds only its own command's parser, once per process, and
+    parses its command line once."""
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(argparse.ArgumentParser, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, name, wrapper)
+
+    counted("__init__")
+    counted("parse_known_args")
+    cli._parser.cache_clear()
+    graph = str(_DATA / "p3.graph")
+    assert run(["--porcelain", "graph", "analyze", graph]).exit_code == 0
+    assert calls == {"__init__": 1, "parse_known_args": 1}
+    assert run(["graph", "analyze", graph]).exit_code == 0
+    assert calls == {"__init__": 1, "parse_known_args": 2}
+
+
+def test_reference_parser_has_the_command_table():
+    table = {
+        group: {command: (int_option, operands) for command, (_, int_option, operands, _) in commands.items()}
+        for group, commands in cli._COMMANDS.items()
+    }
+    assert table == oracles.CLI_COMMANDS
+
+
+# group and command names, options of each level, and operands that look
+# like options: a negative number, '-', '--'
+CLI_TOKENS = [
+    *oracles.CLI_COMMANDS,
+    *sorted({command for commands in oracles.CLI_COMMANDS.values() for command in commands}),
+    "--porcelain", "--porcelain=1", "--porc", "-n", "-n5", "-n=4", "--max-k", "--max-k=2", "--max",
+    "4", "-3", "-1.5", "1_0", "x", "-", "--", "-x",
+]
+
+
+@st.composite
+def command_lines(draw):
+    """Tokens of the alphabet; most lines also name a group, and most of
+    those one of its commands after it, among the other tokens."""
+    argv = draw(st.lists(st.sampled_from(CLI_TOKENS), max_size=8))
+    if draw(st.integers(0, 4)):
+        group = draw(st.sampled_from(list(oracles.CLI_COMMANDS)))
+        at = draw(st.integers(0, len(argv)))
+        named = [group]
+        if draw(st.integers(0, 4)):
+            named.append(draw(st.sampled_from(list(oracles.CLI_COMMANDS[group]))))
+        cut = draw(st.integers(at, len(argv)))
+        argv = argv[:at] + [group] + argv[at:cut] + named[1:] + argv[cut:]
+    return argv
+
+
+def _read(parse, argv):
+    try:
+        return "accepted", parse(argv)
+    except (UsageError, oracles.CliUsageError) as e:
+        return "rejected", str(e)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=2000)
+@given(command_lines())
+def test_command_lines_read_as_by_nested_subparsers(argv):
+    """The group and command are picked by hand; what is read, and every
+    error, must be what the nested argparse subparsers in `tests/oracles.py`
+    give."""
+    flat = _read(lambda v: oracles.cli_arguments(cli._parse(v)), argv)
+    assert flat == _read(oracles.nested_cli_parse, argv)
+    if flat[0] == "rejected":
+        assert run(argv).porcelain == (f"error={flat[1]}",)

@@ -6,6 +6,8 @@ strands; words and character files through `raag kill` and `raag sigma`.
 When every character or vector file of a `sigma` or `obstruct` run is well
 formed and the run succeeds, its answer is checked by the benchmark's
 package-free checkers in `bench/oracles.py`, loaded straight from their file.
+Vectors spanning one dead subspace's equations reach `obstruct`'s covered
+branch, whose covering subspace, sample and witness words are checked too.
 
 The examples are derandomized, so every run of the suite tries the same
 inputs, and no deadline applies, so no outcome depends on machine speed.
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from bnskit import cli
 
-from .oracles import bench_oracles
+from .oracles import bench_oracles, dead_subspaces, family_pairs
 
 ORACLES = bench_oracles()
 
@@ -163,6 +165,32 @@ def test_character_and_vector_files_end_in_an_exit_code(command):
         assert ORACLES.check_projection_sigma(family, int(n), values[0], 0, sigma.porcelain) is None
     if obstructed.exit_code == 0 and None not in values[1:]:
         assert ORACLES.check_obstruction(family, int(n), values[1:], 0, obstructed.porcelain) is None
+
+
+@st.composite
+def covering_commands(draw):
+    """Vectors whose annihilator is one dead subspace, at braid n = 4-5 or
+    loop n = 3-4: the subspace's equations, mixed by a unimodular triangular
+    map (row k gains c times row k + 1) and shuffled.  Returns the family, n
+    and the vectors as dicts from strand pair to nonzero value."""
+    family, n = draw(st.sampled_from([("braid", 4), ("braid", 5), ("loop", 3), ("loop", 4)]))
+    _, _, equations = draw(st.sampled_from(dead_subspaces(family, n)))
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=len(equations) - 1, max_size=len(equations) - 1))
+    mixed = [[a + c * b for a, b in zip(row, below)] for row, below, c in zip(equations, equations[1:], shifts)]
+    mixed = draw(st.permutations([*mixed, list(equations[-1])]))
+    pairs = family_pairs(family, n)
+    return family, n, [{pair: x for pair, x in zip(pairs, row) if x} for row in mixed]
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(covering_commands())
+def test_covered_obstructions_are_checked(command):
+    family, n, vectors = command
+    letter = "S" if family == "braid" else "A"
+    texts = ["".join(f"{letter}({i},{j}) = {x}\n" for (i, j), x in vector.items()) for vector in vectors]
+    (report,) = run_all(texts, [[family, "obstruct", "-n", str(n), *range(len(texts))]])
+    assert report.exit_code == 0 and "branch=covered" in report.porcelain
+    assert ORACLES.check_obstruction(family, n, vectors, 0, report.porcelain) is None
 
 
 @st.composite
