@@ -239,9 +239,10 @@ def _pairs(row: SparseRow, start: int) -> Row:
     return tuple(sorted([(col - start, a) for col, a in row.items()]))
 
 
-def _checked_rows(rows: Iterable[Sequence[int]], dim: int) -> list[Sequence[int]]:
-    """The rows as sequences, if each is an int vector of length dim; any
-    other entry (a float, a bool, a Fraction) is an InputError."""
+def _sparse(rows: Iterable[Sequence[int]], dim: int) -> list[Row]:
+    """Dense rows as `Row`s, if each is an int vector of length dim; any
+    other entry (a float, a bool, a Fraction) is an InputError.  The
+    boundary between the dense entry points and the sparse core."""
     rows = [r if isinstance(r, (tuple, list)) else list(r) for r in rows]
     for r in rows:
         if len(r) != dim:
@@ -250,7 +251,8 @@ def _checked_rows(rows: Iterable[Sequence[int]], dim: int) -> list[Sequence[int]
         for kind in set(map(type, r)):
             if not issubclass(kind, int) or kind is bool:
                 raise InputError(f"lattice rows must hold ints, got {kind.__name__}")
-    return rows
+    # the nonzero entries, found at C speed: input vectors may be mostly zero
+    return [tuple(compress(enumerate(r), r)) for r in rows]
 
 
 def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
@@ -259,8 +261,18 @@ def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     Only unimodular row operations are used (swap, negate, add an integer
     multiple), so the row lattice is preserved.
     """
-    echelon = _echelon([{col: a for col, a in enumerate(r) if a} for r in _checked_rows(rows, dim)], dim)
+    echelon = _echelon([dict(row) for row in _sparse(rows, dim)], dim)
     return tuple([_pairs(row, 0) for row in _normalized(echelon)])
+
+
+def _kernel(rows: Sequence[Row], dim: int) -> tuple[Row, ...]:
+    """`integer_kernel` of rows given as `Row`s, whose columns lie below dim."""
+    m = len(rows)
+    augmented = [{m + j: 1} for j in range(dim)]
+    for k, row in enumerate(rows):
+        for j, a in row:
+            augmented[j][k] = a
+    return tuple([_pairs(row, m) for row in _normalized(_echelon(augmented, m + dim), m)])
 
 
 def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
@@ -269,7 +281,8 @@ def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     Such a kernel lattice is automatically saturated.  In an echelon form
     of the augmented matrix [V^T | I] the rows that are zero on the first m
     columns are a basis of the kernel, after those m columns; normalized,
-    they are its Hermite basis.  The identity block starts sparse.  Where
+    they are its Hermite basis.  The identity block starts sparse, and the
+    first m columns are filled from the rows' nonzero entries.  Where
     the least pivots tie, `_echelon` takes the last row, which in the first
     column is the one with the latest identity column; the rows it reduces
     gain an identity entry after their own, so the kernel rows mostly come
@@ -278,14 +291,7 @@ def integer_kernel(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     >>> integer_kernel([(1, 2, 3)], 3)
     (((0, 1), (1, 1), (2, -1)), ((1, 3), (2, -2)))
     """
-    rows = _checked_rows(rows, dim)
-    m = len(rows)
-    augmented = [{m + j: 1} for j in range(dim)]
-    for k, r in enumerate(rows):
-        # the nonzero columns, found at C speed: input vectors may be mostly zero
-        for j in compress(range(dim), r):
-            augmented[j][k] = r[j]
-    return tuple([_pairs(row, m) for row in _normalized(_echelon(augmented, m + dim), m)])
+    return _kernel(_sparse(rows, dim), dim)
 
 
 class SaturatedLattice(Record):

@@ -14,13 +14,14 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import braid, loop, raag
-from .characters import Character, GeneratorBasis, abelianize
+from .characters import Character, GeneratorBasis, Row, abelianize
 from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError
 from .graphs import Graph, is_clique, is_connected, min_separating_clique_witness, out_finiteness_predicates
-from .obstruction import CERTIFICATE
+from .obstruction import CERTIFICATE, run_obstruction
 from .words import Word, free_commute
 
 
@@ -48,11 +49,13 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 
 def parse_graph_file(text: str) -> Graph:
-    """Parse the graph format: 'vertices: a b c' and 'edges: a-b b-c' lines."""
+    """Parse the graph format: 'vertices: a b c' and 'edges: a-b b-c' lines.
+    The vertex positions and neighbour masks are built as the lines are
+    checked, so the graph is made without checking them again."""
     vertices: list[str] = []
-    seen = set()
-    edges: list[tuple[str, str]] = []
-    edge_keys = set()
+    index: dict[str, int] = {}
+    # bit i of masks[j]: vertex i is adjacent to vertex j
+    masks: list[int] = []
     saw_vertices = False
     for lineno, line in _content_lines(text):
         if line.startswith("vertices:"):
@@ -66,30 +69,30 @@ def parse_graph_file(text: str) -> Graph:
                         raise ParseError(lineno, f"vertex name {token!r} may not contain {mark!r}")
                 if token.endswith("'"):
                     raise ParseError(lineno, f"vertex name {token!r} may not end in an apostrophe")
-                if token in seen:
+                if token in index:
                     raise ParseError(lineno, f"duplicate vertex {token!r}")
-                seen.add(token)
+                index[token] = len(vertices)
                 vertices.append(token)
+                masks.append(0)
         elif line.startswith("edges:"):
             for token in line[len("edges:"):].split():
                 parts = token.split("-")
                 if len(parts) != 2 or not parts[0] or not parts[1]:
                     raise ParseError(lineno, f"malformed edge {token!r}")
-                a, b = parts
-                if a not in seen or b not in seen:
+                i, j = index.get(parts[0]), index.get(parts[1])
+                if i is None or j is None:
                     raise ParseError(lineno, f"edge {token!r} uses an undeclared vertex")
-                if a == b:
+                if i == j:
                     raise ParseError(lineno, f"self-loop {token!r}")
-                key = frozenset((a, b))
-                if key in edge_keys:
+                if masks[i] >> j & 1:
                     raise ParseError(lineno, f"duplicate edge {token!r}")
-                edge_keys.add(key)
-                edges.append((a, b))
+                masks[i] |= 1 << j
+                masks[j] |= 1 << i
         else:
             raise ParseError(lineno, f"expected 'vertices:' or 'edges:', got {line!r}")
     if not saw_vertices:
         raise ParseError(1, "missing 'vertices:' line")
-    return Graph(vertices, edges)
+    return Graph._checked(tuple(vertices), index, masks)
 
 
 def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, str, int | Fraction]]:
@@ -147,20 +150,23 @@ def parse_words_file(text: str, alphabet: Sequence[str]) -> list[Word]:
     known = set(alphabet)
     words = []
     for lineno, line in _content_lines(text):
-        letters = [_parse_letter(lineno, token, known) for token in line.split()]
-        words.append(Word(alphabet, letters))
+        letters = tuple([_parse_letter(lineno, token, known) for token in line.split()])
+        # each letter is checked already; the first word checks the alphabet
+        words.append(Word._checked(alphabet, letters) if words else Word(alphabet, letters))
     return words
 
 
-def parse_vector_file(text: str, basis: GeneratorBasis) -> tuple[int, ...]:
-    """An integer vector in character syntax: 'name = k' lines.  A value
+def parse_vector_file(text: str, basis: GeneratorBasis) -> Row:
+    """An integer vector in character syntax: 'name = k' lines, as the
+    (column, value) pairs of its nonzero entries, in column order.  A value
     written as a fraction is read as one and must be an integer."""
-    values = [0] * basis.dim
+    entries = {}
     for lineno, index, value_text, value in _assignments(text, basis):
         if value.denominator != 1:
             raise ParseError(lineno, f"integer required, got {value_text!r}")
-        values[index] = value.numerator
-    return tuple(values)
+        if value:
+            entries[index] = value.numerator
+    return tuple(sorted(entries.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +191,14 @@ def _fmt_rational(value: int | Fraction) -> str:
         raise PreconditionError(f"result has a number longer than {limit} digits") from None
 
 
-def _fmt_character(c: Character) -> str:
-    parts = [f"{name}:{_fmt_rational(value)}" for name, value in zip(c.basis.names, c.values) if value]
+def _fmt_pairs(names: Sequence[str], pairs: Iterable[tuple[int, int | Fraction]]) -> str:
+    """The nonzero values at their generators' names, in column order."""
+    parts = [f"{names[j]}:{_fmt_rational(value)}" for j, value in pairs]
     return " ".join(parts) if parts else "0"
+
+
+def _fmt_character(c: Character) -> str:
+    return _fmt_pairs(c.basis.names, compress(enumerate(c.values), c.values))
 
 
 def _fmt_opt(value: Optional[object]) -> str:
@@ -250,11 +261,13 @@ def _error_report(code: int, message: str) -> RenderedReport:
 
 
 def _read_file(path: str) -> str:
+    """The text of a file, taken whole by one unbuffered `readall`, or of
+    standard input for -."""
     try:
         if path == "-":
             return sys.stdin.read()
-        with open(path, "rb") as handle:
-            return handle.read().decode("utf-8")
+        with open(path, "rb", buffering=0) as handle:
+            return handle.readall().decode("utf-8")
     except OSError as e:
         raise UsageError(f"cannot read {path!r}: {e.strerror or e}") from None
     except UnicodeDecodeError:
@@ -309,21 +322,23 @@ def _cmd_raag_kill(args) -> RenderedReport:
     g = parse_graph_file(_read_file(args.graph))
     gens = parse_words_file(_read_file(args.words), g.vertices)
     result = raag.kill_and_test(g, gens)
+    killing = [_fmt_pairs(g.vertices, row) for row in result.lattice.annihilator]
+    specialized = _fmt_character(result.specialized)
     porcelain = {
         "lattice_rank": str(result.lattice.rank),
-        "killing": "|".join(_fmt_character(row) for row in result.killing.rows),
-        "specialized": _fmt_character(result.specialized),
+        "killing": "|".join(killing),
+        "specialized": specialized,
         "dead": _fmt_set(result.dead),
         "verdict_plus": _raag_verdict_compact(result.verdict_plus),
         "verdict_minus": _raag_verdict_compact(result.verdict_minus),
     }
     lines = [
         f"lattice rank: {result.lattice.rank}",
-        f"killing rows: {len(result.killing.rows)}",
+        f"killing rows: {len(killing)}",
     ]
-    lines += [f"  {_fmt_character(row)}" for row in result.killing.rows]
+    lines += [f"  {row}" for row in killing]
     lines += [
-        f"specialized: {_fmt_character(result.specialized)}",
+        f"specialized: {specialized}",
         f"dead clique: {_fmt_braced(result.dead)}",
         f"plus ray: {_raag_verdict_human(result.verdict_plus)}",
         f"minus ray: {_raag_verdict_human(result.verdict_minus)}",
@@ -442,18 +457,18 @@ def _cmd_projection_witness(args) -> RenderedReport:
 
 
 def _cmd_projection_obstruct(args) -> RenderedReport:
-    basis = args.module.FAMILY.basis(args.n)
-    vectors = [
-        parse_vector_file(_read_file(path), basis.generators) for path in args.vectors
-    ]
-    report = args.module.nf_obstruction_demo(args.n, vectors)
-    porcelain = {"branch": report.branch, "character": _fmt_character(report.character)}
+    family = args.module.FAMILY
+    basis = family.basis(args.n)
+    rows = [parse_vector_file(_read_file(path), basis.generators) for path in args.vectors]
+    report = run_obstruction(family, args.n, rows)
+    character = _fmt_character(report.character)
+    porcelain = {"branch": report.branch, "character": character}
     lines = [f"branch: {report.branch}"]
     if report.branch == CERTIFICATE:
         porcelain["verdict_plus"] = _proj_verdict_compact(report.verdict_plus)
         porcelain["verdict_minus"] = _proj_verdict_compact(report.verdict_minus)
         lines += [
-            f"character: {_fmt_character(report.character)}",
+            f"character: {character}",
             f"plus ray: {_proj_verdict_human(report.verdict_plus, args.n)}",
             f"minus ray: {_proj_verdict_human(report.verdict_minus, args.n)}",
         ]
@@ -465,7 +480,7 @@ def _cmd_projection_obstruct(args) -> RenderedReport:
         porcelain["designated"] = _fmt_set(str(i) for i in report.witness.designated)
         lines += [
             f"covering: {report.covering.kind} {{{kept}}}",
-            f"sample character: {_fmt_character(report.character)}",
+            f"sample character: {character}",
             f"u: {report.witness.u}",
             f"v: {report.witness.v}",
             f"designated: {{{_fmt_set(str(i) for i in report.witness.designated)}}}",
@@ -588,10 +603,13 @@ def _level_option(token: str, options: tuple[str, ...]) -> Optional[tuple[str, O
     return "", None
 
 
-def _choose(argv: list[str], start: int, group: Optional[str], extras: list[str]) -> tuple[str, int]:
+def _choose(
+    argv: list[str], start: int, group: Optional[str], extras: list[str], read: list[str]
+) -> tuple[str, int]:
     """The group (or, given the group, the command) named at or after
     argv[start], and the index after it.  Unknown options before it go to
-    extras; -h or --help prints the level's usage and exits."""
+    extras, and the level's own options that it reads to read; -h or
+    --help prints the level's usage and exits."""
     dest, choices = ("command", _COMMANDS[group]) if group else ("group", _COMMANDS)
     options = ("-h", "--help") if group else ("-h", "--help", "--porcelain")
     for i in range(start, len(argv)):
@@ -618,15 +636,17 @@ def _choose(argv: list[str], start: int, group: Optional[str], extras: list[str]
         if name != "--porcelain":
             sys.stdout.write(_usage(group))
             raise SystemExit(0)
+        read.append(name)
     raise UsageError(f"the following arguments are required: {dest}")
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
+def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
     """The arguments of one invocation, with the errors and the help that
-    argparse's nested subparsers give; one `parse_known_args` in all."""
+    argparse's nested subparsers give; one `parse_known_args` in all.  The
+    top-level options read go to read, also when a later token is an error."""
     extras: list[str] = []
-    group, start = _choose(argv, 0, None, extras)
-    command, start = _choose(argv, start, group, extras)
+    group, start = _choose(argv, 0, None, extras, read)
+    command, start = _choose(argv, start, group, extras, read)
     args, unknown = _parser(group, command).parse_known_args(argv[start:])
     if extras or unknown:
         raise UsageError(f"unrecognized arguments: {' '.join(extras + unknown)}")
@@ -635,8 +655,13 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 def run(argv: Sequence[str]) -> RenderedReport:
     """Parse and execute one invocation, capturing errors as exit codes."""
+    return _run(argv, [])
+
+
+def _run(argv: Sequence[str], read: list[str]) -> RenderedReport:
+    """`run`, collecting in read the top-level options that the parse read."""
     try:
-        args = _parse(list(argv))
+        args = _parse(list(argv), read)
     except UsageError as e:
         return _error_report(1, str(e))
     try:
@@ -648,9 +673,11 @@ def run(argv: Sequence[str]) -> RenderedReport:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    report = run(argv)
-    if "--porcelain" in argv:
+    read: list[str] = []
+    report = _run(sys.argv[1:] if argv is None else argv, read)
+    # the format is what the top level read: a later '--porcelain' is an
+    # operand or an error
+    if "--porcelain" in read:
         if report.porcelain:
             print("\n".join(report.porcelain))
     elif report.human:

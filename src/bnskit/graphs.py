@@ -39,12 +39,12 @@ class Graph:
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
-        self.vertices = tuple(vertices)
-        if len(set(self.vertices)) != len(self.vertices):
+        vertices = tuple(vertices)
+        if len(set(vertices)) != len(vertices):
             raise InputError("duplicate vertex label")
-        self._index = index = {v: i for i, v in enumerate(self.vertices)}
+        index = {v: i for i, v in enumerate(vertices)}
         # bit i of masks[j]: vertex i is adjacent to vertex j
-        masks = [0] * len(self.vertices)
+        masks = [0] * len(vertices)
         for a, b in edges:
             if a not in index or b not in index:
                 raise InputError(f"edge endpoint {a!r}-{b!r} is not a listed vertex")
@@ -55,10 +55,23 @@ class Graph:
                 raise InputError(f"duplicate edge {a!r}-{b!r}")
             masks[i] |= 1 << j
             masks[j] |= 1 << i
+        self._fill(vertices, index, masks)
+
+    @classmethod
+    def _checked(cls, vertices: tuple[str, ...], index: dict[str, int], masks: list[int]) -> "Graph":
+        """A graph from parts that already passed the constructor's checks:
+        distinct vertices, their positions, and symmetric loop-free masks."""
+        g = object.__new__(cls)
+        g._fill(vertices, index, masks)
+        return g
+
+    def _fill(self, vertices: tuple[str, ...], index: dict[str, int], masks: list[int]) -> None:
+        self.vertices = vertices
+        self._index = index
         self._masks = tuple(masks)
         # combinations copies its input into a tuple, sized exactly for a range
         # (see the package docstring on tuples)
-        vs = self.vertices
+        vs = vertices
         self.edges = tuple(
             [(vs[i], vs[j]) for i, j in combinations(range(len(vs)), 2) if masks[i] >> j & 1]
         )

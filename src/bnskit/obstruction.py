@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .characters import _first_combination, saturate
+from .characters import Row, _first_combination, _kernel
 from .errors import PreconditionError, require_int
 from .records import Record
 
@@ -39,16 +39,21 @@ COVERED_GUIDANCE = (
 )
 
 
-def run_obstruction(family, n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
-    """Run the two-branch obstruction pipeline for a `ProjectionFamily` on n
-    strands; a character avoids every dead subspace when `sigma_membership`
-    says IN."""
+def _demo_basis(family, n: int):
+    """The family's `PairBasis` on n strands, if the demonstration runs there."""
     if require_int(n, "n") < family.large.size:
         raise PreconditionError(
             f"the obstruction demonstration needs at least {family.large.size} {family.unit}s"
         )
-    basis = family.basis(n)
-    annihilator = saturate(basis.generators, vectors).annihilator
+    return family.basis(n)
+
+
+def run_obstruction(family, n: int, rows: Sequence[Row]) -> ObstructionReport:
+    """Run the two-branch obstruction pipeline for a `ProjectionFamily` on n
+    strands, on the lattice vectors given as `Row`s; a character avoids
+    every dead subspace when `sigma_membership` says IN."""
+    basis = _demo_basis(family, n)
+    annihilator = _kernel(rows, basis.dim)
     covered = basis.covering(annihilator)
     if covered is None:
         membership = lambda c: family.sigma_membership(n, c)
@@ -62,13 +67,14 @@ def run_obstruction(family, n: int, vectors: Sequence[Sequence[int]]) -> Obstruc
             witness=None,
             guidance=CERTIFICATE_GUIDANCE,
         )
-    sample = covered.sample()
+    # the sample's own dead subspace is the covering one, so its witness
+    # pair is that subspace's
     return ObstructionReport(
         COVERED,
-        sample,
+        covered.sample(),
         verdict_plus=None,
         verdict_minus=None,
         covering=covered,
-        witness=family.witness_pair(n, sample),
+        witness=family._witness(basis, covered.kept),
         guidance=COVERED_GUIDANCE,
     )

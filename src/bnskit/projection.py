@@ -38,9 +38,9 @@ from __future__ import annotations
 from itertools import combinations, compress
 from typing import Optional, Sequence
 
-from .characters import Character, GeneratorBasis, Row, make_character
+from .characters import Character, GeneratorBasis, Row, _sparse, make_character
 from .errors import DomainError, InputError, PreconditionError, require_int
-from .obstruction import ObstructionReport, run_obstruction
+from .obstruction import ObstructionReport, _demo_basis, run_obstruction
 from .records import Record
 from .words import Word
 
@@ -181,12 +181,16 @@ class ProjectionFamily(Record):
             raise DomainError("the character is inside the invariant; no witness exists")
         if verdict.witness == ZERO:
             raise DomainError("the zero character does not admit a witness pair")
-        basis = self.basis(n)
-        kept = verdict.kept
-        if len(kept) == n:
+        return self._witness(self.basis(n), verdict.kept)
+
+    def _witness(self, basis: "PairBasis", kept: tuple[int, ...]) -> WitnessPair:
+        """The witness pair of the dead subspace on the kept strands: two
+        generators at the first deleted strand, or the exceptional pair when
+        every strand is kept."""
+        if len(kept) == basis.n:
             u, v = (_moves_word(basis, moves) for moves in self.exceptional_pair)
             return WitnessPair(u, v, tuple(range(1, self.small.size + 1)))
-        j = next(s for s in range(1, n + 1) if s not in kept)
+        j = next(s for s in range(1, basis.n + 1) if s not in kept)
         p, q = self.free_pair(j, kept)
         u, v = (_moves_word(basis, ((*pair, 1),)) for pair in (p, q))
         return WitnessPair(u, v, tuple(sorted({*p, *q})))
@@ -208,8 +212,10 @@ class ProjectionFamily(Record):
 
     def nf_obstruction_demo(self, n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
         """Either certify a killing character alive on both rays, or exhibit the
-        covering dead subspace together with its free-subgroup witness pair."""
-        return run_obstruction(self, n, vectors)
+        covering dead subspace together with its free-subgroup witness pair.
+        The vectors are dense int vectors, checked and made `Row`s here."""
+        dim = _demo_basis(self, n).dim
+        return run_obstruction(self, n, _sparse(vectors, dim))
 
 
 class PairBasis:

@@ -18,7 +18,6 @@ from .characters import (
     SaturatedLattice,
     _first_combination,
     abelianize,
-    kill_character,
     saturate,
 )
 from .errors import InputError, PreconditionError, require_int
@@ -134,15 +133,16 @@ def _split_dead(g: Graph, lattice: SaturatedLattice) -> tuple[tuple[str, ...], l
 class KillTestResult(Record):
     """Outcome of killing a proper abelian subgroup and testing the sphere."""
 
-    __slots__ = ("lattice", "killing", "specialized", "dead", "verdict_plus", "verdict_minus")
+    __slots__ = ("lattice", "specialized", "dead", "verdict_plus", "verdict_minus")
 
 
 def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
     """Kill a proper subgroup generated by commuting words, then test both rays.
 
     The saturation of the abelianized generators is annihilated by a vector
-    character; a deterministic generic combination of its rows produces a
-    single character whose dead support is exactly the dying vertex clique.
+    character, `kill_character(result.lattice)`; a deterministic generic
+    combination of its rows produces a single character whose dead support
+    is exactly the dying vertex clique.
     Both that character and its negative get a membership verdict.
     """
     basis = vertex_basis(g)
@@ -153,7 +153,6 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
             "generators span the whole abelianization; the subgroup is not proper"
         )
     dead, alive = _split_dead(g, lattice)
-    killing = kill_character(lattice)
     # each living column is nonzero on some annihilator row, so its zero set
     # is a proper subspace of their span
     specialized = _first_combination(
@@ -161,7 +160,6 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
     )
     return KillTestResult(
         lattice,
-        killing,
         specialized,
         dead,
         sigma_membership(g, specialized),

@@ -135,6 +135,67 @@ def all_labeled_graphs(n: int):
 
 
 # ---------------------------------------------------------------------------
+# the graph file format, read in two passes as the command line once did:
+# check the lines and list the vertices and edges, then check the edges
+# again while building the neighbour masks
+
+
+class GraphFileError(Exception):
+    """A graph file the reference reader rejects, at a line."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+        self.message = message
+
+
+def read_graph_file(text: str):
+    """(vertices, edges as read, neighbour masks) of a graph file, or a
+    GraphFileError with the reader's line and message."""
+    vertices, seen, edges, edge_keys = [], set(), [], set()
+    saw_vertices = False
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("vertices:"):
+            saw_vertices = True
+            for token in line[len("vertices:"):].split():
+                for mark in "-=,:|":
+                    if mark in token:
+                        raise GraphFileError(lineno, f"vertex name {token!r} may not contain {mark!r}")
+                if token.endswith("'"):
+                    raise GraphFileError(lineno, f"vertex name {token!r} may not end in an apostrophe")
+                if token in seen:
+                    raise GraphFileError(lineno, f"duplicate vertex {token!r}")
+                seen.add(token)
+                vertices.append(token)
+        elif line.startswith("edges:"):
+            for token in line[len("edges:"):].split():
+                parts = token.split("-")
+                if len(parts) != 2 or not parts[0] or not parts[1]:
+                    raise GraphFileError(lineno, f"malformed edge {token!r}")
+                a, b = parts
+                if a not in seen or b not in seen:
+                    raise GraphFileError(lineno, f"edge {token!r} uses an undeclared vertex")
+                if a == b:
+                    raise GraphFileError(lineno, f"self-loop {token!r}")
+                key = frozenset((a, b))
+                if key in edge_keys:
+                    raise GraphFileError(lineno, f"duplicate edge {token!r}")
+                edge_keys.add(key)
+                edges.append((a, b))
+        else:
+            raise GraphFileError(lineno, f"expected 'vertices:' or 'edges:', got {line!r}")
+    if not saw_vertices:
+        raise GraphFileError(1, "missing 'vertices:' line")
+    index = {v: i for i, v in enumerate(vertices)}
+    masks = adjacency_masks(len(vertices), [(index[a], index[b]) for a, b in edges])
+    return tuple(vertices), edges, masks
+
+
+# ---------------------------------------------------------------------------
 # breadth-first rewriting oracle for graph-group words
 #
 # Letters are coded as gen*2 for a generator and gen*2+1 for its inverse, so
@@ -610,6 +671,8 @@ def cli_arguments(args: argparse.Namespace):
 
 
 def nested_cli_parse(argv):
-    """What the nested parser reads from argv, as `cli_arguments` gives it;
-    a CliUsageError if it rejects argv."""
-    return cli_arguments(_nested_cli_parser().parse_args(list(argv)))
+    """What the nested parser reads from argv, as `cli_arguments` gives it,
+    and whether its top level read --porcelain; a CliUsageError if it
+    rejects argv."""
+    args = _nested_cli_parser().parse_args(list(argv))
+    return cli_arguments(args), args.porcelain

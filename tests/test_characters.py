@@ -387,22 +387,24 @@ def test_pair_rejects_inexact_entries():
 
 
 def test_one_integer_kernel_per_obstruction_and_kill(monkeypatch):
+    """One elimination of the augmented matrix [V^T | I] per run: the
+    kernel's echelon pass, m + dim columns wide for m vectors."""
     calls = []
-    kernel = characters.integer_kernel
+    echelon = characters._echelon
 
-    def counted(rows, dim):
-        calls.append(dim)
-        return kernel(rows, dim)
+    def counted(rows, width):
+        calls.append(width)
+        return echelon(rows, width)
 
-    monkeypatch.setattr(characters, "integer_kernel", counted)
+    monkeypatch.setattr(characters, "_echelon", counted)
     dim = braid.PureBraidBasis(5).dim
     vectors = [tuple(1 if k == i else 0 for k in range(dim)) for i in (0, 4)]
     braid.nf_obstruction_demo(5, vectors)
-    assert calls == [dim]
+    assert calls == [2 + dim]
     calls.clear()
     g = Graph(["v1", "v2", "v3", "v4"], [("v1", "v2"), ("v2", "v3"), ("v3", "v4")])
     raag.kill_and_test(g, [word(g.vertices, ["v1", "v2"])])
-    assert calls == [4]
+    assert calls == [1 + 4]
 
 
 @pytest.mark.parametrize("n", [16, 32, 64])

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import io
 import os
 import random
@@ -9,12 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bnskit
 
 from bnskit import Graph, ParseError, PreconditionError, cli, make_character, raag
+from bnskit.words import Word
 from bnskit.braid import PureBraidBasis
 from bnskit.loop import LoopBraidBasis
 from bnskit.characters import GeneratorBasis
@@ -73,6 +75,56 @@ def test_parse_graph_file_errors(text, lineno, fragment):
     assert str(err.value).startswith(f"line {lineno}:")
 
 
+# vertex names, most of them valid, and edge tokens over them
+GRAPH_NAMES = ["a", "b", "c", "d"] * 3 + ["a'", "b-c", "x=y", "p,q", "r:s", "t|u", "a'b"]
+EDGE_TOKENS = ["a-b", "b-a", "a-c", "c-b", "b-d", "d-a", "a-a", "a-", "-b", "a-b-c", "ab", "a-q", "q-a"]
+
+
+@st.composite
+def graph_texts(draw):
+    """Lines of a graph file: 'vertices:' and 'edges:' lines over the names
+    and tokens above, comments, blank and unknown lines, in any order."""
+    line = st.one_of(
+        st.lists(st.sampled_from(GRAPH_NAMES), max_size=4).map(lambda t: "vertices: " + " ".join(t)),
+        st.lists(st.sampled_from(EDGE_TOKENS), max_size=4).map(lambda t: "edges: " + " ".join(t)),
+        st.sampled_from(["", "# comment", "points: a", "edges: a-b # c-d", "  vertices: d  "]),
+    )
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ending.join(draw(st.lists(line, max_size=6)))
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=1500)
+@given(graph_texts())
+@example("vertices: a b\nvertices: a\n")  # a duplicate vertex on a later line
+@example("vertices: a b-c\n")
+@example("vertices: a a'\n")
+@example("vertices: a b c\nedges: a-b-c\n")
+@example("vertices: a b\nedges: a-\n")
+@example("vertices: a b\nedges: -b\n")
+@example("vertices: a b\nedges: a-q\n")
+@example("vertices: a b\nedges: a-a\n")
+@example("vertices: a b\nedges: a-b b-a\n")
+@example("vertices: a b\nedges: a-b\nedges: a-b\n")
+@example("edges: a-b\nvertices: a b\n")
+@example("vertices: a b\nvertices: c d\nedges: d-a b-c\n")
+def test_graph_reader_matches_two_pass_reader(text):
+    """The one-pass reader builds the graph the old two-pass reader in
+    `tests/oracles.py` and the checking constructor build, or raises its
+    error at its line."""
+    try:
+        vertices, edges, masks = oracles.read_graph_file(text)
+    except oracles.GraphFileError as expected:
+        with pytest.raises(ParseError) as err:
+            parse_graph_file(text)
+        assert (err.value.line, err.value.message) == (expected.line, expected.message)
+        return
+    g = parse_graph_file(text)
+    checked = Graph(vertices, edges)
+    assert (g.vertices, g.edges, g._masks) == (checked.vertices, checked.edges, checked._masks)
+    assert g._masks == masks and g == checked and hash(g) == hash(checked)
+    assert [g.index(v) for v in vertices] == list(range(len(vertices)))
+
+
 def test_parse_character_file():
     c = parse_character_file("a = 1/2\nb = -3\n", ABC)
     assert c.values == (Fraction(1, 2), Fraction(-3), Fraction(0))
@@ -99,7 +151,7 @@ def test_parse_character_file_errors(text, lineno):
 
 def test_parse_vector_file_requires_integers():
     basis = PureBraidBasis(3).generators
-    assert parse_vector_file("S(1,3) = -2\n", basis) == (0, -2, 0)
+    assert parse_vector_file("S(1,3) = -2\n", basis) == ((1, -2),)
     with pytest.raises(ParseError):
         parse_vector_file("S(1,3) = 1/2\n", basis)
 
@@ -428,10 +480,98 @@ def test_run_rejects_non_utf8_input(tmp_path, monkeypatch):
     assert report.porcelain == ("error=cannot read '-': not valid UTF-8",)
 
 
-def _module_run(*argv):
+def test_read_errors_are_unchanged(tmp_path, monkeypatch):
+    """Each way a read can fail gives its one `error=` line, exactly."""
+    missing = tmp_path / "missing.graph"
+    directory = tmp_path / "dir.graph"
+    directory.mkdir()
+    empty = tmp_path / "empty.graph"
+    empty.write_bytes(b"")
+    latin = tmp_path / "latin.graph"
+    latin.write_bytes(b"vertices: caf\xe9\n")
+    for path, message in [
+        (missing, f"cannot read {str(missing)!r}: {os.strerror(errno.ENOENT)}"),
+        (directory, f"cannot read {str(directory)!r}: {os.strerror(errno.EISDIR)}"),
+        (empty, "line 1: missing 'vertices:' line"),
+        (latin, f"cannot read {str(latin)!r}: not valid UTF-8"),
+    ]:
+        report = run(["--porcelain", "graph", "analyze", str(path)])
+        assert (report.exit_code, report.porcelain, report.human) == (1, (f"error={message}",), f"error: {message}")
+    assert cli._read_file(str(empty)) == ""
+    for data, line in [
+        (b"vertices: a b\nedges: a-b\n", "vertices=a,b"),
+        (b"", "error=line 1: missing 'vertices:' line"),
+        (b"vertices: caf\xe9\n", "error=cannot read '-': not valid UTF-8"),
+    ]:
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        assert line in run(["graph", "analyze", "-"]).porcelain
+
+
+def test_output_format_is_what_the_top_level_read(tmp_path):
+    """Only a --porcelain that the top level reads picks porcelain output:
+    after '--' it is a file name, and after the group it is an error."""
+    graph = str(_DATA / "p3.graph")
+    message = f"cannot read '--porcelain': {os.strerror(errno.ENOENT)}"
+    for argv, out in [
+        (["graph", "analyze", "--", "--porcelain"], f"error: {message}\n"),
+        (["--porcelain", "graph", "analyze", "--", "--porcelain"], f"error={message}\n"),
+        (["graph", "--porcelain", "analyze", graph], "error: unrecognized arguments: --porcelain\n"),
+        (["--porcelain", "graph"], "error=the following arguments are required: command\n"),
+    ]:
+        done = _module_run(*argv, cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (1, out, ""), argv
+
+
+def test_each_input_is_read_once(tmp_path, monkeypatch):
+    """A run opens each input path once, the readers build their words and
+    graphs without checking them a second time, and a vector keeps only its
+    nonzero entries."""
+    opened = Counter()
+
+    def counting_open(path, *args, **kwargs):
+        opened[path] += 1
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    vectors = []
+    for k, text in enumerate(["S(1,2) = 1\n", "S(3,4) = 2\nS(1,3) = 0\n", "S(2,4) = -1\n"]):
+        path = tmp_path / f"v{k}.vec"
+        path.write_text(text)
+        vectors.append(str(path))
+    graph, words = str(_DATA / "c5.graph"), str(_DATA / "kill_v1.words")
+    for argv, paths in [
+        (["braid", "obstruct", "-n", "4", *vectors], vectors),
+        (["raag", "kill", graph, words], [graph, words]),
+        (["raag", "compare", graph, str(_DATA / "c4.graph")], [graph, str(_DATA / "c4.graph")]),
+    ]:
+        opened.clear()
+        assert run(argv).exit_code == 0, argv
+        assert opened == Counter(paths), argv
+
+    built = Counter()
+    for cls in (Graph, Word):
+        init = cls.__init__
+
+        def counted(self, *args, init=init, name=cls.__name__, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    g = parse_graph_file("vertices: a b c\nedges: a-b b-c\n")
+    assert parse_words_file("a b\nc'\nb^-1 a\n", g.vertices)[2] == Word(g.vertices, [("b", -1), ("a", 1)])
+    # the one Word built above, and one for the file's alphabet
+    assert built == {"Word": 2}
+    basis = PureBraidBasis(3).generators
+    assert parse_vector_file("S(2,3) = 4\nS(1,2) = 0\nS(1,3) = -6/2\n", basis) == ((1, -3), (2, 4))
+    assert parse_vector_file("S(1,2) = -0\nS(1,3) = 0/7\nS(2,3) = +0\n", basis) == ()
+
+
+def _module_run(*argv, cwd=None):
     src = str(Path(bnskit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "bnskit.cli", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run(
+        [sys.executable, "-m", "bnskit.cli", *argv], capture_output=True, text=True, env=env, cwd=cwd
+    )
 
 
 def test_module_run_writes_nothing_to_stderr():
@@ -517,10 +657,11 @@ def _read(parse, argv):
 @settings(deadline=None, derandomize=True, database=None, max_examples=2000)
 @given(command_lines())
 def test_command_lines_read_as_by_nested_subparsers(argv):
-    """The group and command are picked by hand; what is read, and every
-    error, must be what the nested argparse subparsers in `tests/oracles.py`
-    give."""
-    flat = _read(lambda v: oracles.cli_arguments(cli._parse(v)), argv)
+    """The group and command are picked by hand; what is read, whether the
+    top level read --porcelain, and every error, must be what the nested
+    argparse subparsers in `tests/oracles.py` give."""
+    read = []
+    flat = _read(lambda v: (oracles.cli_arguments(cli._parse(v, read)), "--porcelain" in read), argv)
     assert flat == _read(oracles.nested_cli_parse, argv)
     if flat[0] == "rejected":
         assert run(argv).porcelain == (f"error={flat[1]}",)

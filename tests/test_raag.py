@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from bnskit import Graph, InputError, PreconditionError, make_character
+from bnskit.characters import kill_character
 from bnskit.words import word
 from bnskit import raag
 
@@ -150,7 +151,7 @@ def test_kill_and_test_c5_golden():
     assert res.verdict_plus.status == raag.IN
     assert res.verdict_minus.status == raag.IN
     assert res.lattice.rank == 1
-    assert [tuple(r.values) for r in res.killing.rows] == [
+    assert [tuple(r.values) for r in kill_character(res.lattice).rows] == [
         (0, 1, 0, 0, 0),
         (0, 0, 1, 0, 0),
         (0, 0, 0, 1, 0),
