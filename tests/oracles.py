@@ -1,7 +1,11 @@
-"""Independent brute-force implementations used to cross-check the library.
+"""Package-free oracles for the tests.
 
-Everything here works on plain data (bitmasks, integer tuples) and never
-calls into the package, so agreement is evidence rather than tautology.
+The benchmark's checkers in `bench/oracles.py` are the one implementation of
+the graph scans, separating cliques, complement supports, generator pairs,
+dead subspaces and projection membership, and `bench_oracles()` loads them.
+This module adds three compositions of those that many tests use, and the
+oracles the benchmark has no counterpart for.  Neither file imports the
+package, so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -16,9 +20,11 @@ from math import lcm
 from pathlib import Path
 
 
+@functools.cache
 def bench_oracles():
     """The benchmark's package-free checkers (`bench/oracles.py`), loaded
-    straight from their file, since `bench` is not a package."""
+    straight from their file, since `bench` is not a package; once per
+    process."""
     path = Path(__file__).resolve().parent.parent / "bench" / "oracles.py"
     spec = importlib.util.spec_from_file_location("bench_oracles", path)
     module = importlib.util.module_from_spec(spec)
@@ -27,103 +33,50 @@ def bench_oracles():
 
 
 # ---------------------------------------------------------------------------
-# bitmask graphs: vertices 0..n-1, adjacency as a tuple of neighbor masks
-
-
-def adjacency_masks(n: int, edges) -> tuple[int, ...]:
-    masks = [0] * n
-    for i, j in edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return tuple(masks)
-
-
-def mask_connected(n: int, masks, subset: int) -> bool:
-    """Union-find connectivity of the induced subgraph on `subset`."""
-    if subset == 0:
-        return False
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        if not subset >> i & 1:
-            continue
-        reach = masks[i] & subset
-        j = 0
-        while reach >> j:
-            if reach >> j & 1:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-            j += 1
-    roots = {find(i) for i in range(n) if subset >> i & 1}
-    return len(roots) == 1
-
-
-def mask_dominating(n: int, masks, subset: int) -> bool:
-    for i in range(n):
-        if subset >> i & 1:
-            continue
-        if not masks[i] & subset:
-            return False
-    return True
+# compositions of the benchmark's oracles
 
 
 def sigma_alive(n: int, masks, living: int) -> bool:
     """Independent membership call: living subgraph connected and dominating."""
-    return mask_connected(n, masks, living) and mask_dominating(n, masks, living)
+    bench = bench_oracles()
+    return bench.connected(masks, living) and bench.dominating(n, masks, living)
 
 
-def mask_is_clique(n: int, masks, subset: int) -> bool:
-    for i in range(n):
-        if not subset >> i & 1:
-            continue
-        others = subset & ~(1 << i)
-        if others & ~masks[i]:
-            return False
+def dead_subspaces(family, n: int) -> list[tuple[str, tuple[int, ...], list[tuple[int, ...]]]]:
+    """(kind, kept, equations) of every dead subspace of a "braid" or "loop"
+    family on n strands, in the scan order: the smaller base first, kept
+    sets in lex order.  `family` is the name or the package module of that
+    name.  The equations are dense integer rows over the family's pairs in
+    lex order: one unit row per generator touching a deleted strand, then
+    the base equations on the kept strands."""
+    family = getattr(family, "__name__", family).rpartition(".")[2]
+    bench = bench_oracles()
+    return [
+        (kind, kept, [tuple(eq) for eq in bench.subspace_equations(family, n, kind, kept)])
+        for kind, kept in bench.dead_subspace_order(family, n)
+    ]
+
+
+def projection_inside(family: str, n: int, values: dict) -> bool:
+    """Is a "braid" or "loop" character, a dict pair -> value, inside?  The
+    benchmark's deadness test, run only on the kept sets holding every
+    touched strand, the only ones the character projects onto, so it is
+    cheap at any n."""
+    nz = {pair: v for pair, v in values.items() if v}
+    if not nz:
+        return False
+    dead = bench_oracles()._dead_projection
+    touched = {s for pair in nz for s in pair}
+    rest = [s for s in range(1, n + 1) if s not in touched]
+    for size in (3, 4) if family == "braid" else (2, 3):
+        for extra in combinations(rest, size - len(touched)) if size >= len(touched) else ():
+            if dead(family, tuple(sorted(touched.union(extra))), nz):
+                return False
     return True
 
 
-def component_count(n: int, masks, subset: int) -> int:
-    seen = 0
-    count = 0
-    for i in range(n):
-        if not subset >> i & 1 or seen >> i & 1:
-            continue
-        count += 1
-        stack = [i]
-        seen |= 1 << i
-        while stack:
-            v = stack.pop()
-            frontier = masks[v] & subset & ~seen
-            j = 0
-            while frontier >> j:
-                if frontier >> j & 1:
-                    seen |= 1 << j
-                    stack.append(j)
-                j += 1
-    return count
-
-
-def brute_min_separating_clique(n: int, masks):
-    """Smallest clique whose removal leaves a disconnected nonempty remainder."""
-    full = (1 << n) - 1
-    for size in range(n):
-        for combo in combinations(range(n), size):
-            subset = 0
-            for i in combo:
-                subset |= 1 << i
-            if not mask_is_clique(n, masks, subset):
-                continue
-            rest = full & ~subset
-            if rest and component_count(n, masks, rest) >= 2:
-                return size
-    return None
+# ---------------------------------------------------------------------------
+# every labeled graph, as neighbour masks over vertices 0..n-1
 
 
 def all_labeled_graphs(n: int):
@@ -131,7 +84,7 @@ def all_labeled_graphs(n: int):
     pairs = list(combinations(range(n), 2))
     for bits in range(1 << len(pairs)):
         edges = [pairs[k] for k in range(len(pairs)) if bits >> k & 1]
-        yield edges, adjacency_masks(n, edges)
+        yield edges, bench_oracles().masks_of(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +144,7 @@ def read_graph_file(text: str):
     if not saw_vertices:
         raise GraphFileError(1, "missing 'vertices:' line")
     index = {v: i for i, v in enumerate(vertices)}
-    masks = adjacency_masks(len(vertices), [(index[a], index[b]) for a, b in edges])
+    masks = tuple(bench_oracles().masks_of(len(vertices), [(index[a], index[b]) for a, b in edges]))
     return tuple(vertices), edges, masks
 
 
@@ -339,182 +292,6 @@ ISO_CLASSES = {
         [(0, 1), (1, 2), (0, 2), (2, 3), (1, 3), (0, 3)],
     ],
 }
-
-
-# ---------------------------------------------------------------------------
-# pure braid and pure loop braid membership by scanning every kept strand set
-# characters are dicts (i, j) -> nonzero value; braid pairs have i < j
-
-# (size, kind) of each family's two base groups, smaller first
-BASES = {
-    "braid": ((3, "pb3-sum"), (4, "pb4-exceptional")),
-    "loop": ((2, "plb2-all"), (3, "plb3-equations")),
-}
-
-
-def family_pairs(family: str, n: int) -> list[tuple[int, int]]:
-    """The generator pairs on n strands in lexicographic order: i < j for
-    "braid", i != j for "loop"."""
-    strands = range(1, n + 1)
-    return [(i, j) for i in strands for j in strands if i < j or (family == "loop" and i != j)]
-
-
-def _base_dead(family: str, kept, value) -> bool:
-    """Is a character supported on `kept` dead in the group on those strands?"""
-    if family == "braid":
-        if len(kept) == 3:
-            return sum(value(i, j) for i, j in combinations(kept, 2)) == 0
-        t1, t2, t3, t4 = kept
-        exceptional = (
-            value(t1, t2) == value(t3, t4)
-            and value(t1, t3) == value(t2, t4)
-            and value(t1, t4) == value(t2, t3)
-            and value(t1, t2) + value(t1, t3) + value(t1, t4) == 0
-        )
-        return exceptional or any(
-            _supported_on(value, kept, sub) and _base_dead(family, sub, value)
-            for sub in combinations(kept, 3)
-        )
-    if len(kept) == 2:
-        return True  # the 2-loop group is free of rank 2
-    inflow = all(sum(value(s, t) for s in kept if s != t) == 0 for t in kept)
-    return inflow or any(_supported_on(value, kept, sub) for sub in combinations(kept, 2))
-
-
-def _supported_on(value, kept, sub) -> bool:
-    return all(
-        value(i, j) == 0
-        for i in kept
-        for j in kept
-        if i != j and not (i in sub and j in sub)
-    )
-
-
-def _lookup(family: str, values: dict):
-    """value(i, j) of a character given as a dict; braid pairs are unordered."""
-
-    def value(i, j):
-        if family == "braid" and i > j:
-            i, j = j, i
-        return values.get((i, j), 0)
-
-    return value
-
-
-def projection_sigma(family: str, n: int, values: dict):
-    """(status, witness, kept, base) of the first dead projection of a
-    "braid" or "loop" character in (size, lex) order over kept strand sets."""
-    if not values:
-        return ("out", "zero", None, None)
-    value = _lookup(family, values)
-    for size, base in BASES[family]:
-        for kept in combinations(range(1, n + 1), size):
-            if all(i in kept and j in kept for i, j in values) and _base_dead(family, kept, value):
-                return ("out", "projection", kept, base)
-    return ("in", None, None, None)
-
-
-def projection_inside(family: str, n: int, values: dict) -> bool:
-    """Is a "braid" or "loop" character inside?  `projection_sigma`'s test,
-    run only on the kept sets holding every touched strand, the only ones
-    the character projects onto, so it is cheap at any n."""
-    if not values:
-        return False
-    value = _lookup(family, values)
-    touched = {s for pair in values for s in pair}
-    rest = [s for s in range(1, n + 1) if s not in touched]
-    for size, _ in BASES[family]:
-        for extra in combinations(rest, size - len(touched)) if size >= len(touched) else ():
-            if _base_dead(family, tuple(sorted(touched.union(extra))), value):
-                return False
-    return True
-
-
-def _base_equations(family: str, kept) -> list[dict]:
-    """The equations cutting out the dead characters of the base group on
-    the kept strands, as dicts pair -> coefficient: the conditions
-    `_base_dead` tests, less the smaller base's subspaces."""
-    if family == "braid":
-        if len(kept) == 3:
-            return [{pair: 1 for pair in combinations(kept, 2)}]
-        t1, t2, t3, t4 = kept
-        # opposite bands agree and the bands at the first strand sum to zero
-        return [
-            {(t1, t2): 1, (t3, t4): -1},
-            {(t1, t3): 1, (t2, t4): -1},
-            {(t1, t4): 1, (t2, t3): -1},
-            {(t1, t2): 1, (t1, t3): 1, (t1, t4): 1},
-        ]
-    if len(kept) == 2:
-        return []  # the 2-loop group is free of rank 2
-    # the values flowing into each kept loop sum to zero
-    return [{(s, t): 1 for s in kept if s != t} for t in kept]
-
-
-def dead_subspaces(family: str, n: int) -> list[tuple[str, tuple[int, ...], list[tuple[int, ...]]]]:
-    """(kind, kept, equations) of every dead subspace of a "braid" or "loop"
-    family on n strands: the smaller base first, kept sets in lex order.
-    The equations are dense integer rows over `family_pairs(family, n)`: one
-    unit row per generator touching a deleted strand, in pair order, then
-    the base equations on the kept strands."""
-    pairs = family_pairs(family, n)
-    out = []
-    for size, kind in BASES[family]:
-        for kept in combinations(range(1, n + 1), size):
-            rows = [{pair: 1} for pair in pairs if not (pair[0] in kept and pair[1] in kept)]
-            rows += _base_equations(family, kept)
-            out.append((kind, kept, [tuple([row.get(pair, 0) for pair in pairs]) for row in rows]))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# separating cliques and complement supports by scanning every vertex subset
-# results are tuples of vertex indices, ordered by size, then lexicographically
-
-
-def brute_min_separating_clique_witness(n: int, masks):
-    """First clique in (size, lex) order whose removal leaves two or more
-    components; None when no clique separates."""
-    full = (1 << n) - 1
-    for size in range(n):
-        for combo in combinations(range(n), size):
-            subset = sum(1 << i for i in combo)
-            if mask_is_clique(n, masks, subset) and component_count(n, masks, full & ~subset) >= 2:
-                return combo
-    return None
-
-
-def brute_complement_supports(n: int, masks):
-    """Minimal bad supports straight from the definition.
-
-    A proper vertex subset W is bad when no living set outside W is
-    connected and dominating.  Every living set is tabulated once: L is
-    connected when it is a single vertex, or when dropping some vertex u
-    leaves a connected set that u touches (u a leaf of a spanning tree).
-    """
-    full = (1 << n) - 1
-    connected = [False] * (full + 1)
-    covered = [0] * (full + 1)  # union of the closed neighbourhoods in L
-    alive_inside = [False] * (full + 1)  # a connected dominating set lies in L
-    for living in range(1, full + 1):
-        low = living & -living
-        covered[living] = covered[living ^ low] | masks[low.bit_length() - 1] | low
-        conn = living == low
-        inside = False
-        for u in range(n):
-            if living >> u & 1:
-                rest = living ^ 1 << u
-                conn = conn or (connected[rest] and masks[u] & rest != 0)
-                inside = inside or alive_inside[rest]
-        connected[living] = conn
-        alive_inside[living] = inside or (conn and covered[living] == full)
-    bad = [not alive_inside[full ^ w] for w in range(full + 1)]
-    minimal = [
-        tuple(u for u in range(n) if w >> u & 1)
-        for w in range(full)
-        if bad[w] and not any(w >> u & 1 and bad[w ^ 1 << u] for u in range(n))
-    ]
-    return sorted(minimal, key=lambda t: (len(t), t))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Each test prints an `ACCEPTANCE NN PASS` line on success and enforces its
 stated time budget where one exists.  Oracles come from tests.oracles and
-never call the package.
+bench/oracles.py, and never call the package.
 """
 
 import random
@@ -29,15 +29,15 @@ from bnskit.words import (
 
 from .oracles import (
     ISO_CLASSES,
-    adjacency_masks,
     all_labeled_graphs,
-    brute_min_separating_clique,
-    brute_min_separating_clique_witness,
+    bench_oracles,
     dead_subspaces,
     dense_hermite_form,
     rewriting_canon,
     sigma_alive,
 )
+
+ORACLES = bench_oracles()
 
 FIVE = tuple("abcde")
 
@@ -128,13 +128,12 @@ def test_acceptance_03_separating_clique_goldens():
     names = tuple("abcde")
     for edges, n, expect in cases:
         g = named_graph(names[:n], edges)
-        masks = adjacency_masks(n, edges)
+        masks = ORACLES.masks_of(n, edges)
         witness = min_separating_clique_witness(g)
         got = None if witness is None else len(witness)
         assert got == expect, (edges, got)
-        assert got == brute_min_separating_clique(n, masks)
-        brute = brute_min_separating_clique_witness(n, masks)
-        assert witness == (None if brute is None else tuple(names[i] for i in brute))
+        brute = ORACLES.min_separating_clique(n, masks)
+        assert witness == (None if brute is None else tuple(names[i] for i in ORACLES.bits(brute)))
     print("ACCEPTANCE 03 PASS")
 
 
@@ -444,7 +443,8 @@ def check_obstruction(rep, family, n, basis_names, vectors):
     # every character killing the lattice satisfies the covering equations
     basis = GeneratorBasis(basis_names)
     killing = kill_character(saturate(basis, vectors))
-    equations = dead_equations(family, n)[rep.covering.kind, rep.covering.kept]
+    name = "braid" if family is braid else "loop"
+    equations = ORACLES.subspace_equations(name, n, rep.covering.kind, rep.covering.kept)
     for row in killing.rows:
         for eq in equations:
             assert row.pair(eq) == 0
@@ -456,17 +456,10 @@ def check_obstruction(rep, family, n, basis_names, vectors):
     return "covered"
 
 
-def dead_equations(family, n):
-    """The oracle's dead subspaces of the family on n strands, as
-    (kind, kept) -> equations."""
-    name = "braid" if family is braid else "loop"
-    return {(kind, kept): equations for kind, kept, equations in dead_subspaces(name, n)}
-
-
 def codim3_equations(family, n):
     # the only dead subspaces a rank-3 lattice can fill out completely
     kind = braid.PB4_EXCEPTIONAL if family is braid else loop.PLB3_EQUATIONS
-    return next((eqs for (k, _), eqs in dead_equations(family, n).items() if k == kind), None)
+    return next((eqs for k, _, eqs in dead_subspaces(family, n) if k == kind), None)
 
 
 def test_acceptance_09_obstruction_pipeline_totality():

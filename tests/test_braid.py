@@ -11,8 +11,11 @@ from bnskit.words import free_commute, word
 from bnskit import braid, words
 from bnskit.obstruction import CERTIFICATE, COVERED
 
-from .oracles import dead_subspaces, family_pairs, projection_inside, projection_sigma
+from .oracles import bench_oracles, dead_subspaces, projection_inside
+from .test_projection import verdict_fields
 from .test_words import _traced_lines
+
+ORACLES = bench_oracles()
 
 
 def basis(n):
@@ -191,7 +194,7 @@ def test_sigma_membership_matches_direct_equations_small_n():
             if value != 0
         }
         v = braid.sigma_membership(n, c)
-        assert (v.status, v.witness, v.kept, v.base) == projection_sigma("braid", n, values)
+        assert (v.status, v.witness, v.kept, v.base) == verdict_fields(ORACLES.projection_verdict("braid", n, values))
         seen[n, v.base or v.witness or v.status] += 1
     for kind in ("pb3-sum", "pb4-exceptional", "zero", "in"):
         assert seen[4, kind] >= 5, seen
@@ -225,6 +228,18 @@ def test_scaling_and_negation_invariance():
         assert braid.sigma_membership(n, c.negated()) == v
         assert braid.sigma_membership(n, c.scaled(Fraction(5, 3))) == v
         assert braid.sigma_membership(n, c.scaled(-7)) == v
+    # the same rays at strand counts the subset-scan oracles cannot reach
+    rng = random.Random(4316)
+    seen = set()
+    for n in (16, 32, 64):
+        for _ in range(40):
+            c = rng.choice((random_character, sample_projection_dead, sample_exceptional_dead))(rng, n)
+            v = braid.sigma_membership(n, c)
+            assert braid.sigma_membership(n, c.negated()) == v
+            assert braid.sigma_membership(n, c.scaled(Fraction(5, 3))) == v
+            assert braid.sigma_membership(n, c.scaled(-7)) == v
+            seen.add((n, v.base or v.status))
+    assert len(seen) == 9, seen
 
 
 def test_witness_pair_projection_case():
@@ -392,7 +407,7 @@ def test_obstruction_at_the_strand_limit(tmp_path):
     assert rep.verdict_plus.inside and rep.verdict_minus.inside
     assert all(rep.character.pair(v) == 0 for v in vectors)
     # both rays are inside by the oracle too, not only by the package's verdicts
-    values = {p: v for p, v in zip(family_pairs("braid", 64), rep.character.values) if v}
+    values = {p: v for p, v in zip(ORACLES.family_pairs("braid", 64), rep.character.values) if v}
     assert projection_inside("braid", 64, values)
     assert projection_inside("braid", 64, {p: -v for p, v in values.items()})
     path = tmp_path / "v.vec"
@@ -404,7 +419,7 @@ def test_obstruction_covered_at_the_strand_limit():
     """The covered branch at n = 64: the vectors span everything that the
     pb3-sum subspace on strands {1,2,3} kills, so every killing character
     lies in it, and the witness words' free images do not commute."""
-    pairs = family_pairs("braid", 64)
+    pairs = ORACLES.family_pairs("braid", 64)
     vectors = []
     for k, (_, j) in enumerate(pairs):
         if j > 3:

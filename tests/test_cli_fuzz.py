@@ -3,11 +3,13 @@
 Graph files go through `graph analyze` and `raag complement`; character and
 vector files through `braid`/`loop` `sigma` and `obstruct` on at most five
 strands; words and character files through `raag kill` and `raag sigma`.
-When every character or vector file of a `sigma` or `obstruct` run is well
-formed and the run succeeds, its answer is checked by the benchmark's
-package-free checkers in `bench/oracles.py`, loaded straight from their file.
-Vectors spanning one dead subspace's equations reach `obstruct`'s covered
-branch, whose covering subspace, sample and witness words are checked too.
+When a run succeeds on input that is well formed, its answer is checked by
+the benchmark's package-free checkers in `bench/oracles.py`: a graph file
+that the reference reader in `tests/oracles.py` accepts, character and
+vector files of integer assignments, and words and characters drawn over
+the graph's vertices.  Vectors spanning one dead subspace's equations reach
+`obstruct`'s covered branch, whose covering subspace, sample and witness
+words are checked too.
 
 The examples are derandomized, so every run of the suite tries the same
 inputs, and no deadline applies, so no outcome depends on machine speed.
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from bnskit import cli
 
-from .oracles import bench_oracles, dead_subspaces, family_pairs
+from .oracles import GraphFileError, bench_oracles, dead_subspaces, read_graph_file
 
 ORACLES = bench_oracles()
 
@@ -75,11 +77,22 @@ def test_graph_commands_end_in_an_exit_code(text):
         path = os.path.join(directory, "g.graph")
         with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
             handle.write(text)
+        reports = []
         for argv in (["graph", "analyze", path], ["raag", "complement", path]):
             report = cli.run(["--porcelain", *argv])
             assert report.exit_code in (0, 1, 2)
             if report.exit_code:
                 assert any(line.startswith("error=") for line in report.porcelain)
+            reports.append(report)
+    try:
+        vertices, _, masks = read_graph_file(text)
+    except GraphFileError:
+        return
+    analyzed, complemented = reports
+    if analyzed.exit_code == 0:
+        assert ORACLES.porcelain_dict(analyzed.porcelain) == ORACLES.analyze_expected(vertices, masks)
+    if complemented.exit_code == 0:
+        assert ORACLES.check_complement(vertices, masks, 0, complemented.porcelain) is None
 
 
 def run_all(files, argvs):
@@ -130,12 +143,10 @@ def valid_names(family, n):
 
 
 @st.composite
-def projection_files(draw, family, n):
-    """Well-formed integer assignments over the family's generators on n
-    strands, some with one damaged line, or any character text.  Returns
-    the text, and the values by strand pair if the file is well formed,
-    else None."""
-    names = valid_names(family, n)
+def assignment_files(draw, names):
+    """Well-formed integer assignments over `names`, some with one damaged
+    line, or any character text.  Returns the text, and the values by name
+    if the file is well formed, else None."""
     if not names or draw(st.integers(0, 3)) == 0:
         return draw(CHARACTER_TEXT), None
     values = draw(st.dictionaries(st.sampled_from(names), st.integers(-3, 3), max_size=len(names)))
@@ -143,7 +154,15 @@ def projection_files(draw, family, n):
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.one_of(ASSIGNMENT, LINE)))
         return "\n".join(lines), None
-    return "\n".join(lines), {ORACLES.parse_generator(name): value for name, value in values.items()}
+    return "\n".join(lines), values
+
+
+@st.composite
+def projection_files(draw, family, n):
+    """`assignment_files` over the family's generators on n strands, with
+    the values by strand pair."""
+    text, values = draw(assignment_files(valid_names(family, n)))
+    return text, None if values is None else {ORACLES.parse_generator(name): x for name, x in values.items()}
 
 
 @st.composite
@@ -178,7 +197,7 @@ def covering_commands(draw):
     shifts = draw(st.lists(st.integers(-2, 2), min_size=len(equations) - 1, max_size=len(equations) - 1))
     mixed = [[a + c * b for a, b in zip(row, below)] for row, below, c in zip(equations, equations[1:], shifts)]
     mixed = draw(st.permutations([*mixed, list(equations[-1])]))
-    pairs = family_pairs(family, n)
+    pairs = ORACLES.family_pairs(family, n)
     return family, n, [{pair: x for pair, x in zip(pairs, row) if x} for row in mixed]
 
 
@@ -195,24 +214,52 @@ def test_covered_obstructions_are_checked(command):
 
 @st.composite
 def kill_inputs(draw):
-    """A graph file with a words file over its vertices, or any words text."""
+    """A graph file, a words file and a character file.  The words are
+    powers of one vertex, lists of letters and junk tokens, or any text; the
+    character is `assignment_files` over the vertices.  Returns the three
+    texts, with the words as (vertex index, sign) lists and the values in
+    vertex order when they were drawn over the graph's vertices, else None."""
     graph = draw(graph_files())
-    names = graph[0].split(":", 1)[1].split("#", 1)[0].split() or ["v0"]
-    power = st.tuples(st.sampled_from(names), st.integers(1, 3))
-    token = st.one_of(
-        st.sampled_from(names).flatmap(lambda v: st.sampled_from([v, f"{v}^-1", f"{v}'"])),
+    vertices = graph[0].split(":", 1)[1].split("#", 1)[0].split()
+    names = vertices or ["v0"]
+
+    def powers(drawn):
+        return "\n".join(" ".join([names[i]] * k) for i, k in drawn), [[(i, 1)] * k for i, k in drawn]
+
+    def tokens(drawn):
+        text = "\n".join(" ".join(t if isinstance(t, str) else names[t[0]] + t[1] for t in w) for w in drawn)
+        if any(isinstance(t, str) for w in drawn for t in w):
+            return text, None
+        return text, [[(i, -1 if suffix else 1) for i, suffix in w] for w in drawn]
+
+    index = st.sampled_from(range(len(names)))
+    letter = st.one_of(
+        st.tuples(index, st.sampled_from(["", "^-1", "'"])),
         st.sampled_from(["v1^-2", "^-1", "'", "v1''", "v99", "a-b"]),
     )
-    words = draw(st.one_of(
+    text, words = draw(st.one_of(
         # powers of one vertex commute, so these reach the killing step
-        st.lists(power, max_size=3).map(lambda ws: "\n".join(" ".join([v] * k) for v, k in ws)),
-        st.lists(st.lists(token, max_size=5).map(" ".join), max_size=4).map("\n".join),
-        st.text(max_size=40),
+        st.lists(st.tuples(index, st.integers(1, 3)), max_size=3).map(powers),
+        st.lists(st.lists(letter, max_size=5), max_size=4).map(tokens),
+        st.text(max_size=40).map(lambda text: (text, None)),
     ))
-    return "\n".join(graph), words
+    character, values = draw(assignment_files(vertices))
+    return (
+        "\n".join(graph),
+        text,
+        words if vertices else None,
+        character,
+        None if values is None else [values.get(v, 0) for v in vertices],
+    )
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=200)
-@given(kill_inputs(), CHARACTER_TEXT)
-def test_words_and_raag_character_files_end_in_an_exit_code(graph_words, character):
-    run_all([*graph_words, character], [["raag", "kill", 0, 1], ["raag", "sigma", 0, 2]])
+@given(kill_inputs())
+def test_words_and_raag_character_files_end_in_an_exit_code(inputs):
+    graph, words_text, words, character, values = inputs
+    killed, sigma = run_all([graph, words_text, character], [["raag", "kill", 0, 1], ["raag", "sigma", 0, 2]])
+    vertices, _, masks = read_graph_file(graph)
+    if killed.exit_code == 0 and words is not None:
+        assert ORACLES.check_raag_kill(vertices, masks, words, 0, killed.porcelain) is None
+    if sigma.exit_code == 0 and values is not None:
+        assert ORACLES.check_raag_sigma(vertices, masks, values, 0, sigma.porcelain) is None

@@ -84,11 +84,6 @@ def random_case(rng):
     return dim, spanning, dense
 
 
-def family_subspaces(family, n):
-    """The oracle's (kind, kept, equations) of each dead subspace."""
-    return dead_subspaces("braid" if family is braid else "loop", n)
-
-
 def test_search_matches_dense_reference_on_seeded_inputs():
     rng = random.Random(4011)
     seen = set()
@@ -127,7 +122,7 @@ def obstruction_cases(rng, family, n):
     dim = family.FAMILY.basis(n).dim
     cases = [[[rng.randint(-3, 3) for _ in range(dim)] for _ in range(2)] for _ in range(2)]
     cases.append([[rng.choice((0, 0, 0, 1, -1)) for _ in range(dim)] for _ in range(3)])
-    subspaces = [equations for _, _, equations in family_subspaces(family, n)]
+    subspaces = [equations for _, _, equations in dead_subspaces(family, n)]
     for equations in rng.sample(subspaces, 3):
         cases.append([list(eq) for eq in equations])
     cases.append([[int(j == k) for j in range(dim)] for k in range(dim)])
@@ -147,7 +142,7 @@ def obstruction_cases(rng, family, n):
 def test_obstruction_reports_match_dense_reference(family, n):
     rng = random.Random(4021 + 17 * n + (family is loop))
     basis = family.FAMILY.basis(n).generators
-    subspaces = family_subspaces(family, n)
+    subspaces = dead_subspaces(family, n)
     branches = set()
     for vectors in obstruction_cases(rng, family, n):
         report = family.nf_obstruction_demo(n, vectors)

@@ -12,11 +12,9 @@ from bnskit.graphs import (
     out_finiteness_predicates,
 )
 
-from .oracles import (
-    adjacency_masks,
-    brute_min_separating_clique,
-    mask_connected,
-)
+from .oracles import bench_oracles
+
+ORACLES = bench_oracles()
 
 
 def graph_from_indices(n, edges):
@@ -143,13 +141,13 @@ def test_connectivity_against_union_find():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = [p for p in pairs if rng.random() < 0.4]
         g = graph_from_indices(n, edges)
-        masks = adjacency_masks(n, edges)
-        assert is_connected(g) == mask_connected(n, masks, (1 << n) - 1)
+        masks = ORACLES.masks_of(n, edges)
+        assert is_connected(g) == ORACLES.connected(masks, (1 << n) - 1)
         # induced subgraphs too, built directly
         subset = rng.randrange(1, 1 << n)
         keep = [f"v{i}" for i in range(n) if subset >> i & 1]
         kept = [(f"v{i}", f"v{j}") for i, j in edges if subset >> i & 1 and subset >> j & 1]
-        assert is_connected(Graph(keep, kept)) == mask_connected(n, masks, subset)
+        assert is_connected(Graph(keep, kept)) == ORACLES.connected(masks, subset)
 
 
 def test_min_separating_clique_against_brute_force():
@@ -159,6 +157,5 @@ def test_min_separating_clique_against_brute_force():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         edges = [p for p in pairs if rng.random() < 0.45]
         witness = min_separating_clique_witness(graph_from_indices(n, edges))
-        assert (None if witness is None else len(witness)) == brute_min_separating_clique(
-            n, adjacency_masks(n, edges)
-        )
+        brute = ORACLES.min_separating_clique(n, ORACLES.masks_of(n, edges))
+        assert (None if witness is None else len(witness)) == (None if brute is None else len(ORACLES.bits(brute)))

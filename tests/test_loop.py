@@ -13,7 +13,9 @@ from bnskit.words import free_commute, word
 from bnskit import loop
 from bnskit.obstruction import CERTIFICATE, COVERED
 
-from .oracles import dead_subspaces, family_pairs, projection_inside
+from .oracles import bench_oracles, dead_subspaces, projection_inside
+
+ORACLES = bench_oracles()
 
 
 def basis(n):
@@ -149,6 +151,18 @@ def test_scaling_and_negation_invariance():
         assert loop.sigma_membership(n, c.negated()) == v
         assert loop.sigma_membership(n, c.scaled(Fraction(3, 7))) == v
         assert loop.sigma_membership(n, c.scaled(-2)) == v
+    # the same rays at strand counts the subset-scan oracles cannot reach
+    rng = random.Random(4716)
+    seen = set()
+    for n in (16, 32, 64):
+        for _ in range(40):
+            c = rng.choice((random_character, sample_pair_dead, sample_equations_dead))(rng, n)
+            v = loop.sigma_membership(n, c)
+            assert loop.sigma_membership(n, c.negated()) == v
+            assert loop.sigma_membership(n, c.scaled(Fraction(3, 7))) == v
+            assert loop.sigma_membership(n, c.scaled(-2)) == v
+            seen.add((n, v.base or v.status))
+    assert len(seen) == 9, seen
 
 
 def test_witness_pair_projection_case():
@@ -270,7 +284,7 @@ def test_obstruction_at_the_strand_limit(tmp_path):
     assert rep.verdict_plus.inside and rep.verdict_minus.inside
     assert all(rep.character.pair(v) == 0 for v in vectors)
     # both rays are inside by the oracle too, not only by the package's verdicts
-    values = {p: v for p, v in zip(family_pairs("loop", 64), rep.character.values) if v}
+    values = {p: v for p, v in zip(ORACLES.family_pairs("loop", 64), rep.character.values) if v}
     assert projection_inside("loop", 64, values)
     assert projection_inside("loop", 64, {p: -v for p, v in values.items()})
     path = tmp_path / "v.vec"
@@ -282,7 +296,7 @@ def test_obstruction_covered_at_the_strand_limit():
     """The covered branch at n = 64: the vectors span everything that the
     plb2-all subspace on loops {1,2} kills, so every killing character
     lies in it, and the witness words' free images do not commute."""
-    pairs = family_pairs("loop", 64)
+    pairs = ORACLES.family_pairs("loop", 64)
     vectors = []
     for k, (i, j) in enumerate(pairs):
         if max(i, j) > 2:

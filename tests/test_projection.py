@@ -10,8 +10,9 @@ import pytest
 from bnskit import InputError, braid, loop, make_character
 from bnskit.words import word
 
-from .oracles import dead_subspaces, family_pairs, projection_inside, projection_sigma
+from .oracles import bench_oracles, dead_subspaces, projection_inside
 
+ORACLES = bench_oracles()
 FAMILIES = {"braid": (braid, range(3, 8)), "loop": (loop, range(2, 7))}
 
 
@@ -38,7 +39,7 @@ def sample_values(rng, family, n):
     else:
         values = {
             p: nonzero(rng)
-            for p in family_pairs(family, n)
+            for p in ORACLES.family_pairs(family, n)
             if p[0] in support and p[1] in support and rng.random() < 0.6
         }
         if shape < 0.6 and len(values) > 1:
@@ -46,8 +47,20 @@ def sample_values(rng, family, n):
             values[p] -= sum(values.values())
     if rng.random() < 0.1:
         # a stray value on another pair usually spoils deadness
-        values[rng.choice(family_pairs(family, n))] = nonzero(rng)
+        values[rng.choice(ORACLES.family_pairs(family, n))] = nonzero(rng)
     return {p: v for p, v in values.items() if v != 0}
+
+
+def verdict_fields(verdict):
+    """(status, witness, kept, base) of the oracle's porcelain verdict, as
+    the package's verdict holds them."""
+    kept = verdict.get("kept")
+    return (
+        verdict["status"],
+        verdict.get("witness"),
+        kept and tuple(map(int, kept.split(","))),
+        verdict.get("base"),
+    )
 
 
 def test_sigma_membership_matches_subset_scan():
@@ -63,7 +76,7 @@ def test_sigma_membership_matches_subset_scan():
                     generators, {f"{module.FAMILY.letter}({i},{j})": v for (i, j), v in values.items()}
                 )
                 v = module.sigma_membership(n, c)
-                expected = projection_sigma(family, n, values)
+                expected = verdict_fields(ORACLES.projection_verdict(family, n, values))
                 assert (v.status, v.witness, v.kept, v.base) == expected, (family, n, values)
                 assert projection_inside(family, n, values) == v.inside
                 outcomes[expected[3] or expected[1] or expected[0]] += 1
@@ -80,7 +93,7 @@ def test_dead_subspaces_match_oracle():
     for family, module, ns in (("braid", braid, range(4, 8)), ("loop", loop, range(3, 7))):
         for n in ns:
             letter = module.FAMILY.letter
-            assert module.FAMILY.basis(n).names == tuple([f"{letter}({i},{j})" for i, j in family_pairs(family, n)])
+            assert module.FAMILY.basis(n).names == tuple([f"{letter}({i},{j})" for i, j in ORACLES.family_pairs(family, n)])
             got = [(sub.kind, sub.kept) for sub in module.dead_subspaces(n)]
             assert got == [(kind, kept) for kind, kept, _ in dead_subspaces(family, n)]
 

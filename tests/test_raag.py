@@ -8,7 +8,7 @@ from bnskit.characters import kill_character
 from bnskit.words import word
 from bnskit import raag
 
-from .oracles import adjacency_masks, sigma_alive
+from .oracles import bench_oracles, sigma_alive
 
 
 P3 = Graph("abc", [("a", "b"), ("b", "c")])
@@ -77,6 +77,24 @@ def test_membership_negation_symmetry_random():
             {nm: rng.choice((-2, -1, 0, 1, 2)) for nm in names},
         )
         assert raag.sigma_membership(g, c) == raag.sigma_membership(g, c.negated())
+    # positive and negative rays on graphs the subset-scan oracles cannot reach
+    rng = random.Random(1340)
+    seen = set()
+    for _ in range(200):
+        n = rng.randrange(6, 41)
+        names = [f"v{i}" for i in range(n)]
+        p = rng.choice((0.05, 0.1, 0.3, 0.6))
+        edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+        g = Graph(names, edges)
+        c = make_character(
+            raag.vertex_basis(g),
+            {nm: rng.choice((-2, -1, 0, 1, 2, Fraction(1, 3))) for nm in names},
+        )
+        v = raag.sigma_membership(g, c)
+        assert raag.sigma_membership(g, c.scaled(Fraction(7, 2))) == v
+        assert raag.sigma_membership(g, c.scaled(Fraction(-2, 5))) == v
+        seen.add(v.reason or v.status)
+    assert seen == {raag.IN, raag.LIVING_DISCONNECTED, raag.NOT_DOMINATING}, seen
 
 
 def test_membership_against_independent_oracle_random():
@@ -87,7 +105,7 @@ def test_membership_against_independent_oracle_random():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         picked = [p for p in pairs if rng.random() < 0.5]
         g = Graph(names, [(names[i], names[j]) for i, j in picked])
-        masks = adjacency_masks(n, picked)
+        masks = bench_oracles().masks_of(n, picked)
         values = {nm: rng.choice((-1, 0, 1, 2)) for nm in names}
         c = make_character(raag.vertex_basis(g), values)
         living = 0
