@@ -367,8 +367,8 @@ def min_separating_clique_witness(g: Graph) -> Optional[tuple[str, ...]]:
       is smaller than K.
 
     The candidates of the smallest size are thus exactly the smallest
-    separating cliques.  A disconnected graph has K = (), found by one
-    connectivity check before the pass.
+    separating cliques.  A disconnected graph has K = (), and the pass
+    yields () as it starts on its second component.
 
     >>> min_separating_clique_witness(Graph("abc", [("a", "b"), ("b", "c")]))
     ('b',)
@@ -376,8 +376,6 @@ def min_separating_clique_witness(g: Graph) -> Optional[tuple[str, ...]]:
     True
     """
     adj = g._masks
-    if _splits(adj, (1 << len(adj)) - 1):
-        return ()
     cliques = [s for s in _triangulation_separators(adj) if _is_clique(adj, s)]
     return g._names(min(cliques, key=_size_then_order)) if cliques else None
 

@@ -42,19 +42,29 @@ def sigma_alive(n: int, masks, living: int) -> bool:
     return bench.connected(masks, living) and bench.dominating(n, masks, living)
 
 
-def dead_subspaces(family, n: int) -> list[tuple[str, tuple[int, ...], list[tuple[int, ...]]]]:
+def dead_subspaces(family: str, n: int) -> list[tuple[str, tuple[int, ...], list[tuple[int, ...]]]]:
     """(kind, kept, equations) of every dead subspace of a "braid" or "loop"
     family on n strands, in the scan order: the smaller base first, kept
-    sets in lex order.  `family` is the name or the package module of that
-    name.  The equations are dense integer rows over the family's pairs in
-    lex order: one unit row per generator touching a deleted strand, then
-    the base equations on the kept strands."""
-    family = getattr(family, "__name__", family).rpartition(".")[2]
+    sets in lex order.  The equations are dense integer rows over the
+    family's pairs in lex order: one unit row per generator touching a
+    deleted strand, then the base equations on the kept strands."""
     bench = bench_oracles()
     return [
         (kind, kept, [tuple(eq) for eq in bench.subspace_equations(family, n, kind, kept)])
         for kind, kept in bench.dead_subspace_order(family, n)
     ]
+
+
+def verdict_fields(verdict):
+    """(status, witness, kept, base) of the benchmark's porcelain projection
+    verdict, as the package's verdict holds them."""
+    kept = verdict.get("kept")
+    return (
+        verdict["status"],
+        verdict.get("witness"),
+        kept and tuple(map(int, kept.split(","))),
+        verdict.get("base"),
+    )
 
 
 def projection_inside(family: str, n: int, values: dict) -> bool:

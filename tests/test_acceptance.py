@@ -458,8 +458,8 @@ def check_obstruction(rep, family, n, basis_names, vectors):
 
 def codim3_equations(family, n):
     # the only dead subspaces a rank-3 lattice can fill out completely
-    kind = braid.PB4_EXCEPTIONAL if family is braid else loop.PLB3_EQUATIONS
-    return next((eqs for k, _, eqs in dead_subspaces(family, n) if k == kind), None)
+    name, kind = ("braid", braid.PB4_EXCEPTIONAL) if family is braid else ("loop", loop.PLB3_EQUATIONS)
+    return next((eqs for k, _, eqs in dead_subspaces(name, n) if k == kind), None)
 
 
 def test_acceptance_09_obstruction_pipeline_totality():

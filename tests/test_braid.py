@@ -11,8 +11,7 @@ from bnskit.words import free_commute, word
 from bnskit import braid, words
 from bnskit.obstruction import CERTIFICATE, COVERED
 
-from .oracles import bench_oracles, dead_subspaces, projection_inside
-from .test_projection import verdict_fields
+from .oracles import bench_oracles, dead_subspaces, projection_inside, verdict_fields
 from .test_words import _traced_lines
 
 ORACLES = bench_oracles()

@@ -113,21 +113,22 @@ def test_inexact_values_and_bad_lengths_are_rejected():
     assert generic_point_avoiding(ab, [(Fraction(1, 2), 0)], [[(0, Fraction(1, 3))]]).covering == 0
 
 
-def obstruction_cases(rng, family, n):
+def obstruction_cases(rng, family, n, subspaces):
     """Two random lattices, a sparse one, the equations of three dead
     subspaces, whose killing characters fill out a dead subspace, a
     full-rank lattice, which nothing nonzero kills, and two dead subspaces'
     equations less one base equation, whose killing characters touch exactly
-    the kept strands but fail that equation."""
+    the kept strands but fail that equation.  `subspaces` are the oracle's
+    (kind, kept, equations) on n strands."""
     dim = family.FAMILY.basis(n).dim
     cases = [[[rng.randint(-3, 3) for _ in range(dim)] for _ in range(2)] for _ in range(2)]
     cases.append([[rng.choice((0, 0, 0, 1, -1)) for _ in range(dim)] for _ in range(3)])
-    subspaces = [equations for _, _, equations in dead_subspaces(family, n)]
-    for equations in rng.sample(subspaces, 3):
+    systems = [equations for _, _, equations in subspaces]
+    for equations in rng.sample(systems, 3):
         cases.append([list(eq) for eq in equations])
     cases.append([[int(j == k) for j in range(dim)] for k in range(dim)])
     # a base equation has more than one term; the vanishing rows have one
-    with_block = [eqs for eqs in subspaces if any(sum(map(bool, eq)) > 1 for eq in eqs)]
+    with_block = [eqs for eqs in systems if any(sum(map(bool, eq)) > 1 for eq in eqs)]
     for _ in range(2):
         equations = [list(eq) for eq in rng.choice(with_block)]
         equations.pop(rng.choice([k for k, eq in enumerate(equations) if sum(map(bool, eq)) > 1]))
@@ -142,9 +143,9 @@ def obstruction_cases(rng, family, n):
 def test_obstruction_reports_match_dense_reference(family, n):
     rng = random.Random(4021 + 17 * n + (family is loop))
     basis = family.FAMILY.basis(n).generators
-    subspaces = dead_subspaces(family, n)
+    subspaces = dead_subspaces("braid" if family is braid else "loop", n)
     branches = set()
-    for vectors in obstruction_cases(rng, family, n):
+    for vectors in obstruction_cases(rng, family, n, subspaces):
         report = family.nf_obstruction_demo(n, vectors)
         killing = kill_character(saturate(basis, vectors))
         point, covering = dense_generic_point(

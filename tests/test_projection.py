@@ -10,7 +10,7 @@ import pytest
 from bnskit import InputError, braid, loop, make_character
 from bnskit.words import word
 
-from .oracles import bench_oracles, dead_subspaces, projection_inside
+from .oracles import bench_oracles, dead_subspaces, projection_inside, verdict_fields
 
 ORACLES = bench_oracles()
 FAMILIES = {"braid": (braid, range(3, 8)), "loop": (loop, range(2, 7))}
@@ -49,18 +49,6 @@ def sample_values(rng, family, n):
         # a stray value on another pair usually spoils deadness
         values[rng.choice(ORACLES.family_pairs(family, n))] = nonzero(rng)
     return {p: v for p, v in values.items() if v != 0}
-
-
-def verdict_fields(verdict):
-    """(status, witness, kept, base) of the oracle's porcelain verdict, as
-    the package's verdict holds them."""
-    kept = verdict.get("kept")
-    return (
-        verdict["status"],
-        verdict.get("witness"),
-        kept and tuple(map(int, kept.split(","))),
-        verdict.get("base"),
-    )
 
 
 def test_sigma_membership_matches_subset_scan():
