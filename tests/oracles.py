@@ -3,9 +3,10 @@
 The benchmark's checkers in `bench/oracles.py` are the one implementation of
 the graph scans, separating cliques, complement supports, generator pairs,
 dead subspaces and projection membership, and `bench_oracles()` loads them.
-This module adds three compositions of those that many tests use, and the
-oracles the benchmark has no counterpart for.  Neither file imports the
-package, so agreement is evidence rather than tautology.
+This module adds compositions of those that many tests use (among them the
+one sampler of dead characters), a line-event counter for work-count tests,
+and the oracles the benchmark has no counterpart for.  Neither file imports
+the package, so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import importlib.util
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -83,6 +85,58 @@ def projection_inside(family: str, n: int, values: dict) -> bool:
             if dead(family, tuple(sorted(touched.union(extra))), nz):
                 return False
     return True
+
+
+@functools.cache
+def _dead_basis(family: str, kind: str, size: int) -> tuple[dict, ...]:
+    """A basis of the dead subspace `kind` on the base group's own strands
+    1..size, each vector a pair -> value dict."""
+    bench = bench_oracles()
+    pairs = bench.family_pairs(family, size)
+    equations = bench.subspace_equations(family, size, kind, tuple(range(1, size + 1)))
+    return tuple(
+        {pair: x for pair, x in zip(pairs, vector) if x}
+        for vector in bench.nullspace(equations, len(pairs))
+    )
+
+
+def dead_values(rng, family: str, kind: str, kept, pool) -> dict:
+    """A random nonzero point of the dead subspace `kind` moved onto the
+    sorted strands `kept`, as a pair -> value dict: a combination of the
+    subspace's basis with coefficients from `pool`, not all zero.  Its cost
+    does not depend on the strand count."""
+    basis = _dead_basis(family, kind, len(kept))
+    coefficients = [0]
+    while not any(coefficients):
+        coefficients = [rng.choice(pool) for _ in basis]
+    values: dict = {}
+    for coefficient, vector in zip(coefficients, basis):
+        for (a, b), x in vector.items():
+            pair = (kept[a - 1], kept[b - 1])
+            values[pair] = values.get(pair, 0) + coefficient * x
+    return {pair: v for pair, v in values.items() if v}
+
+
+# ---------------------------------------------------------------------------
+# work counted without a clock
+
+
+def traced_lines(files, fn, *args) -> tuple[object, int]:
+    """fn(*args) and the number of line events run in the source `files`."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename in files else None)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(previous)
+    return result, count
 
 
 # ---------------------------------------------------------------------------

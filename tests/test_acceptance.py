@@ -17,16 +17,13 @@ from bnskit import Graph, make_character
 from bnskit.characters import abelianize, saturate
 from bnskit.graphs import is_clique, min_separating_clique_witness
 from bnskit.words import word
-from bnskit import braid, loop, raag
+from bnskit import braid, raag
 from bnskit.characters import Character, GeneratorBasis, kill_character
 from bnskit.cli import run
 from bnskit.obstruction import CERTIFICATE, COVERED
-from bnskit.words import (
-    Word,
-    free_commute,
-    raag_normal_form,
-)
+from bnskit.words import Word, raag_normal_form
 
+from .families import FAMILIES, character, dead_draw, random_values, values_of, witness_problem
 from .oracles import (
     ISO_CLASSES,
     all_labeled_graphs,
@@ -302,30 +299,15 @@ VALUE_POOL = [0, 0, 0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(2
 SCALE_POOL = [Fraction(5, 3), Fraction(-7, 2), 3, -1, Fraction(1, 4), Fraction(-2, 5)]
 
 
-def random_pb_character(rng, n):
-    basis = braid.PureBraidBasis(n).generators
-    return Character(basis, tuple(Fraction(rng.choice(VALUE_POOL)) for _ in basis.names))
-
-
-def random_plb_character(rng, n):
-    basis = loop.LoopBraidBasis(n).generators
-    return Character(basis, tuple(Fraction(rng.choice(VALUE_POOL)) for _ in basis.names))
-
-
 def test_acceptance_07_scaling_and_negation_invariance():
     rng = random.Random(7007)
-    for n in (3, 4, 5, 6):
-        for _ in range(1000):
-            c = random_pb_character(rng, n)
-            v = braid.sigma_membership(n, c)
-            assert braid.sigma_membership(n, c.negated()) == v
-            assert braid.sigma_membership(n, c.scaled(rng.choice(SCALE_POOL))) == v
-    for n in (2, 3, 4, 5, 6):
-        for _ in range(1000):
-            c = random_plb_character(rng, n)
-            v = loop.sigma_membership(n, c)
-            assert loop.sigma_membership(n, c.negated()) == v
-            assert loop.sigma_membership(n, c.scaled(rng.choice(SCALE_POOL))) == v
+    for family in FAMILIES.values():
+        for n in range(family.small[1], 7):
+            for _ in range(1000):
+                c = character(family, n, random_values(rng, family, n, VALUE_POOL))
+                v = family.module.sigma_membership(n, c)
+                assert family.module.sigma_membership(n, c.negated()) == v
+                assert family.module.sigma_membership(n, c.scaled(rng.choice(SCALE_POOL))) == v
     print("ACCEPTANCE 07 PASS")
 
 
@@ -333,94 +315,19 @@ def test_acceptance_07_scaling_and_negation_invariance():
 # 8. witness pairs die under the character and reduce to free images
 
 
-def sample_pb_dead(rng, n):
-    basis = braid.PureBraidBasis(n)
-    if n >= 4 and rng.random() < 0.4:
-        kept = sorted(rng.sample(range(1, n + 1), 4))
-        while True:
-            x, y = rng.choice(VALUE_POOL), rng.choice(VALUE_POOL)
-            if x or y:
-                break
-        t1, t2, t3, t4 = kept
-        return make_character(
-            basis.generators,
-            {
-                basis.name(t1, t2): x,
-                basis.name(t3, t4): x,
-                basis.name(t1, t3): y,
-                basis.name(t2, t4): y,
-                basis.name(t1, t4): -x - y,
-                basis.name(t2, t3): -x - y,
-            },
-        )
-    kept = sorted(rng.sample(range(1, n + 1), 3))
-    while True:
-        a, b = rng.choice(VALUE_POOL), rng.choice(VALUE_POOL)
-        if a or b:
-            break
-    t1, t2, t3 = kept
-    return make_character(
-        basis.generators,
-        {basis.name(t1, t2): a, basis.name(t1, t3): b, basis.name(t2, t3): -a - b},
-    )
-
-
-def sample_plb_dead(rng, n):
-    basis = loop.LoopBraidBasis(n)
-    if n >= 3 and rng.random() < 0.5:
-        kept = sorted(rng.sample(range(1, n + 1), 3))
-        values = {}
-        nonzero = False
-        for target in kept:
-            sources = [s for s in kept if s != target]
-            v = rng.choice(VALUE_POOL)
-            nonzero = nonzero or v != 0
-            values[basis.name(sources[0], target)] = v
-            values[basis.name(sources[1], target)] = -v
-        if not nonzero:
-            values[basis.name(kept[1], kept[0])] = 2
-            values[basis.name(kept[2], kept[0])] = -2
-        return make_character(basis.generators, values)
-    i, j = rng.sample(range(1, n + 1), 2)
-    while True:
-        a, b = rng.choice(VALUE_POOL), rng.choice(VALUE_POOL)
-        if a or b:
-            break
-    return make_character(
-        basis.generators, {basis.name(i, j): a, basis.name(j, i): b}
-    )
-
-
-def assert_pb_witness_sound(n, c, pair):
-    basis = braid.PureBraidBasis(n)
-    for w in (pair.u, pair.v):
-        assert c.pair(abelianize(basis.generators, w)) == 0
-    ru = braid.pb3_reduce(braid.project_word(n, pair.designated, pair.u))
-    rv = braid.pb3_reduce(braid.project_word(n, pair.designated, pair.v))
-    assert not free_commute(ru.free_part, rv.free_part)
-
-
-def assert_plb_witness_sound(n, c, pair):
-    basis = loop.LoopBraidBasis(n)
-    for w in (pair.u, pair.v):
-        assert c.pair(abelianize(basis.generators, w)) == 0
-    ru = loop.plb2_reduce(loop.project_word(n, pair.designated, pair.u))
-    rv = loop.plb2_reduce(loop.project_word(n, pair.designated, pair.v))
-    assert not free_commute(ru, rv)
-
-
 def test_acceptance_08_witness_soundness():
     rng = random.Random(8818)
-    for n in (4, 5, 6):
-        for _ in range(200):
-            c = sample_pb_dead(rng, n)
-            assert not braid.sigma_membership(n, c).inside
-            assert_pb_witness_sound(n, c, braid.witness_pair(n, c))
-    for n in (3, 4, 5):
-        for _ in range(200):
-            c = sample_plb_dead(rng, n)
-            assert not loop.sigma_membership(n, c).inside
-            assert_plb_witness_sound(n, c, loop.witness_pair(n, c))
+    drawn = set()
+    for family in FAMILIES.values():
+        for n in range(family.large[1], family.large[1] + 3):
+            for _ in range(200):
+                base = rng.choice((family.small, family.large))
+                drawn.add((family.name, base))
+                values = dead_draw(rng, family, n, base, VALUE_POOL)
+                c = character(family, n, values)
+                assert not family.module.sigma_membership(n, c).inside
+                assert witness_problem(family, values, family.module.witness_pair(n, c)) is None
+    assert drawn == {(f.name, base) for f in FAMILIES.values() for base in (f.small, f.large)}
     print("ACCEPTANCE 08 PASS")
 
 
@@ -441,38 +348,28 @@ def check_obstruction(rep, family, n, basis_names, vectors):
     assert rep.verdict_plus is None and rep.verdict_minus is None
     assert rep.covering is not None and rep.witness is not None
     # every character killing the lattice satisfies the covering equations
-    basis = GeneratorBasis(basis_names)
-    killing = kill_character(saturate(basis, vectors))
-    name = "braid" if family is braid else "loop"
-    equations = ORACLES.subspace_equations(name, n, rep.covering.kind, rep.covering.kept)
+    killing = kill_character(saturate(GeneratorBasis(basis_names), vectors))
+    equations = ORACLES.subspace_equations(family.name, n, rep.covering.kind, rep.covering.kept)
     for row in killing.rows:
         for eq in equations:
             assert row.pair(eq) == 0
-    assert not family.sigma_membership(n, c).inside
-    if family is braid:
-        assert_pb_witness_sound(n, c, rep.witness)
-    else:
-        assert_plb_witness_sound(n, c, rep.witness)
+    assert not family.module.sigma_membership(n, c).inside
+    assert witness_problem(family, values_of(c), rep.witness) is None
     return "covered"
-
-
-def codim3_equations(family, n):
-    # the only dead subspaces a rank-3 lattice can fill out completely
-    name, kind = ("braid", braid.PB4_EXCEPTIONAL) if family is braid else ("loop", loop.PLB3_EQUATIONS)
-    return next((eqs for k, _, eqs in dead_subspaces(name, n) if k == kind), None)
 
 
 def test_acceptance_09_obstruction_pipeline_totality():
     rng = random.Random(9099)
     seen = set()
-    for family, ns in ((braid, (4, 5)), (loop, (3, 4))):
-        for n in ns:
-            if family is braid:
-                names = braid.PureBraidBasis(n).names
-            else:
-                names = loop.LoopBraidBasis(n).names
+    for family in FAMILIES.values():
+        kind, size = family.large
+        # the first of the only dead subspaces a rank-3 lattice can fill out
+        # completely, on the large base's own strand count
+        codim3 = next(eqs for k, _, eqs in dead_subspaces(family.name, size) if k == kind)
+        for n in (size, size + 1):
+            names = family.module.FAMILY.basis(n).names
             dim = len(names)
-            rows = codim3_equations(family, n) if n == ns[0] else None
+            rows = codim3 if n == size else None
             for _ in range(100):
                 if rows is not None and rng.random() < 0.3:
                     # land inside the one subspace wide enough to cover
@@ -490,7 +387,7 @@ def test_acceptance_09_obstruction_pipeline_totality():
                         tuple(rng.randrange(-2, 3) for _ in range(dim))
                         for _ in range(rng.randrange(1, 4))
                     ]
-                rep = family.nf_obstruction_demo(n, vectors)
+                rep = family.module.nf_obstruction_demo(n, vectors)
                 seen.add(check_obstruction(rep, family, n, names, vectors))
     assert seen == {"certificate", "covered"}, seen
     print("ACCEPTANCE 09 PASS")

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from bnskit import Graph, InputError
+from bnskit import Graph, InputError, graphs
+from bnskit.cli import run
 from bnskit.graphs import (
     induced_subgraph,
     is_clique,
@@ -12,7 +13,7 @@ from bnskit.graphs import (
     out_finiteness_predicates,
 )
 
-from .oracles import bench_oracles
+from .oracles import bench_oracles, traced_lines
 
 ORACLES = bench_oracles()
 
@@ -159,3 +160,49 @@ def test_min_separating_clique_against_brute_force():
         witness = min_separating_clique_witness(graph_from_indices(n, edges))
         brute = ORACLES.min_separating_clique(n, ORACLES.masks_of(n, edges))
         assert (None if witness is None else len(witness)) == (None if brute is None else len(ORACLES.bits(brute)))
+
+
+def test_building_a_sparse_graph_is_linear():
+    """The line events in the graphs module at most triple when a path's
+    vertex count doubles: the edge list walks neighbour bits instead of
+    testing every vertex pair.  No clock is read."""
+    counts = []
+    for n in (500, 1000, 2000):
+        names = [f"v{i}" for i in range(n)]
+        g, count = traced_lines({graphs.__file__}, Graph, names, list(zip(names, names[1:])))
+        assert g.edges == tuple(zip(names, names[1:]))
+        counts.append(count)
+    assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
+
+
+def _porcelain(*argv):
+    report = run(["--porcelain", *argv])
+    assert report.exit_code == 0, report.porcelain
+    return dict(line.split("=", 1) for line in report.porcelain)
+
+
+def test_vertex_order_leaves_the_invariants_unchanged(tmp_path):
+    """Listing a graph file's vertices in another order is the same graph:
+    the analysis values and the complement supports stay, and the two
+    orders compare as inconclusive with equal invariants."""
+    rng = random.Random(1212)
+    for k in range(400):
+        n = rng.randint(1, 12)
+        names = [f"v{i}" for i in range(n)]
+        density = rng.random()
+        edges = " ".join(f"{a}-{b}" for i, a in enumerate(names) for b in names[i + 1:] if rng.random() < density)
+        paths = []
+        for order in (names, rng.sample(names, n)):
+            paths.append(tmp_path / f"{k}-{len(paths)}.graph")
+            paths[-1].write_text(f"vertices: {' '.join(order)}\nedges: {edges}\n")
+        analyses = [_porcelain("graph", "analyze", str(path)) for path in paths]
+        keys = ("clique", "connected", "min_separating_clique", "finite_out")
+        assert [analyses[0][key] for key in keys] == [analyses[1][key] for key in keys]
+        supports = [
+            {frozenset(support.split(",")) for support in _porcelain("raag", "complement", str(path))["supports"].split()}
+            for path in paths
+        ]
+        assert supports[0] == supports[1]
+        compared = _porcelain("raag", "compare", *map(str, paths))
+        assert compared["verdict"] == "inconclusive"
+        assert (compared["clique1"], compared["invariant1"]) == (compared["clique2"], compared["invariant2"])

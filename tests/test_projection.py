@@ -1,5 +1,6 @@
 """Closed-form membership of both projection families against a subset scan,
-and their dead subspaces against the oracle's list."""
+their dead subspaces against the oracle's list, and verdicts under strand
+relabelling."""
 
 import random
 from collections import Counter
@@ -7,13 +8,14 @@ from fractions import Fraction
 
 import pytest
 
-from bnskit import InputError, braid, loop, make_character
-from bnskit.words import word
+from bnskit import InputError
 
-from .oracles import bench_oracles, dead_subspaces, projection_inside, verdict_fields
+from .families import FAMILIES, character, draw, fields, parse
+from .oracles import bench_oracles, dead_subspaces, dead_values, projection_inside, verdict_fields
 
 ORACLES = bench_oracles()
-FAMILIES = {"braid": (braid, range(3, 8)), "loop": (loop, range(2, 7))}
+# coefficients of the dead points that sample_values draws
+DEAD_COEFFICIENTS = (0, Fraction(1, 3), *(Fraction(a, b) for a in (-3, -2, -1, 1, 2, 3) for b in (1, 2)))
 
 
 def nonzero(rng):
@@ -24,22 +26,13 @@ def sample_values(rng, family, n):
     """A sparse character, biased towards the dead subspaces."""
     support = sorted(rng.sample(range(1, n + 1), rng.randint(min(2, n), min(5, n))))
     shape = rng.random()
-    if shape < 0.25 and family == "braid" and len(support) >= 4:
-        t1, t2, t3, t4 = support[:4]
-        x, y = nonzero(rng), nonzero(rng)
-        values = {(t1, t2): x, (t3, t4): x, (t1, t3): y, (t2, t4): y,
-                  (t1, t4): -x - y, (t2, t3): -x - y}
-    elif shape < 0.25 and family == "loop" and len(support) >= 3:
-        t = support[:3]
-        values = {}
-        for target in t:
-            a, b = (s for s in t if s != target)
-            x = rng.choice((0, 1, -2, Fraction(1, 3)))
-            values[(a, target)], values[(b, target)] = x, -x
+    kind, size = family.large
+    if shape < 0.25 and len(support) >= size:
+        values = dead_values(rng, family.name, kind, support[:size], DEAD_COEFFICIENTS)
     else:
         values = {
             p: nonzero(rng)
-            for p in ORACLES.family_pairs(family, n)
+            for p in ORACLES.family_pairs(family.name, n)
             if p[0] in support and p[1] in support and rng.random() < 0.6
         }
         if shape < 0.6 and len(values) > 1:
@@ -47,7 +40,7 @@ def sample_values(rng, family, n):
             values[p] -= sum(values.values())
     if rng.random() < 0.1:
         # a stray value on another pair usually spoils deadness
-        values[rng.choice(ORACLES.family_pairs(family, n))] = nonzero(rng)
+        values[rng.choice(ORACLES.family_pairs(family.name, n))] = nonzero(rng)
     return {p: v for p, v in values.items() if v != 0}
 
 
@@ -55,22 +48,19 @@ def test_sigma_membership_matches_subset_scan():
     rng = random.Random(2024)
     outcomes = Counter()
     checked = 0
-    for family, (module, ns) in FAMILIES.items():
-        for n in ns:
-            generators = module.FAMILY.basis(n).generators
+    for family in FAMILIES.values():
+        for n in family.sweep:
             for _ in range(220):
                 values = sample_values(rng, family, n)
-                c = make_character(
-                    generators, {f"{module.FAMILY.letter}({i},{j})": v for (i, j), v in values.items()}
-                )
-                v = module.sigma_membership(n, c)
-                expected = verdict_fields(ORACLES.projection_verdict(family, n, values))
-                assert (v.status, v.witness, v.kept, v.base) == expected, (family, n, values)
-                assert projection_inside(family, n, values) == v.inside
+                v = family.module.sigma_membership(n, character(family, n, values))
+                expected = verdict_fields(ORACLES.projection_verdict(family.name, n, values))
+                assert fields(v) == expected, (family.name, n, values)
+                assert projection_inside(family.name, n, values) == v.inside
                 outcomes[expected[3] or expected[1] or expected[0]] += 1
                 checked += 1
     assert checked >= 2000
-    for outcome in ("in", "zero", "pb3-sum", "pb4-exceptional", "plb2-all", "plb3-equations"):
+    kinds = [kind for family in FAMILIES.values() for kind, _ in (family.small, family.large)]
+    for outcome in ("in", "zero", *kinds):
         assert outcomes[outcome] >= 20, outcomes
 
 
@@ -78,12 +68,12 @@ def test_dead_subspaces_match_oracle():
     """The package lists the oracle's subspaces in the oracle's order, over
     generators in the oracle's pair order, so the oracle's equations are
     the ones other tests check the package against."""
-    for family, module, ns in (("braid", braid, range(4, 8)), ("loop", loop, range(3, 7))):
-        for n in ns:
-            letter = module.FAMILY.letter
-            assert module.FAMILY.basis(n).names == tuple([f"{letter}({i},{j})" for i, j in ORACLES.family_pairs(family, n)])
-            got = [(sub.kind, sub.kept) for sub in module.dead_subspaces(n)]
-            assert got == [(kind, kept) for kind, kept, _ in dead_subspaces(family, n)]
+    for family in FAMILIES.values():
+        for n in range(family.large[1], family.sweep.stop):
+            names = tuple([f"{family.letter}({i},{j})" for i, j in ORACLES.family_pairs(family.name, n)])
+            assert family.module.FAMILY.basis(n).names == names
+            got = [(sub.kind, sub.kept) for sub in family.module.dead_subspaces(n)]
+            assert got == [(kind, kept) for kind, kept, _ in dead_subspaces(family.name, n)]
 
 
 @pytest.mark.parametrize("strand", [1.0, True, 1.5], ids=repr)
@@ -92,14 +82,32 @@ def test_dead_subspaces_match_oracle():
 def test_kept_strands_must_be_ints(call, family, strand):
     """A kept strand that is not an int is an InputError: 1.5 was dropped
     from the kept strands, and 1.0 and True were taken as strand 1."""
-    module = FAMILIES[family][0]
-    generators = module.FAMILY.basis(4).generators
-    names = [f"{module.FAMILY.letter}(1,2)", f"{module.FAMILY.letter}(2,3)"]
+    row = FAMILIES[family]
     if call == "project_word":
-        arg = word(generators.names, names)
+        arg = parse(row, 4, f"{row.letter}(1,2) {row.letter}(2,3)")
     else:
-        arg = make_character(generators, dict.fromkeys(names, 1))
-    project = getattr(module, call)
+        arg = character(row, 4, {(1, 2): 1, (2, 3): 1})
+    project = getattr(row.module, call)
     with pytest.raises(InputError):
         project(4, [strand, 2, 3], arg)
     assert project(4, [1, 2, 3], arg) is not None
+
+
+def test_strand_relabelling_keeps_verdicts():
+    """Renumbering the strands by a permutation keeps the status and the
+    base of every verdict and carries its kept strands along."""
+    rng = random.Random(1313)
+    seen = set()
+    for family in FAMILIES.values():
+        for n in (16, 32, 64):
+            for _ in range(40):
+                values = draw(rng, family, n, (None, family.small, family.large))
+                sigma = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+                # the character builder reads a band's pair in either order
+                moved = {(sigma[i], sigma[j]): v for (i, j), v in values.items()}
+                v = family.module.sigma_membership(n, character(family, n, values))
+                w = family.module.sigma_membership(n, character(family, n, moved))
+                assert (w.status, w.base) == (v.status, v.base)
+                assert w.kept == (v.kept and tuple(sorted(sigma[s] for s in v.kept)))
+                seen.add((family.name, v.base or v.status))
+    assert len(seen) == 6, seen

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,7 @@ from bnskit.words import (
     word,
 )
 
-from .oracles import bench_oracles, rewriting_canon, two_phase_normal_form
+from .oracles import bench_oracles, rewriting_canon, traced_lines, two_phase_normal_form
 
 
 def test_word_construction():
@@ -240,24 +239,6 @@ def test_normal_form_matches_two_phase_reference_on_long_words():
     assert reducing >= 100
 
 
-def _traced_lines(files, fn, *args) -> tuple[object, int]:
-    """fn(*args) and the number of line events run in the source `files`."""
-    count = 0
-
-    def local(frame, event, arg):
-        nonlocal count
-        count += event == "line"
-        return local
-
-    previous = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename in files else None)
-    try:
-        result = fn(*args)
-    finally:
-        sys.settrace(previous)
-    return result, count
-
-
 def test_normal_form_reduction_work_grows_linearly():
     """A word times its inverse reduces with work linear in its length: the
     line events in the words module at most triple when the length doubles.
@@ -267,7 +248,7 @@ def test_normal_form_reduction_work_grows_linearly():
     counts = []
     for length in (50, 100, 200, 400, 800):
         w = Word(g.vertices, [(g.vertices[i], s) for i, s in _random_letters(rng, 8, length)])
-        nf, count = _traced_lines({words.__file__}, raag_normal_form, g, w * w.inverse())
+        nf, count = traced_lines({words.__file__}, raag_normal_form, g, w * w.inverse())
         assert nf.letters == ()
         counts.append(count)
     assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
@@ -285,7 +266,7 @@ def test_raag_commute_work_grows_linearly():
             Word(g.vertices, [(g.vertices[i], s) for i, s in _random_letters(rng, 8, length)])
             for _ in range(2)
         )
-        commute, count = _traced_lines({words.__file__}, raag_commute, g, u, v)
+        commute, count = traced_lines({words.__file__}, raag_commute, g, u, v)
         assert commute is False
         counts.append(count)
     assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
