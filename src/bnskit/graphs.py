@@ -21,7 +21,7 @@ so that list stops past MAX_MINIMAL_SEPARATORS.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import islice
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -69,16 +69,12 @@ class Graph:
         self.vertices = vertices
         self._index = index
         self._masks = tuple(masks)
-        # each vertex's neighbours above it, lowest bit first: the pairs i < j
-        # in order, in time linear in the vertices and edges
-        edges = []
-        for i, m in enumerate(masks):
-            m = m >> i + 1 << i + 1
-            while m:
-                low = m & -m
-                edges.append((vertices[i], vertices[low.bit_length() - 1]))
-                m ^= low
-        self.edges = tuple(edges)
+        # combinations copies its input into a tuple, sized exactly for a range
+        # (see the package docstring on tuples)
+        vs = vertices
+        self.edges = tuple(
+            [(vs[i], vs[j]) for i, j in combinations(range(len(vs)), 2) if masks[i] >> j & 1]
+        )
 
     @cached_property
     def _nonadjacency(self) -> tuple[int, ...]:

@@ -9,16 +9,16 @@ its two base groups' kinds and sizes, the strand counts of the subset-scan
 sweep, and its goldens.  Strand counts in the tests below are counted from
 the base sizes, so the same test reaches the same groups in both families.
 
-`tests/test_braid.py` and `tests/test_loop.py` name their row `FAMILY` and
-import these tests with the `family` fixture that hands it to them, so each
-test runs once per family under that family's module;
-`tests/test_projection.py` and the acceptance tests loop over the table.
+The tests below take the row as the `family` fixture.  `tests/test_braid.py`
+and `tests/test_loop.py` import every one of them and define that fixture
+for their own row, so each test runs once per family under that family's
+module, and `tests/test_projection.py` checks that neither module leaves one
+out.  `tests/test_projection.py` and the acceptance tests loop over the table.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 from types import ModuleType
@@ -32,7 +32,7 @@ from bnskit.cli import run
 from bnskit.obstruction import CERTIFICATE, COVERED
 from bnskit.words import word
 
-from .oracles import bench_oracles, dead_subspaces, dead_values, projection_inside, verdict_fields
+from .oracles import bench_oracles, dead_subspaces, dead_values, projection_inside
 
 ORACLES = bench_oracles()
 
@@ -213,12 +213,6 @@ def draw(rng, family, n, shapes, pool=POOL):
 # the shared tests
 
 
-@pytest.fixture
-def family(request):
-    """The row of the family whose module runs the test."""
-    return request.module.FAMILY
-
-
 def test_basis_layout(family):
     for names in family.layouts:
         b = basis(family, max(ORACLES.parse_generator(names[-1])))
@@ -307,29 +301,6 @@ def test_sigma_membership_goldens(family):
     n = family.small[1] - 1
     with pytest.raises(PreconditionError):
         family.module.sigma_membership(n, character(family, n + 1, {}))
-
-
-def test_sigma_membership_matches_direct_equations_small_n(family):
-    # the oracle evaluates the base groups' displayed equations on every
-    # kept strand set; dense random draws are seldom dead on the large
-    # base's strands, so constructed and zero-heavy draws there follow them
-    small, large = family.small[1], family.large[1]
-    rng = random.Random(23)
-    draws = []
-    for _ in range(300):
-        n = rng.choice((small, large))
-        draws.append((n, random_values(rng, family, n)))
-    extra = random.Random(37)
-    for _ in range(200):
-        shapes = (family.small, family.large, None)
-        draws.append((large, draw(extra, family, large, shapes, pool=(0, 0, 0, 0, 0, 1, -1))))
-    seen = Counter()
-    for n, values in draws:
-        v = family.module.sigma_membership(n, character(family, n, values))
-        assert fields(v) == verdict_fields(ORACLES.projection_verdict(family.name, n, values))
-        seen[n, v.base or v.witness or v.status] += 1
-    for kind in (family.small[0], family.large[0], "zero", "in"):
-        assert seen[large, kind] >= 5, seen
 
 
 def test_sigma_membership_matches_subspace_union(family):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bnskit import Graph, InputError, graphs
+from bnskit import Graph, InputError
 from bnskit.cli import run
 from bnskit.graphs import (
     induced_subgraph,
@@ -13,7 +13,7 @@ from bnskit.graphs import (
     out_finiteness_predicates,
 )
 
-from .oracles import bench_oracles, traced_lines
+from .oracles import bench_oracles
 
 ORACLES = bench_oracles()
 
@@ -160,19 +160,6 @@ def test_min_separating_clique_against_brute_force():
         witness = min_separating_clique_witness(graph_from_indices(n, edges))
         brute = ORACLES.min_separating_clique(n, ORACLES.masks_of(n, edges))
         assert (None if witness is None else len(witness)) == (None if brute is None else len(ORACLES.bits(brute)))
-
-
-def test_building_a_sparse_graph_is_linear():
-    """The line events in the graphs module at most triple when a path's
-    vertex count doubles: the edge list walks neighbour bits instead of
-    testing every vertex pair.  No clock is read."""
-    counts = []
-    for n in (500, 1000, 2000):
-        names = [f"v{i}" for i in range(n)]
-        g, count = traced_lines({graphs.__file__}, Graph, names, list(zip(names, names[1:])))
-        assert g.edges == tuple(zip(names, names[1:]))
-        counts.append(count)
-    assert all(later <= 3 * earlier for earlier, later in zip(counts, counts[1:])), counts
 
 
 def _porcelain(*argv):

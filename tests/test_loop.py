@@ -7,13 +7,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bnskit import loop
 from bnskit.words import word
 
-# the shared tests, and the fixture that hands them FAMILY
+from .families import FAMILIES
+
+# the shared tests, each run on this family's row
 from .families import (  # noqa: F401
-    FAMILIES,
-    family,
     test_abelianization_contradiction_mirror,
     test_basis_layout,
     test_count_must_be_int as test_loop_count_must_be_int,
@@ -28,7 +30,6 @@ from .families import (  # noqa: F401
     test_projection_coherence_random,
     test_scaling_and_negation_invariance,
     test_sigma_membership_goldens,
-    test_sigma_membership_matches_direct_equations_small_n,
     test_sigma_membership_matches_subspace_union,
     test_small_base_verdicts as test_plb2_dead_always,
     test_witness_pair_errors,
@@ -37,7 +38,10 @@ from .families import (  # noqa: F401
     test_witness_soundness,
 )
 
-FAMILY = FAMILIES["loop"]
+
+@pytest.fixture
+def family():
+    return FAMILIES["loop"]
 
 
 def test_project_word_and_reduce():

@@ -1,6 +1,6 @@
 """Closed-form membership of both projection families against a subset scan,
-their dead subspaces against the oracle's list, and verdicts under strand
-relabelling."""
+their dead subspaces against the oracle's list, verdicts under strand
+relabelling, and the family modules' share of the shared tests."""
 
 import random
 from collections import Counter
@@ -10,6 +10,7 @@ import pytest
 
 from bnskit import InputError
 
+from . import families, test_braid, test_loop
 from .families import FAMILIES, character, draw, fields, parse
 from .oracles import bench_oracles, dead_subspaces, dead_values, projection_inside, verdict_fields
 
@@ -111,3 +112,13 @@ def test_strand_relabelling_keeps_verdicts():
                 assert w.kept == (v.kept and tuple(sorted(sigma[s] for s in v.kept)))
                 seen.add((family.name, v.base or v.status))
     assert len(seen) == 6, seen
+
+
+def test_each_family_module_runs_every_shared_test():
+    """A test written in tests/families.py runs only under a family module
+    that imports it, so both must import every one."""
+    def tests(module):
+        return {f for name, f in vars(module).items() if name.startswith("test_")}
+
+    for module in (test_braid, test_loop):
+        assert tests(families) <= tests(module), module.__name__
