@@ -9,7 +9,9 @@ get byte-stable output.  A file argument of - reads standard input.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -262,12 +264,16 @@ def _error_report(code: int, message: str) -> RenderedReport:
 
 def _read_file(path: str) -> str:
     """The text of a file, taken whole by one unbuffered `readall`, or of
-    standard input for -."""
+    standard input for -, decoded alike."""
     try:
-        if path == "-":
-            return sys.stdin.read()
-        with open(path, "rb", buffering=0) as handle:
-            return handle.readall().decode("utf-8")
+        if path != "-":
+            with open(path, "rb", buffering=0) as handle:
+                data = handle.readall()
+        elif sys.stdin is None:  # the process started with no standard input
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        else:
+            data = sys.stdin.buffer.read()
+        return data.decode("utf-8")
     except OSError as e:
         raise UsageError(f"cannot read {path!r}: {e.strerror or e}") from None
     except UnicodeDecodeError:
@@ -509,10 +515,10 @@ _PROJECTION_GROUPS = {
 # ---------------------------------------------------------------------------
 # argument parsing
 #
-# `bnskit [--porcelain] GROUP COMMAND [options] operands`.  The group and
-# command are picked from `_COMMANDS` by hand, reading each token as
-# argparse's nested subparsers read it; only the chosen command's own parser
-# is built, and it reads everything after the command.
+# `bnskit [--porcelain] GROUP COMMAND [options] operands`.  A plain line,
+# `--porcelain` tokens and then a group and one of its commands, is read by
+# that command's own parser; any other line by argparse's nested
+# subparsers, which give its help and its errors.
 
 # group -> command -> (handler, int option or None, operands, fixed defaults);
 # an operand ending in * takes any number of files
@@ -552,18 +558,22 @@ def _ascii_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-@functools.cache
-def _parser(group: str, command: str) -> _Parser:
-    """The parser of one command, built on first use and kept for the process."""
+def _command_parser(parser: _Parser, group: str, command: str) -> _Parser:
+    """parser, given the option, operands and defaults of one command."""
     handler, int_option, operands, defaults = _COMMANDS[group][command]
-    # no abbreviations: '--max' is not '--max-k'
-    parser = _Parser(prog=f"bnskit {group} {command}", allow_abbrev=False)
     if int_option:
         parser.add_argument(int_option, type=_ascii_int, required=True)
     for operand in operands:
         parser.add_argument(operand.rstrip("*"), nargs="*" if operand.endswith("*") else None)
     parser.set_defaults(handler=handler, group=group, command=command, **defaults)
     return parser
+
+
+@functools.cache
+def _parser(group: str, command: str) -> _Parser:
+    """The parser of one command, built on first use and kept for the process."""
+    # no abbreviations: '--max' is not '--max-k'
+    return _command_parser(_Parser(prog=f"bnskit {group} {command}", allow_abbrev=False), group, command)
 
 
 def _usage(group: Optional[str]) -> str:
@@ -581,76 +591,56 @@ def _usage(group: Optional[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# argparse reads these as operands, since no option looks like a negative number
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+class _Usage(argparse.Action):
+    """-h/--help of the top level or of a group: print its `_usage` and exit."""
+
+    def __init__(self, option_strings, dest, group=None):
+        super().__init__(option_strings, argparse.SUPPRESS, nargs=0, default=argparse.SUPPRESS)
+        self.group = group
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(_usage(self.group))
+        raise SystemExit(0)
 
 
-def _level_option(token: str, options: tuple[str, ...]) -> Optional[tuple[str, Optional[str]]]:
-    """How argparse reads a token at a level whose options are `options`:
-    None for an operand, else the option it names ('' for an unknown one)
-    and the argument attached to it, if any."""
-    if len(token) < 2 or token[0] != "-":
-        return None
-    if token in options:
-        return token, None
-    name, equals, attached = token.partition("=")
-    if equals and name in options:
-        return name, attached
-    if token[:2] == "-h":  # a single-letter option runs on into its argument
-        return "-h", token[2:]
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return "", None
-
-
-def _choose(
-    argv: list[str], start: int, group: Optional[str], extras: list[str], read: list[str]
-) -> tuple[str, int]:
-    """The group (or, given the group, the command) named at or after
-    argv[start], and the index after it.  Unknown options before it go to
-    extras, and the level's own options that it reads to read; -h or
-    --help prints the level's usage and exits."""
-    dest, choices = ("command", _COMMANDS[group]) if group else ("group", _COMMANDS)
-    options = ("-h", "--help") if group else ("-h", "--help", "--porcelain")
-    for i in range(start, len(argv)):
-        token = argv[i]
-        # argparse reads '--' here as the choice itself, if anything follows
-        option = None if token == "--" else _level_option(token, options)
-        if option is None:
-            if token == "--" and i + 1 == len(argv):
-                break
-            if token not in choices:
-                listed = ", ".join(map(repr, choices))
-                raise UsageError(f"argument {dest}: invalid choice: {token!r} (choose from {listed})")
-            return token, i + 1
-        name, attached = option
-        if not name:
-            extras.append(token)
-            continue
-        if attached is not None:
-            # '-hh' is -h twice; what is left after the h's is ignored, and an error
-            rest = attached.lstrip("h") if name == "-h" else attached
-            if rest or not attached:
-                label = name if name == "--porcelain" else "-h/--help"
-                raise UsageError(f"argument {label}: ignored explicit argument {rest!r}")
-        if name != "--porcelain":
-            sys.stdout.write(_usage(group))
-            raise SystemExit(0)
-        read.append(name)
-    raise UsageError(f"the following arguments are required: {dest}")
+@functools.cache
+def _nested_parser() -> _Parser:
+    """The parser of any command line, built on first use: a subparser level
+    for the group and one for the command."""
+    top = _Parser(prog="bnskit", add_help=False, allow_abbrev=False)
+    top.add_argument("-h", "--help", action=_Usage)
+    top.add_argument("--porcelain", action="store_true")
+    groups = top.add_subparsers(dest="group", required=True)
+    for group, commands in _COMMANDS.items():
+        level = groups.add_parser(group, add_help=False, allow_abbrev=False)
+        level.add_argument("-h", "--help", action=_Usage, group=group)
+        subparsers = level.add_subparsers(dest="command", required=True)
+        for command in commands:
+            _command_parser(subparsers.add_parser(command, allow_abbrev=False), group, command)
+    return top
 
 
 def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
     """The arguments of one invocation, with the errors and the help that
-    argparse's nested subparsers give; one `parse_known_args` in all.  The
-    top-level options read go to read, also when a later token is an error."""
-    extras: list[str] = []
-    group, start = _choose(argv, 0, None, extras, read)
-    command, start = _choose(argv, start, group, extras, read)
-    args, unknown = _parser(group, command).parse_known_args(argv[start:])
-    if extras or unknown:
-        raise UsageError(f"unrecognized arguments: {' '.join(extras + unknown)}")
-    return args
+    argparse's nested subparsers give.  The top-level options read go to
+    read, also when a later token is an error."""
+    start = 0
+    while argv[start:start + 1] == ["--porcelain"]:
+        start += 1
+    plain = argv[start:start + 2]
+    if len(plain) == 2 and plain[1] in _COMMANDS.get(plain[0], ()):
+        if start:
+            read.append("--porcelain")
+        args, unknown = _parser(*plain).parse_known_args(argv[start + 2:])
+        if unknown:
+            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+        return args
+    namespace = argparse.Namespace()
+    try:
+        return _nested_parser().parse_args(argv, namespace)
+    finally:
+        if getattr(namespace, "porcelain", False):
+            read.append("--porcelain")
 
 
 def run(argv: Sequence[str]) -> RenderedReport:
@@ -677,11 +667,16 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     report = _run(sys.argv[1:] if argv is None else argv, read)
     # the format is what the top level read: a later '--porcelain' is an
     # operand or an error
-    if "--porcelain" in read:
-        if report.porcelain:
-            print("\n".join(report.porcelain))
-    elif report.human:
-        print(report.human)
+    try:
+        if "--porcelain" in read:
+            if report.porcelain:
+                print("\n".join(report.porcelain), flush=True)
+        elif report.human:
+            print(report.human, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early: what is left goes to the null
+        # device, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     sys.exit(report.exit_code)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import errno
 import io
 import os
@@ -566,12 +567,17 @@ def test_each_input_is_read_once(tmp_path, monkeypatch):
     assert parse_vector_file("S(1,2) = -0\nS(1,3) = 0/7\nS(2,3) = +0\n", basis) == ()
 
 
-def _module_run(*argv, cwd=None):
+def _module_command(*argv, **env):
+    """The command line and environment of a `python -m bnskit.cli` run of
+    argv, with env added to the environment."""
     src = str(Path(bnskit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "bnskit.cli", *argv], capture_output=True, text=True, env=env, cwd=cwd
-    )
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return [sys.executable, "-m", "bnskit.cli", *argv], dict(os.environ, PYTHONPATH=path, **env)
+
+
+def _module_run(*argv, cwd=None):
+    command, env = _module_command(*argv)
+    return subprocess.run(command, capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def test_module_run_writes_nothing_to_stderr():
@@ -583,10 +589,58 @@ def test_module_run_writes_nothing_to_stderr():
 
 
 def test_help_at_every_level_prints_a_usage():
-    for argv in (["-h"], ["raag", "--help"], ["raag", "kill", "-h"]):
+    """The top level and a group print their own usage, listing the
+    commands; a command prints argparse's help of its parser."""
+    for argv, usage in [
+        (["-h"], cli._usage(None)),
+        (["-hh"], cli._usage(None)),
+        (["raag", "--help"], cli._usage("raag")),
+        (["raag", "kill", "-h"], None),
+    ]:
         done = _module_run(*argv)
         assert (done.returncode, done.stderr) == (0, ""), argv
-        assert done.stdout.startswith("usage:"), argv
+        if usage is None:
+            assert done.stdout.startswith("usage: bnskit raag kill [-h] graph words\n"), argv
+        else:
+            assert done.stdout == usage, argv
+
+
+def test_a_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
+    """A reader that takes one line of a report longer than two pipe
+    buffers and closes the pipe leaves nothing on stderr, and the run ends
+    with the report's exit code."""
+    names = [f"vertex{i:014d}" for i in range(90)]
+    edges = " ".join(f"{a}-{b}" for a, b in zip(names, names[1:] + names[:1]))
+    graph = tmp_path / "c90.graph"
+    graph.write_text(f"vertices: {' '.join(names)}\nedges: {edges}\n")
+    argv = ["raag", "complement", str(graph)]
+    report = run(argv)
+    assert report.exit_code == 0
+    assert len(report.human) > 128 * 1024
+    command, env = _module_command(*argv)
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+        assert process.stdout.readline() == b"minimal always-dead supports: 3915\n"
+        process.stdout.close()
+        assert (process.wait(timeout=120), process.stderr.read()) == (0, b"")
+
+
+def test_standard_input_is_decoded_like_a_file(tmp_path):
+    """Bytes that are not UTF-8 are an error on standard input as in a file,
+    also in UTF-8 mode, where the interpreter's own stdin lets them through."""
+    data = tmp_path / "latin.graph"
+    data.write_bytes(b"vertices: a\xff b\n")
+    command, env = _module_command("--porcelain", "graph", "analyze", "-", PYTHONUTF8="1")
+    with open(data, "rb") as stdin:
+        done = subprocess.run(command, env=env, capture_output=True, stdin=stdin)
+    assert (done.returncode, done.stdout, done.stderr) == (1, b"error=cannot read '-': not valid UTF-8\n", b"")
+
+
+def test_closed_standard_input_is_an_error():
+    command, env = _module_command("--porcelain", "graph", "analyze", "-")
+    # the child starts with descriptor 0 closed, as after '<&-' in a shell
+    done = subprocess.run(command, env=env, capture_output=True, text=True, preexec_fn=lambda: os.close(0))
+    message = f"error=cannot read '-': {os.strerror(errno.EBADF)}\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, message, "")
 
 
 def test_one_parse_and_one_parser_per_run(monkeypatch):
@@ -621,13 +675,15 @@ def test_reference_parser_has_the_command_table():
     assert table == oracles.CLI_COMMANDS
 
 
-# group and command names, options of each level, and operands that look
-# like options: a negative number, '-', '--'
+# group and command names, options of each level, help options, and
+# operands that look like options: a negative number, '-', '--', a token
+# with a space
 CLI_TOKENS = [
     *oracles.CLI_COMMANDS,
     *sorted({command for commands in oracles.CLI_COMMANDS.values() for command in commands}),
     "--porcelain", "--porcelain=1", "--porc", "-n", "-n5", "-n=4", "--max-k", "--max-k=2", "--max",
-    "4", "-3", "-1.5", "1_0", "x", "-", "--", "-x",
+    "-h", "-hh", "-hx", "--help", "--help=1",
+    "4", "-3", "-1.5", "1_0", "x", "-", "--", "-x", "a b",
 ]
 
 
@@ -648,18 +704,26 @@ def command_lines(draw):
 
 
 def _read(parse, argv):
+    """What parse makes of argv: accepted with its reading, rejected with
+    the message, or help, with the program named on the usage line."""
+    printed = io.StringIO()
     try:
-        return "accepted", parse(argv)
+        with contextlib.redirect_stdout(printed):
+            return "accepted", parse(argv)
     except (UsageError, oracles.CliUsageError) as e:
         return "rejected", str(e)
+    except SystemExit as e:
+        return "help", e.code, printed.getvalue().partition(" [")[0]
 
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=2000)
 @given(command_lines())
 def test_command_lines_read_as_by_nested_subparsers(argv):
-    """The group and command are picked by hand; what is read, whether the
-    top level read --porcelain, and every error, must be what the nested
-    argparse subparsers in `tests/oracles.py` give."""
+    """A plain line goes to its command's own parser, any other to nested
+    subparsers whose top and group levels print `cli._usage` for help; what
+    is read, whether the top level read --porcelain, every error, and which
+    level prints help must be what the nested argparse subparsers in
+    `tests/oracles.py` give."""
     read = []
     flat = _read(lambda v: (oracles.cli_arguments(cli._parse(v, read)), "--porcelain" in read), argv)
     assert flat == _read(oracles.nested_cli_parse, argv)
