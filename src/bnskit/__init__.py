@@ -8,7 +8,9 @@ appears anywhere in a verdict.
 The package namespace holds only what the README's Library section uses:
 `Graph`, `make_character` and the error classes.  Every other name is
 imported from its own module, e.g. `from bnskit import braid` or
-`from bnskit.characters import saturate`.
+`from bnskit.characters import saturate`.  `import bnskit` runs only the
+error, record and graph modules; `make_character` loads the character
+module on first use.
 
 Tuples on hot paths are built from lists, not generators.  CPython resizes a
 tuple built from a generator after allocating it, and files the freed result
@@ -16,7 +18,6 @@ in a per-size free list that only a full garbage collection empties; long
 runs of small operations grew the process by megabytes that way.
 """
 
-from .characters import make_character
 from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError
 from .graphs import Graph
 
@@ -31,3 +32,13 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # make_character loads the character and word modules on first use, so
+    # a process that never calls it does not compile them
+    if name == "make_character":
+        from .characters import make_character
+
+        return make_character
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

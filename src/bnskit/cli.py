@@ -11,20 +11,46 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
+import importlib.util
 import os
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress
+from types import ModuleType
 from typing import Iterable, Iterator, Optional, Sequence
 
-from . import braid, loop, raag
-from .characters import Character, GeneratorBasis, Row, abelianize
 from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError
 from .graphs import Graph, is_clique, is_connected, min_separating_clique_witness, out_finiteness_predicates
-from .obstruction import CERTIFICATE, run_obstruction
-from .words import Word, free_commute
+
+
+def _lazy(name: str) -> ModuleType:
+    """The module name (relative to this package when it starts with '.'),
+    put in `sys.modules` now and run on its first attribute access, so a
+    process compiles only the modules its command uses.  A module loaded
+    already is returned as it is."""
+    # __package__, not __name__: under `python -m bnskit.cli` this module is __main__
+    name = importlib.util.resolve_name(name, __package__)
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        if parent:
+            setattr(sys.modules[parent], child, module)
+    return module
+
+
+braid = _lazy(".braid")
+characters = _lazy(".characters")
+fractions = _lazy("fractions")
+loop = _lazy(".loop")
+obstruction = _lazy(".obstruction")
+raag = _lazy(".raag")
+words = _lazy(".words")
 
 
 class UsageError(BnsError):
@@ -97,7 +123,9 @@ def parse_graph_file(text: str) -> Graph:
     return Graph._checked(tuple(vertices), index, masks)
 
 
-def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, str, int | Fraction]]:
+def _assignments(
+    text: str, basis: characters.GeneratorBasis
+) -> Iterator[tuple[int, int, str, int | fractions.Fraction]]:
     """Line number, generator index, value text and value of each
     'name = value' line, once the checks both value formats share have
     passed.  A value without '/' is read as an int, one with '/' as a
@@ -119,7 +147,7 @@ def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, s
         if not _VALUE_RE.match(value_text):
             raise ParseError(lineno, f"malformed rational {value_text!r}")
         try:
-            value = Fraction(value_text) if "/" in value_text else int(value_text)
+            value = fractions.Fraction(value_text) if "/" in value_text else int(value_text)
         except ValueError:
             # the only failure left: a number past the interpreter's digit limit
             limit = sys.get_int_max_str_digits()
@@ -127,12 +155,12 @@ def _assignments(text: str, basis: GeneratorBasis) -> Iterator[tuple[int, int, s
         yield lineno, index, value_text, value
 
 
-def parse_character_file(text: str, basis: GeneratorBasis) -> Character:
+def parse_character_file(text: str, basis: characters.GeneratorBasis) -> characters.Character:
     """Parse 'name = p/q' lines; generators not listed get the value zero."""
     values = [0] * basis.dim
     for _, index, _, value in _assignments(text, basis):
         values[index] = value
-    return Character(basis, tuple(values))
+    return characters.Character(basis, tuple(values))
 
 
 def _parse_letter(lineno: int, token: str, known: set[str]) -> tuple[str, int]:
@@ -146,19 +174,19 @@ def _parse_letter(lineno: int, token: str, known: set[str]) -> tuple[str, int]:
     return token, sign
 
 
-def parse_words_file(text: str, alphabet: Sequence[str]) -> list[Word]:
+def parse_words_file(text: str, alphabet: Sequence[str]) -> list[words.Word]:
     """Parse one word per line; letters are 'a', 'a^-1' or 'a'' separated by space."""
     alphabet = tuple(alphabet)
     known = set(alphabet)
-    words = []
+    parsed = []
     for lineno, line in _content_lines(text):
         letters = tuple([_parse_letter(lineno, token, known) for token in line.split()])
         # each letter is checked already; the first word checks the alphabet
-        words.append(Word._checked(alphabet, letters) if words else Word(alphabet, letters))
-    return words
+        parsed.append(words.Word._checked(alphabet, letters) if parsed else words.Word(alphabet, letters))
+    return parsed
 
 
-def parse_vector_file(text: str, basis: GeneratorBasis) -> Row:
+def parse_vector_file(text: str, basis: characters.GeneratorBasis) -> characters.Row:
     """An integer vector in character syntax: 'name = k' lines, as the
     (column, value) pairs of its nonzero entries, in column order.  A value
     written as a fraction is read as one and must be an integer."""
@@ -183,7 +211,7 @@ def _fmt_braced(items: Iterable[str]) -> str:
     return "{" + ",".join(items) + "}"
 
 
-def _fmt_rational(value: int | Fraction) -> str:
+def _fmt_rational(value: int | fractions.Fraction) -> str:
     try:
         return str(value)
     except ValueError:
@@ -193,13 +221,13 @@ def _fmt_rational(value: int | Fraction) -> str:
         raise PreconditionError(f"result has a number longer than {limit} digits") from None
 
 
-def _fmt_pairs(names: Sequence[str], pairs: Iterable[tuple[int, int | Fraction]]) -> str:
+def _fmt_pairs(names: Sequence[str], pairs: Iterable[tuple[int, int | fractions.Fraction]]) -> str:
     """The nonzero values at their generators' names, in column order."""
     parts = [f"{names[j]}:{_fmt_rational(value)}" for j, value in pairs]
     return " ".join(parts) if parts else "0"
 
 
-def _fmt_character(c: Character) -> str:
+def _fmt_character(c: characters.Character) -> str:
     return _fmt_pairs(c.basis.names, compress(enumerate(c.values), c.values))
 
 
@@ -418,7 +446,7 @@ def _cmd_raag_compare(args) -> RenderedReport:
     return _report(lines, porcelain)
 
 
-def _projection_character(args) -> Character:
+def _projection_character(args) -> characters.Character:
     basis = args.module.FAMILY.basis(args.n)
     return parse_character_file(_read_file(args.character), basis.generators)
 
@@ -441,9 +469,9 @@ def _cmd_projection_witness(args) -> RenderedReport:
     # the pair is sound when both words die under c and their images in the
     # small base group generate a free subgroup
     image = lambda w: module.FAMILY.reduce(module.project_word(args.n, pair.designated, w))
-    pairing_u = _fmt_rational(c.pair(abelianize(c.basis, pair.u)))
-    pairing_v = _fmt_rational(c.pair(abelianize(c.basis, pair.v)))
-    free = not free_commute(image(pair.u), image(pair.v))
+    pairing_u = _fmt_rational(c.pair(characters.abelianize(c.basis, pair.u)))
+    pairing_v = _fmt_rational(c.pair(characters.abelianize(c.basis, pair.v)))
+    free = not words.free_commute(image(pair.u), image(pair.v))
     porcelain = {
         "u": str(pair.u),
         "v": str(pair.v),
@@ -466,11 +494,11 @@ def _cmd_projection_obstruct(args) -> RenderedReport:
     family = args.module.FAMILY
     basis = family.basis(args.n)
     rows = [parse_vector_file(_read_file(path), basis.generators) for path in args.vectors]
-    report = run_obstruction(family, args.n, rows)
+    report = obstruction.run_obstruction(family, args.n, rows)
     character = _fmt_character(report.character)
     porcelain = {"branch": report.branch, "character": character}
     lines = [f"branch: {report.branch}"]
-    if report.branch == CERTIFICATE:
+    if report.branch == obstruction.CERTIFICATE:
         porcelain["verdict_plus"] = _proj_verdict_compact(report.verdict_plus)
         porcelain["verdict_minus"] = _proj_verdict_compact(report.verdict_minus)
         lines += [
@@ -599,7 +627,9 @@ class _Usage(argparse.Action):
         self.group = group
 
     def __call__(self, parser, namespace, values, option_string=None):
-        sys.stdout.write(_usage(self.group))
+        # print, unlike sys.stdout.write, does nothing when the process
+        # started with no standard output
+        print(_usage(self.group), end="")
         raise SystemExit(0)
 
 
@@ -664,10 +694,19 @@ def _run(argv: Sequence[str], read: list[str]) -> RenderedReport:
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
     read: list[str] = []
-    report = _run(sys.argv[1:] if argv is None else argv, read)
-    # the format is what the top level read: a later '--porcelain' is an
-    # operand or an error
+    exit_code = 0
     try:
+        try:
+            report = _run(sys.argv[1:] if argv is None else argv, read)
+        except SystemExit:
+            # help, written by the parse, which exits 0: flushed here, where
+            # a closed pipe is caught
+            if sys.stdout is not None:
+                sys.stdout.flush()
+            raise
+        exit_code = report.exit_code
+        # the format is what the top level read: a later '--porcelain' is an
+        # operand or an error
         if "--porcelain" in read:
             if report.porcelain:
                 print("\n".join(report.porcelain), flush=True)
@@ -677,7 +716,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         # the reader closed the pipe early: what is left goes to the null
         # device, so the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(report.exit_code)
+    sys.exit(exit_code)
 
 
 if __name__ == "__main__":

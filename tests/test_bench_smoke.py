@@ -1,6 +1,7 @@
 """The benchmark tooling still runs against the package: its self-test
 rejects every corrupted output, and one traced round of every workload
-passes its checks.  No timing is asserted.
+passes its checks, in one run and, for the workloads whose operations load
+no family module, in a run of its own.  No timing is asserted.
 """
 
 import json
@@ -31,3 +32,13 @@ def test_bench_traced_round_is_correct():
     assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, result
+
+
+def test_bench_traced_round_of_one_workload_is_correct():
+    """The tracer wraps every module it names, also in a run whose
+    operations never load the families."""
+    for workload in ("graph-structure", "normal-form"):
+        done = _run("--workload", workload, "--trace", "1", "--seconds", "0")
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+        result = json.loads(done.stdout.splitlines()[-1])
+        assert result["correct"] is True and result["failed"] == 0, (workload, result)

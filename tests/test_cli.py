@@ -608,7 +608,9 @@ def test_help_at_every_level_prints_a_usage():
 def test_a_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
     """A reader that takes one line of a report longer than two pipe
     buffers and closes the pipe leaves nothing on stderr, and the run ends
-    with the report's exit code."""
+    with the report's exit code.  So does help written to a pipe whose
+    reader has closed it already.  Both hold with stdout buffered and
+    unbuffered."""
     names = [f"vertex{i:014d}" for i in range(90)]
     edges = " ".join(f"{a}-{b}" for a, b in zip(names, names[1:] + names[:1]))
     graph = tmp_path / "c90.graph"
@@ -617,11 +619,24 @@ def test_a_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
     report = run(argv)
     assert report.exit_code == 0
     assert len(report.human) > 128 * 1024
-    command, env = _module_command(*argv)
-    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
-        assert process.stdout.readline() == b"minimal always-dead supports: 3915\n"
-        process.stdout.close()
-        assert (process.wait(timeout=120), process.stderr.read()) == (0, b"")
+    for unbuffered in (True, False):
+        command, env = _module_command(*argv)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+            assert process.stdout.readline() == b"minimal always-dead supports: 3915\n"
+            process.stdout.close()
+            assert (process.wait(timeout=120), process.stderr.read()) == (0, b""), unbuffered
+        for help_argv in (["-h"], ["raag", "--help"], ["raag", "kill", "-h"]):
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                help_command = _module_command(*help_argv)[0]
+                done = subprocess.run(help_command, env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+            finally:
+                os.close(write_end)
+            assert (done.returncode, done.stderr) == (0, b""), (help_argv, unbuffered)
 
 
 def test_standard_input_is_decoded_like_a_file(tmp_path):
@@ -687,19 +702,38 @@ CLI_TOKENS = [
 ]
 
 
+# operands and option values that argparse reads as such
+CLI_OPERANDS = ["x", "4", "-", "-3", "-1.5", "a b"]
+CLI_VALUES = ["4", "-3", "0", "12"]
+
+
 @st.composite
 def command_lines(draw):
-    """Tokens of the alphabet; most lines also name a group, and most of
-    those one of its commands after it, among the other tokens."""
-    argv = draw(st.lists(st.sampled_from(CLI_TOKENS), max_size=8))
-    if draw(st.integers(0, 4)):
-        group = draw(st.sampled_from(list(oracles.CLI_COMMANDS)))
+    """A well-formed line (an optional --porcelain, a group, one of its
+    commands, its option with a value, and its operands), then up to two
+    insertions, deletions or replacements of tokens drawn from CLI_TOKENS."""
+    group = draw(st.sampled_from(list(oracles.CLI_COMMANDS)))
+    command = draw(st.sampled_from(list(oracles.CLI_COMMANDS[group])))
+    int_option, operands = oracles.CLI_COMMANDS[group][command]
+    tail = []
+    for operand in operands:
+        count = draw(st.integers(0, 3)) if operand.endswith("*") else 1
+        tail += draw(st.lists(st.sampled_from(CLI_OPERANDS), min_size=count, max_size=count))
+    if int_option:
+        value = draw(st.sampled_from(CLI_VALUES))
+        option = draw(st.sampled_from([[int_option, value], [f"{int_option}={value}"]]))
+        # before or after the operands: argparse reads 'vectors*' from one run of tokens
+        tail = option + tail if draw(st.booleans()) else tail + option
+    argv = ["--porcelain"] * draw(st.integers(0, 1)) + [group, command] + tail
+    for _ in range(draw(st.integers(0, 2))):
         at = draw(st.integers(0, len(argv)))
-        named = [group]
-        if draw(st.integers(0, 4)):
-            named.append(draw(st.sampled_from(list(oracles.CLI_COMMANDS[group]))))
-        cut = draw(st.integers(at, len(argv)))
-        argv = argv[:at] + [group] + argv[at:cut] + named[1:] + argv[cut:]
+        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if edit == "insert" or at == len(argv):
+            argv.insert(at, draw(st.sampled_from(CLI_TOKENS)))
+        elif edit == "delete":
+            del argv[at]
+        else:
+            argv[at] = draw(st.sampled_from(CLI_TOKENS))
     return argv
 
 

@@ -2,8 +2,10 @@
 namespace that holds only the names that example and the error docs use,
 and no public function or class that nothing uses.
 
-`import bnskit` loads the graph, character, word and error modules only;
-the families and the command line load when they are imported by name.
+`import bnskit` loads the error, record and graph modules only;
+`make_character` loads the character module on first use, the families and
+the command line load when they are imported by name, and a command runs
+only the modules it uses.
 """
 
 import ast
@@ -22,13 +24,30 @@ SRC = Path(bnskit.__file__).resolve().parent
 
 TOP_LEVEL = ["BnsError", "DomainError", "Graph", "InputError", "ParseError", "PreconditionError", "make_character"]
 
+# the modules that load only when imported by name or used by a command
+# that needs them: neither `import bnskit` nor `graph analyze` runs them
+LOADED_BY_NAME = ("braid", "loop", "projection", "obstruction", "raag", "characters", "words")
+
+# what is loaded is read before the names are resolved, which loads characters
 PROBE = """
 import json, sys
 import bnskit
 print(json.dumps({
-    "loaded": [m for m in ("braid", "loop", "raag", "projection", "obstruction", "cli") if "bnskit." + m in sys.modules],
+    "loaded": [m for m in LOADED_BY_NAME + ("cli",) if "bnskit." + m in sys.modules],
     "unresolved": [name for name in bnskit.__all__ if not hasattr(bnskit, name)],
 }))
+"""
+
+# a module that is put in sys.modules lazily is a plain module once it has run
+RUN_PROBE = """
+import json, runpy, sys, types
+sys.argv = ["bnskit", "--porcelain", "graph", "analyze", GRAPH]
+try:
+    runpy.run_module("bnskit.cli", run_name="__main__")
+except SystemExit as e:
+    code = e.code
+ran = [m for m in LOADED_BY_NAME if type(sys.modules.get("bnskit." + m)) is types.ModuleType]
+print(json.dumps({"code": code, "ran": ran}))
 """
 
 
@@ -65,13 +84,25 @@ def test_readme_library_example_runs():
     assert checked == [False, ("out", "pb3-sum"), "certificate"]
 
 
-def test_import_loads_only_the_documented_namespace():
-    assert sorted(bnskit.__all__) == TOP_LEVEL
+def _probe(source: str) -> dict:
+    """The JSON that source prints last, run in a fresh interpreter with
+    LOADED_BY_NAME defined."""
     src = str(Path(bnskit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env)
+    source = f"LOADED_BY_NAME = {LOADED_BY_NAME!r}\n{source}"
+    done = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    assert json.loads(done.stdout) == {"loaded": [], "unresolved": []}
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_import_loads_only_the_documented_namespace():
+    assert sorted(bnskit.__all__) == TOP_LEVEL
+    assert _probe(PROBE) == {"loaded": [], "unresolved": []}
+
+
+def test_graph_analyze_runs_no_family_or_lattice_module():
+    graph = Path(__file__).resolve().parent / "data" / "c5.graph"
+    assert _probe(f"GRAPH = {str(graph)!r}\n{RUN_PROBE}") == {"code": 0, "ran": []}
 
 
 def _references(node: ast.AST, modules: set[str]) -> set[tuple[str | None, str]]:

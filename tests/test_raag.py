@@ -116,6 +116,43 @@ def test_membership_against_independent_oracle_random():
         assert raag.sigma_membership(g, c).inside == expected
 
 
+def _random_factor(rng, prefix):
+    """A random graph on 1-20 vertices named prefix0, prefix1, ..., and a
+    value for each vertex, all zero in about a quarter of the draws."""
+    n = rng.randrange(1, 21)
+    names = [f"{prefix}{i}" for i in range(n)]
+    p = rng.choice((0.1, 0.3, 0.6, 0.9))
+    edges = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
+    pool = (0,) if rng.random() < 0.25 else rng.choice(((-1, 0, 1), (0, 0, 0, 2, Fraction(1, 3)), (1, 2)))
+    return Graph(names, edges), {name: rng.choice(pool) for name in names}
+
+
+def test_membership_on_free_and_direct_products():
+    """A disjoint union of two graphs presents a free product, where every
+    character is OUT.  A join presents a direct product, where a character
+    is OUT exactly when it is zero, or zero on one factor and OUT on the
+    other.  Both follow from the living-subgraph criterion, and hold on the
+    2-40 vertices checked here, past the subset-scan oracle's reach."""
+    rng = random.Random(1341)
+    seen = set()
+    for _ in range(200):
+        (ga, va), (gb, vb) = _random_factor(rng, "a"), _random_factor(rng, "b")
+        names, edges, values = ga.vertices + gb.vertices, [*ga.edges, *gb.edges], {**va, **vb}
+        union = Graph(names, edges)
+        assert not raag.sigma_membership(union, chi(union, values)).inside
+        join = Graph(names, edges + [(x, y) for x in ga.vertices for y in gb.vertices])
+        zero_a, zero_b = not any(va.values()), not any(vb.values())
+        out_a = not raag.sigma_membership(ga, chi(ga, va)).inside
+        out_b = not raag.sigma_membership(gb, chi(gb, vb)).inside
+        expected = (zero_a and zero_b) or (zero_a and out_b) or (zero_b and out_a)
+        assert (not raag.sigma_membership(join, chi(join, values)).inside) == expected
+        if zero_a == zero_b:
+            seen.add("zero" if zero_a else "both living")
+        else:
+            seen.add("one zero, the other " + ("OUT" if out_a and out_b else "IN"))
+    assert seen == {"zero", "both living", "one zero, the other IN", "one zero, the other OUT"}, seen
+
+
 def test_complement_supports_goldens():
     assert raag.sigma_complement_supports(P3) == [("b",)]
     assert raag.sigma_complement_supports(C4) == [("w", "y"), ("x", "z")]
