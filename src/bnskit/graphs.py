@@ -15,7 +15,10 @@ clique, the paper's commensurability invariant, is read off the clique
 minimal separators that one MCS-M pass finds, in polynomial time.  The
 inclusion-minimal separating sets behind `raag complement` come from
 listing every minimal separator, and a graph can have exponentially many,
-so that list stops past MAX_MINIMAL_SEPARATORS.
+so that list stops past MAX_MINIMAL_SEPARATORS.  The listing's closure
+step from a minimal separator S also tells whether S is inclusion-minimal,
+with no pass of its own: exactly when no component C of G - (S + N(x)),
+x in S, has N(C) inside S (proved at `_separating_sets`).
 """
 
 from __future__ import annotations
@@ -147,17 +150,26 @@ def _reach(adj: Sequence[int], mask: int) -> int:
     return out
 
 
-def _components(adj: Sequence[int], mask: int) -> Iterator[int]:
-    """Connected components of the subgraph induced on mask, as masks, in
-    the order of their first vertex."""
+def _components(adj: Sequence[int], mask: int) -> Iterator[tuple[int, int]]:
+    """Connected components of the subgraph induced on mask, in the order of
+    their first vertex, as pairs of masks: the component, and the union of
+    its vertices' neighbour masks."""
     while mask:
         frontier = mask & -mask
-        comp = 0
+        comp = near = 0
         while frontier:
             comp |= frontier
             mask ^= frontier
-            frontier = _reach(adj, frontier) & mask
-        yield comp
+            # `_reach` of the frontier, inlined: the separator closure
+            # spends most of its time in this loop
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= adj[low.bit_length() - 1]
+                frontier ^= low
+            near |= reach
+            frontier = reach & mask
+        yield comp, near
 
 
 def _splits(adj: Sequence[int], mask: int) -> bool:
@@ -227,32 +239,41 @@ def _triangulation_separators(adj: Sequence[int]) -> Iterator[int]:
         top += 1
 
 
-def _minimal_separators(adj: Sequence[int]) -> Iterator[int]:
-    """Every minimal separator of a connected graph, once each.
+def _minimal_separators(adj: Sequence[int]) -> Iterator[tuple[int, bool]]:
+    """Every minimal separator S of a connected graph, once each, paired
+    with whether S is an inclusion-minimal separating set.
 
     A minimal separator is a vertex set S such that G - S has two full
     components, components C with N(C) = S.  Berry, Bordat & Cogis (2000):
     N(C) for each component C of G - N[v] is one, and closing these under
     S -> N(C) for the components C of G - (S + N(x)), x in S, finds them all.
+    The step from S also decides its inclusion-minimality, with no pass of
+    its own: S is inclusion-minimal exactly when no N(C) of the step lies
+    inside S (see `_separating_sets`).
     """
     full = (1 << len(adj)) - 1
     seen = set()
     todo = []
 
-    def add(closed: int) -> None:
-        for comp in _components(adj, full & ~closed):
-            s = _reach(adj, comp) & ~comp
-            if s not in seen:
-                seen.add(s)
-                todo.append(s)
+    def add(closed: int, s: int) -> bool:
+        """Queue N(C) for each component C of G - closed; False when some
+        N(C) lies inside s."""
+        none_inside = True
+        for comp, near in _components(adj, full & ~closed):
+            n_c = near & ~comp
+            if not n_c & ~s:
+                none_inside = False
+            if n_c not in seen:
+                seen.add(n_c)
+                todo.append(n_c)
+        return none_inside
 
     for v, nbrs in enumerate(adj):
-        add(nbrs | 1 << v)
+        add(nbrs | 1 << v, 0)
     while todo:
         s = todo.pop()
-        yield s
-        for x in _bits(s):
-            add(s | adj[x])
+        # a list, not a generator, so that all() cannot cut the step short
+        yield s, all([add(s | adj[x], s) for x in _bits(s)])
 
 
 # the most minimal separators `_separating_sets` enumerates: a graph can have
@@ -274,8 +295,22 @@ def _separating_sets(g: Graph) -> list[int]:
     G - S.  If all are, removing any T inside S but missing s in S leaves a
     connected graph, since s and every other vertex of S - T has a neighbour
     in each component.  Such an S has two full components, so it is a
-    minimal separator; the ones with a component that is not full are
-    dropped.
+    minimal separator.
+
+    Which minimal separators these are is read off the closure step that
+    `_minimal_separators` takes from each.  A minimal separator S is
+    inclusion-minimal exactly when, for every x in S, no component C of
+    G - (S + N(x)) has N(C) inside S:
+
+    * If such a C exists, it is connected, misses S and has all its
+      neighbours in S, so it is a whole component of G - S.  It misses
+      N(x), so x is not in N(C), and C is not full.
+    * If some component D of G - S is not full, it has no neighbour x in S.
+      Then D misses S + N(x) and has all its neighbours in S, so D is a
+      component of G - (S + N(x)) with N(D) inside S.
+
+    The step computes N(C) for each of those components anyway, so the
+    test costs no component pass.
     """
     adj = g._masks
     full = (1 << len(adj)) - 1
@@ -286,11 +321,7 @@ def _separating_sets(g: Graph) -> list[int]:
         raise PreconditionError(
             f"graph has more than {MAX_MINIMAL_SEPARATORS} minimal separators"
         )
-    found = [
-        s
-        for s in separators
-        if all(_reach(adj, c) & ~c == s for c in _components(adj, full & ~s))
-    ]
+    found = [s for s, least in separators if least]
     found.sort(key=_size_then_order)
     return found
 
@@ -319,7 +350,7 @@ def induced_subgraph(g: Graph, s: Iterable[str]) -> Graph:
 def is_connected(g: Graph) -> bool:
     """The empty graph counts as not connected."""
     full = (1 << len(g.vertices)) - 1
-    return bool(full) and next(_components(g._masks, full)) == full
+    return bool(full) and next(_components(g._masks, full))[0] == full
 
 
 def is_clique(g: Graph, s: Iterable[str]) -> bool:

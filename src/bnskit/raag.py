@@ -74,7 +74,7 @@ def sigma_membership(g: Graph, c: Character) -> RaagSigmaVerdict:
     if not living:
         return RaagSigmaVerdict(OUT, ZERO_CHARACTER, g.vertices)
     adj = g._masks
-    if next(_components(adj, living)) != living:
+    if next(_components(adj, living))[0] != living:
         return RaagSigmaVerdict(OUT, LIVING_DISCONNECTED, g._names(living))
     undominated = tuple(
         [v for i, v in enumerate(g.vertices) if not (living >> i & 1 or adj[i] & living)]

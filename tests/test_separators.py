@@ -171,3 +171,101 @@ def test_invariant_commands_list_no_minimal_separators(tmp_path, monkeypatch):
             report.exit_code, report.human, report.porcelain
         ), argv
     assert any(report.exit_code == 0 for report in expect)
+
+
+def test_complement_takes_one_component_pass_per_closure_step(monkeypatch):
+    # one connectivity check, one pass per vertex to seed the closure, and
+    # one per vertex of each minimal separator, which also decides its
+    # inclusion-minimality: C_n has n(n - 3)/2 of them, of two vertices each
+    calls = 0
+    components = graphs._components
+
+    def counted(adj, mask):
+        nonlocal calls
+        calls += 1
+        return components(adj, mask)
+
+    monkeypatch.setattr(graphs, "_components", counted)
+    for n in range(6, 31):
+        calls = 0
+        assert len(raag.sigma_complement_supports(cycle(n))) == n * (n - 3) // 2
+        assert calls == 1 + n + n * (n - 3), (n, calls)
+
+
+def glued(rng, n, k):
+    """Edges of a connected graph on n vertices: a k-clique, then blocks of
+    3-6 new vertices, each block joined to every vertex of an earlier
+    k-clique and, inside, a cycle or a random graph.  Each block adds a
+    k-clique of its glue and one of its own vertices, to glue onto later."""
+    edges = {(a, b) for a in range(k) for b in range(a + 1, k)}
+    cliques = [tuple(range(k))]
+    count = k
+    while count < n:
+        glue = rng.choice(cliques)
+        new = range(count, min(count + rng.randrange(3, 7), n))
+        count = new.stop
+        edges |= {(a, v) for a in glue for v in new}
+        if len(new) > 3 and rng.random() < 0.5:
+            edges |= {(v - 1, v) for v in new[1:]} | {(new[0], new[-1])}
+        else:
+            p = rng.choice((0.4, 0.7, 0.9))
+            edges |= {(a, b) for a in new for b in new if a < b and rng.random() < p}
+        cliques.append(glue[1:] + (rng.choice(new),))
+    return edges
+
+
+def ring(m, t):
+    """Edges of m cliques of t vertices in a ring, each joined to the next:
+    no separating clique, and m(m - 3)/2 minimal separators."""
+    bag = [range(i * t, i * t + t) for i in range(m)]
+    edges = {(a, b) for members in bag for a in members for b in members if a < b}
+    edges |= {(min(a, b), max(a, b)) for i in range(m) for a in bag[i] for b in bag[i - 1]}
+    return edges
+
+
+def sample_graph(rng):
+    choice = rng.random()
+    if choice < 0.6:
+        n, p = rng.randrange(2, 15), rng.choice((0.15, 0.3, 0.5, 0.8))
+        edges = {(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p}
+    elif choice < 0.9:
+        # sizes spread evenly on a log scale, to keep the 300-vertex ones few
+        n = round(15 * 20 ** rng.random())
+        edges = glued(rng, n, rng.randrange(1, 6))
+    else:
+        m, t = rng.randrange(4, 11), round(30 ** rng.random())
+        n, edges = m * t, ring(m, t)
+    # distinct labels out of step with the vertex order, up to 1,009 vertices
+    names = [f"v{(7 * i + 3) % 1009}" for i in range(n)]
+    return Graph(names, [(names[a], names[b]) for a, b in sorted(edges)])
+
+
+def test_cones_and_unions_at_sizes_past_the_oracles():
+    """Every separating set of the cone over G (an apex joined to every
+    vertex, last in vertex order) holds the apex, and leaves a separating
+    set of G without it; the cone's cliques are G's, with or without the
+    apex.  So its smallest separating clique and its inclusion-minimal
+    separating sets are G's with the apex added, in the same order.  A disjoint
+    union of two nonempty graphs is disconnected: witness () and supports
+    [()].  Checked on 200 seeded graphs of 2 to about 300 vertices, each
+    under the separator cap."""
+    rng = random.Random(1326)
+    witness_sizes = set()
+    previous = Graph(["p"])
+    for _ in range(200):
+        g = sample_graph(rng)
+        witness = min_separating_clique_witness(g)
+        witness_sizes.add(None if witness is None else len(witness))
+        cone = Graph(g.vertices + ("apex",), g.edges + tuple((v, "apex") for v in g.vertices))
+        expect = None if witness is None else witness + ("apex",)
+        assert min_separating_clique_witness(cone) == expect, g
+        supports = raag.sigma_complement_supports(g)
+        assert raag.sigma_complement_supports(cone) == [s + ("apex",) for s in supports], g
+        union = Graph(
+            g.vertices + tuple("u" + v for v in previous.vertices),
+            g.edges + tuple(("u" + a, "u" + b) for a, b in previous.edges),
+        )
+        assert min_separating_clique_witness(union) == (), g
+        assert raag.sigma_complement_supports(union) == [()], g
+        previous = g
+    assert witness_sizes >= {None, 0, 1, 2, 3, 4, 5}, witness_sizes
