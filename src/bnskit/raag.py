@@ -139,10 +139,10 @@ class KillTestResult(Record):
 def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
     """Kill a proper subgroup generated by commuting words, then test both rays.
 
-    The saturation of the abelianized generators is annihilated by a vector
-    character, `kill_character(result.lattice)`; a deterministic generic
-    combination of its rows produces a single character whose dead support
-    is exactly the dying vertex clique.
+    The saturation of the abelianized generators is annihilated by the rows
+    of `result.lattice.annihilator`, which `raag kill` prints as `killing=`;
+    a deterministic generic combination of those rows produces a single
+    character whose dead support is exactly the dying vertex clique.
     Both that character and its negative get a membership verdict.
     """
     basis = vertex_basis(g)

@@ -1,19 +1,23 @@
-"""Print one sha256 of what `bnskit` answers to a list of command lines.
+"""Print what `bnskit` answers to a list of command lines, as JSON.
 
     PYTHONPATH=src python tests/interpreter_digest.py < argvs.json
 
 Standard input is a JSON list of argv lists.  Each runs through
-`bnskit.cli.run` in this process, in the order given, and the digest covers,
-for each, the exit code, the human report, the porcelain lines and which of
-the modules that load on first use have run by then.  The first lines are
-meant to be `graph analyze` runs, so the digest also covers the probe that
+`bnskit.cli.run` in this process, in the order given.  The output is a JSON
+list with one answer per line: the exit code, the human report, the
+porcelain lines, what the line wrote to standard output, and which of the
+modules that load on first use have run by then.  Help ends the parse with
+`SystemExit` after writing to standard output; then the exit code is the one
+it carries, and there is no report.  The first lines are meant to be
+`graph analyze` runs, so the answers also cover the probe that
 `graph analyze` runs no family, lattice or word module.
 
 It uses the standard library only, so that every supported interpreter can
-run it: the same digest from two interpreters means the same bytes.
+run it: the same output from two interpreters means the same bytes.
 """
 
-import hashlib
+import contextlib
+import io
 import json
 import sys
 import types
@@ -23,17 +27,22 @@ import types
 LOADED_ON_FIRST_USE = ("braid", "loop", "projection", "obstruction", "raag", "characters", "words")
 
 
-def digest(argvs) -> str:
+def answers(argvs) -> list:
     from bnskit import cli
 
-    h = hashlib.sha256()
+    found = []
     for argv in argvs:
-        report = cli.run(argv)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            try:
+                report = cli.run(argv)
+                exit_code, human, porcelain = report.exit_code, report.human, list(report.porcelain)
+            except SystemExit as e:
+                exit_code, human, porcelain = e.code, None, None
         ran = [m for m in LOADED_ON_FIRST_USE if type(sys.modules.get("bnskit." + m)) is types.ModuleType]
-        line = json.dumps([argv, report.exit_code, report.human, list(report.porcelain), ran])
-        h.update(line.encode() + b"\n")
-    return h.hexdigest()
+        found.append([exit_code, human, porcelain, out.getvalue(), ran])
+    return found
 
 
 if __name__ == "__main__":
-    print(digest(json.load(sys.stdin)))
+    print(json.dumps(answers(json.load(sys.stdin))))

@@ -1,69 +1,12 @@
-"""Pure braid groups: the tests shared with pure loop braid groups, run on
-this family's row, the dense check of the verdicts on three and four
-strands, and the 3-strand reduction, which has no loop counterpart."""
+"""Pure braid groups: the 3-strand reduction, which has no loop counterpart.
+The tests both projection families share are in `tests/test_projection.py`."""
 
 import random
-from collections import Counter
-
-import pytest
 
 from bnskit import braid, words
 from bnskit.words import word
 
-from .families import ORACLES, FAMILIES, character, draw, fields, random_values
-
-# the shared tests, each run on this family's row
-from .families import (  # noqa: F401
-    test_abelianization_contradiction_mirror,
-    test_basis_layout,
-    test_count_must_be_int as test_strand_count_must_be_int,
-    test_large_base_verdicts as test_pb4_dead,
-    test_obstruction_at_the_strand_limit,
-    test_obstruction_certificate_branch,
-    test_obstruction_covered_at_the_strand_limit,
-    test_obstruction_covered_branch,
-    test_obstruction_rejects_small_n,
-    test_project_character,
-    test_project_word,
-    test_projection_coherence_random,
-    test_scaling_and_negation_invariance,
-    test_sigma_membership_goldens,
-    test_sigma_membership_matches_subspace_union as test_sigma_membership_matches_subspace_union_n5_n6,
-    test_small_base_verdicts as test_pb3_dead,
-    test_witness_pair_errors,
-    test_witness_pair_exceptional_case,
-    test_witness_pair_projection_case,
-    test_witness_soundness as test_witness_soundness_up_to_seven_strands,
-)
-from .oracles import traced_lines, verdict_fields
-
-
-@pytest.fixture
-def family():
-    return FAMILIES["braid"]
-
-
-def test_sigma_membership_matches_direct_equations_small_n(family):
-    # the oracle evaluates the base groups' displayed equations on every
-    # kept strand set; dense random draws are seldom dead on the large
-    # base's strands, so constructed and zero-heavy draws there follow them
-    small, large = family.small[1], family.large[1]
-    rng = random.Random(23)
-    draws = []
-    for _ in range(300):
-        n = rng.choice((small, large))
-        draws.append((n, random_values(rng, family, n)))
-    extra = random.Random(37)
-    for _ in range(200):
-        shapes = (family.small, family.large, None)
-        draws.append((large, draw(extra, family, large, shapes, pool=(0, 0, 0, 0, 0, 1, -1))))
-    seen = Counter()
-    for n, values in draws:
-        v = family.module.sigma_membership(n, character(family, n, values))
-        assert fields(v) == verdict_fields(ORACLES.projection_verdict(family.name, n, values))
-        seen[n, v.base or v.witness or v.status] += 1
-    for kind in (family.small[0], family.large[0], "zero", "in"):
-        assert seen[large, kind] >= 5, seen
+from .oracles import traced_lines
 
 
 def test_pb3_reduce():

@@ -2,7 +2,8 @@
 
 Graph files go through `graph analyze` and `raag complement`; character and
 vector files through `braid`/`loop` `sigma` and `obstruct` on at most five
-strands; words and character files through `raag kill` and `raag sigma`.
+strands, and seeded vector files through `obstruct` on 16; words and
+character files through `raag kill` and `raag sigma`.
 When a run succeeds on input that is well formed, its answer is checked by
 the benchmark's package-free checkers in `bench/oracles.py`: a graph file
 that the reference reader in `tests/oracles.py` accepts, character and
@@ -16,6 +17,7 @@ inputs, and no deadline applies, so no outcome depends on machine speed.
 """
 
 import os
+import random
 import tempfile
 
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from bnskit import cli
 
+from .families import FAMILIES
 from .oracles import GraphFileError, bench_oracles, dead_subspaces, read_graph_file
 
 ORACLES = bench_oracles()
@@ -210,6 +213,27 @@ def test_covered_obstructions_are_checked(command):
     (report,) = run_all(texts, [[family, "obstruct", "-n", str(n), *range(len(texts))]])
     assert report.exit_code == 0 and "branch=covered" in report.porcelain
     assert ORACLES.check_obstruction(family, n, vectors, 0, report.porcelain) is None
+
+
+def test_obstructions_at_sixteen_strands_are_checked():
+    """Seeded `obstruct -n 16` runs of both families on both branches: two
+    dense vectors give the certificate branch, and the equations of a dead
+    subspace of each base group, on random strands and shuffled, give the
+    covered branch."""
+    rng = random.Random(1616)
+    for family in FAMILIES.values():
+        pairs = ORACLES.family_pairs(family.name, 16)
+        runs = [("certificate", [[rng.randint(-3, 3) for _ in pairs] for _ in range(2)]) for _ in range(2)]
+        for kind, size in (family.small, family.large):
+            kept = tuple(sorted(rng.sample(range(1, 17), size)))
+            rows = ORACLES.subspace_equations(family.name, 16, kind, kept)
+            runs.append(("covered", rng.sample(rows, len(rows))))
+        for branch, rows in runs:
+            vectors = [{pair: x for pair, x in zip(pairs, row) if x} for row in rows]
+            texts = ["".join(f"{family.letter}({i},{j}) = {x}\n" for (i, j), x in vector.items()) for vector in vectors]
+            (report,) = run_all(texts, [[family.name, "obstruct", "-n", "16", *range(len(texts))]])
+            assert f"branch={branch}" in report.porcelain
+            assert ORACLES.check_obstruction(family.name, 16, vectors, report.exit_code, report.porcelain) is None
 
 
 @st.composite

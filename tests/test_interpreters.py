@@ -1,10 +1,12 @@
 """The same bytes on every supported interpreter.
 
 `pyproject.toml` asks for Python 3.10 or newer.  `tests/interpreter_digest.py`
-hashes the golden corpus reports, `graph analyze` and `raag complement` on
-seeded graphs, and which modules a `graph analyze` run loads; this test runs
-it under every CPython 3.10 or newer it finds and compares each digest with
-the running interpreter's.  It looks for `$PYENV_ROOT/versions/*/bin/python`
+answers the golden corpus lines, `graph analyze` and `raag complement` on
+seeded graphs, and help and usage-error lines, and says which modules a
+`graph analyze` run loads; this test runs it under every CPython 3.10 or
+newer it finds and compares each answer with the running interpreter's.
+The two answers that differ between interpreters are listed in `agreed`,
+each with its reason; any other difference fails the test.  It looks for `$PYENV_ROOT/versions/*/bin/python`
 (`~/.pyenv` when `PYENV_ROOT` is unset) and for `python3.10` to `python3.19`
 in every directory on `PATH`.  A candidate that does not start, as a pyenv
 shim with no version selected does not, is skipped, and two that are one
@@ -15,11 +17,12 @@ besides the running one, so it cannot pass having compared nothing.
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-from .test_acceptance import CLI_CORPUS, resolve_argv
+from .test_acceptance import CLI_CORPUS, DATA, resolve_argv
 
 ROOT = Path(__file__).resolve().parent.parent
 DRIVER = ROOT / "tests" / "interpreter_digest.py"
@@ -73,18 +76,47 @@ def graph_argvs(tmp_path):
     return argvs
 
 
+def usage_argvs():
+    """Help at every level, and lines that argparse rejects."""
+    graph, character = str(DATA / "p3.graph"), str(DATA / "chi_b.char")
+    return [
+        ["-h"], ["-hh"], ["-hx"], ["raag", "--help"], ["raag", "kill", "-h"], ["braid", "obstruct", "-h"],
+        ["nosuch", "analyze", graph], ["raag", "nosuch", graph], ["raag", "kill", graph],
+        ["braid", "sigma", "-n", "x", character], ["--porcelain=1", "graph", "analyze", graph],
+        ["raag", "split-report", graph, "--max", "3"],
+    ]
+
+
+def agreed(argv, answer, usage):
+    """answer with the known differences between interpreters taken out;
+    usage is the same interpreter's answer to `-h`.
+
+    - `-hx`: argparse 3.13 reads it as `-h` and prints the top-level usage
+      with exit code 0; 3.10-3.12 reject it with `error=argument -h/--help:
+      ignored explicit argument 'x'` and exit code 1.  Either is one answer.
+    - An invalid group or command lists the choices quoted,
+      `(choose from 'graph', 'raag', 'braid', 'loop')`, on 3.10.13-3.13.0,
+      and unquoted on 3.13.13.  The quotes are dropped.
+    """
+    if argv == ["-hx"] and (answer == usage or answer[2] == ["error=argument -h/--help: ignored explicit argument 'x'"]):
+        return "-h, or its argument rejected"
+    return json.loads(re.sub(r"\(choose from [^)]*\)", lambda m: m[0].replace("'", ""), json.dumps(answer)))
+
+
 def run_driver(executable, argvs):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [executable, str(DRIVER)], input=json.dumps(argvs), capture_output=True, text=True, env=env, timeout=300
     )
     assert done.returncode == 0 and not done.stderr, (executable, done.stderr)
-    return done.stdout.strip()
+    answers = json.loads(done.stdout)
+    usage = answers[argvs.index(["-h"])]
+    return [agreed(argv, answer, usage) for argv, answer in zip(argvs, answers)]
 
 
 def test_every_interpreter_gives_the_same_bytes(tmp_path):
     corpus = [resolve_argv(argv) for argv, _, _ in CLI_CORPUS]
-    argvs = graph_argvs(tmp_path) + corpus + [["--porcelain", *argv] for argv in corpus]
+    argvs = graph_argvs(tmp_path) + corpus + [["--porcelain", *argv] for argv in corpus] + usage_argvs()
     assert argvs[0][:2] == ["graph", "analyze"]
     expect = run_driver(sys.executable, argvs)
     own = os.path.realpath(sys.executable)
@@ -92,5 +124,9 @@ def test_every_interpreter_gives_the_same_bytes(tmp_path):
     names = [f"{version} {path}" for version, path in others]
     print(f"compared {sys.version.split()[0]} ({own}) with:", *names, sep="\n  ")
     assert others, "found no CPython 3.10 or newer besides the running one"
-    differ = [f"{version} {path}" for version, path in others if run_driver(path, argvs) != expect]
+    differ = {}
+    for version, path in others:
+        lines = [argv for argv, a, b in zip(argvs, expect, run_driver(path, argvs)) if a != b]
+        if lines:
+            differ[f"{version} {path}"] = lines
     assert not differ, (differ, names)

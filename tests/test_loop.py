@@ -1,47 +1,14 @@
-"""Pure loop braid groups: the tests shared with pure braid groups, run on
-this family's row, the 2-loop reduction, and the covered obstruction's
-memory at the loop limit."""
+"""Pure loop braid groups: the 2-loop reduction and the covered obstruction's
+memory at the loop limit.  The tests both projection families share are in
+`tests/test_projection.py`."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from bnskit import loop
 from bnskit.words import word
-
-from .families import FAMILIES
-
-# the shared tests, each run on this family's row
-from .families import (  # noqa: F401
-    test_abelianization_contradiction_mirror,
-    test_basis_layout,
-    test_count_must_be_int as test_loop_count_must_be_int,
-    test_large_base_verdicts as test_plb3_dead,
-    test_obstruction_at_the_strand_limit,
-    test_obstruction_certificate_branch,
-    test_obstruction_covered_at_the_strand_limit,
-    test_obstruction_covered_branch,
-    test_obstruction_rejects_small_n,
-    test_project_character,
-    test_project_word,
-    test_projection_coherence_random,
-    test_scaling_and_negation_invariance,
-    test_sigma_membership_goldens,
-    test_sigma_membership_matches_subspace_union,
-    test_small_base_verdicts as test_plb2_dead_always,
-    test_witness_pair_errors,
-    test_witness_pair_exceptional_case,
-    test_witness_pair_projection_case,
-    test_witness_soundness,
-)
-
-
-@pytest.fixture
-def family():
-    return FAMILIES["loop"]
 
 
 def test_project_word_and_reduce():

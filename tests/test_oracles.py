@@ -1,9 +1,11 @@
 """The oracles stay independent of the package: agreement with an oracle is
 evidence only if the oracle never runs the code it checks.  Neither oracle
 file imports `bnskit`, by name or relatively, and loading the benchmark's
-oracles through `tests/oracles.py` loads no `bnskit` module."""
+oracles through `tests/oracles.py` loads no `bnskit` module.  No helper
+module under `tests/` defines a test, which pytest would not run."""
 
 import ast
+import fnmatch
 import json
 import os
 import subprocess
@@ -44,3 +46,23 @@ def test_loading_the_bench_oracles_loads_no_package_module():
     done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, cwd=ROOT)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == []
+
+
+def test_helper_modules_define_no_tests(pytestconfig):
+    """pytest collects tests only from the files its `python_files` patterns
+    match, so a test function written in any other module under `tests/`
+    runs only where a test module imports it, and nowhere if none does."""
+    patterns = pytestconfig.getini("python_files")
+    prefixes = tuple(pytestconfig.getini("python_functions"))
+    helpers = [
+        path for path in sorted((ROOT / "tests").rglob("*.py"))
+        if not any(fnmatch.fnmatch(path.name, pattern) for pattern in patterns)
+    ]
+    assert helpers
+    defined = [
+        f"{path.relative_to(ROOT)}:{node.lineno} {node.name}"
+        for path in helpers
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith(prefixes)
+    ]
+    assert not defined, defined
