@@ -12,7 +12,8 @@ the same test reaches the same groups in both families.
 `tests/test_projection.py` runs each of its family tests once per row, and
 the acceptance and span tests loop over the table.  The helpers below build
 characters and words as the package reads them, read them back as the
-oracles do, and draw random values.
+oracles do, draw random values, and check that a family rejects a strand
+count that is not an int (the braid and loop modules' count tests).
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from itertools import permutations
 from types import ModuleType
 from typing import Callable, NamedTuple
 
-from bnskit import braid, loop, make_character
+import pytest
+
+from bnskit import InputError, braid, loop, make_character
 from bnskit.words import word
 
 from .oracles import bench_oracles, dead_values
@@ -173,6 +176,33 @@ def parse(family, n, text):
 
 def fields(verdict):
     return (verdict.status, verdict.witness, verdict.kept, verdict.base)
+
+
+# strand counts that are not ints, each of which every call must reject
+NOT_INTS = (3.0, 4.0, 4.5, 5.5, 37.0, True, "3", "4", None)
+
+
+def check_count_rejected(family, count):
+    """Every call that takes a strand count raises InputError on count, and
+    the large base group's verdict is unchanged afterwards."""
+    # 4.0 found the cached 4-strand basis by hash and answered; with no
+    # cached basis, range raised a bare TypeError
+    module, size = family.module, family.large[1]
+    n, values, expected = next(row for row in family.verdicts if row[0] == size)
+    c = character(family, n, values)
+    kept = range(1, family.small[1] + 1)
+    for call in (
+        lambda: basis(family, count),
+        lambda: module.sigma_membership(count, c),
+        lambda: module.project_character(count, kept, c),
+        lambda: module.witness_pair(count, c),
+        lambda: module.dead_subspaces(count),
+        lambda: module.nf_obstruction_demo(count, [[1, 0, 0, 0, 0, 0]]),
+    ):
+        with pytest.raises(InputError):
+            call()
+    got = fields(module.sigma_membership(n, c))
+    assert got == expected, (got, expected)
 
 
 def witness_problem(family, values, pair):

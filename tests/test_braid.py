@@ -1,12 +1,21 @@
-"""Pure braid groups: the 3-strand reduction, which has no loop counterpart.
-The tests both projection families share are in `tests/test_projection.py`."""
+"""Pure braid groups: the 3-strand reduction, which has no loop counterpart,
+and the strand count's type.  The tests both projection families share are
+in `tests/test_projection.py`."""
 
 import random
+
+import pytest
 
 from bnskit import braid, words
 from bnskit.words import word
 
+from .families import FAMILIES, NOT_INTS, check_count_rejected
 from .oracles import traced_lines
+
+
+@pytest.mark.parametrize("count", NOT_INTS, ids=repr)
+def test_strand_count_must_be_int(count):
+    check_count_rejected(FAMILIES["braid"], count)
 
 
 def test_pb3_reduce():

@@ -1,14 +1,23 @@
-"""Pure loop braid groups: the 2-loop reduction and the covered obstruction's
-memory at the loop limit.  The tests both projection families share are in
-`tests/test_projection.py`."""
+"""Pure loop braid groups: the 2-loop reduction, the loop count's type and
+the covered obstruction's memory at the loop limit.  The tests both
+projection families share are in `tests/test_projection.py`."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bnskit import loop
 from bnskit.words import word
+
+from .families import FAMILIES, NOT_INTS, check_count_rejected
+
+
+@pytest.mark.parametrize("count", NOT_INTS, ids=repr)
+def test_loop_count_must_be_int(count):
+    check_count_rejected(FAMILIES["loop"], count)
 
 
 def test_project_word_and_reduce():

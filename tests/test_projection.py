@@ -147,27 +147,6 @@ def test_basis_layout(family):
             b.index(i, j)
 
 
-@pytest.mark.parametrize("count", [3.0, 4.0, 4.5, 5.5, 37.0, True, "3", "4", None], ids=repr)
-def test_count_must_be_int(family, count):
-    # 4.0 found the cached 4-strand basis by hash and answered; with no
-    # cached basis, range raised a bare TypeError
-    module, size = family.module, family.large[1]
-    n, values, expected = next(row for row in family.verdicts if row[0] == size)
-    c = character(family, n, values)
-    kept = range(1, family.small[1] + 1)
-    for call in (
-        lambda: basis(family, count),
-        lambda: module.sigma_membership(count, c),
-        lambda: module.project_character(count, kept, c),
-        lambda: module.witness_pair(count, c),
-        lambda: module.dead_subspaces(count),
-        lambda: module.nf_obstruction_demo(count, [[1, 0, 0, 0, 0, 0]]),
-    ):
-        with pytest.raises(InputError):
-            call()
-    assert fields(module.sigma_membership(n, c)) == expected
-
-
 def test_project_character(family):
     for n, kept, values, projected in family.projections:
         p = family.module.project_character(n, kept, character(family, n, values))
