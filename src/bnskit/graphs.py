@@ -48,7 +48,11 @@ class Graph:
         index = {v: i for i, v in enumerate(vertices)}
         # bit i of masks[j]: vertex i is adjacent to vertex j
         masks = [0] * len(vertices)
-        for a, b in edges:
+        for edge in edges:
+            try:
+                a, b = edge
+            except (TypeError, ValueError):
+                raise InputError(f"edge {edge!r} is not a pair of vertices") from None
             if a not in index or b not in index:
                 raise InputError(f"edge endpoint {a!r}-{b!r} is not a listed vertex")
             if a == b:

@@ -206,33 +206,21 @@ def virtual_split_report(g: Graph, max_k: int) -> SplitReport:
     if max_k > MAX_SPLIT_RANK:
         raise PreconditionError(f"split reports support max_k at most {MAX_SPLIT_RANK}")
     clique = is_clique(g, g.vertices)
-    if clique:
-        return SplitReport(
-            len(g.vertices),
-            len(g.edges),
-            True,
-            max_k,
-            None,
-            None,
-            tuple(NO_CLAIM for _ in range(max_k + 1)),
-            False,
-            CLIQUE_NOTE,
-        )
-    witness = min_separating_clique_witness(g)
+    witness = None if clique else min_separating_clique_witness(g)
     m = None if witness is None else len(witness)
     verdicts = tuple(
-        NO_SPLIT if (m is None or k < m) else SPLITS for k in range(max_k + 1)
+        NO_CLAIM if clique else NO_SPLIT if m is None or k < m else SPLITS for k in range(max_k + 1)
     )
     return SplitReport(
         len(g.vertices),
         len(g.edges),
-        False,
+        clique,
         max_k,
         m,
         witness,
         verdicts,
-        m is None,
-        None,
+        not clique and m is None,
+        CLIQUE_NOTE if clique else None,
     )
 
 

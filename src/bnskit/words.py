@@ -27,14 +27,19 @@ class Word:
         known = set(alphabet)
         if len(known) != len(alphabet):
             raise InputError("duplicate generator name in alphabet")
-        letters = tuple([(g, s) for g, s in letters])
-        for g, s in letters:
+        checked = []
+        for letter in letters:
+            try:
+                g, s = letter
+            except (TypeError, ValueError):
+                raise InputError(f"letter {letter!r} is not a (generator, sign) pair") from None
             if g not in known:
                 raise InputError(f"letter {g!r} is not in the alphabet")
             if type(s) is not int or s not in (1, -1):
                 raise InputError(f"letter sign must be +1 or -1, got {s!r}")
+            checked.append((g, s))
         self.alphabet = alphabet
-        self.letters = letters
+        self.letters = tuple(checked)
 
     @classmethod
     def _checked(cls, alphabet: tuple[str, ...], letters: tuple[Letter, ...]) -> "Word":

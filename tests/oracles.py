@@ -2,11 +2,15 @@
 
 The benchmark's checkers in `bench/oracles.py` are the one implementation of
 the graph scans, separating cliques, complement supports, generator pairs,
-dead subspaces and projection membership, and `bench_oracles()` loads them.
-This module adds compositions of those that many tests use (among them the
-one sampler of dead characters), a line-event counter for work-count tests,
-and the oracles the benchmark has no counterpart for.  Neither file imports
-the package, so agreement is evidence rather than tautology.
+dead subspaces, projection membership and the heap-of-pieces normal form,
+the reference for long words, and `bench_oracles()` loads them.  This module
+adds compositions of those that many tests use (among them the one sampler
+of dead characters), a line-event counter for work-count tests, a faster
+copy of the benchmark's breadth-first rewriting for the acceptance sweep,
+and the oracles the benchmark has no counterpart for: the two-pass graph
+file reader, the dense Hermite form and generic point search, and the
+command line read by nested subparsers.  Neither file imports the package,
+so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -286,48 +290,6 @@ def rewriting_canon(n_gens: int, adjacent, max_len: int) -> dict:
             canon_by_root[root] = w
         canon[w] = canon_by_root[root]
     return canon
-
-
-def two_phase_normal_form(n: int, masks, letters) -> list[tuple[int, int]]:
-    """ShortLex normal form of a graph group word given as (vertex, sign)
-    pairs, by the package's earlier two-phase algorithm.
-
-    First delete one pair x^e ... x^-e whose letters in between all commute
-    with x, and rescan from the first letter, until no such pair is left.
-    Then emit, over and over, the least letter (a before a^-1 before b) that
-    commutes with every letter before it.
-    """
-    full = (1 << n) - 1
-    nonadj = [full & ~(m | 1 << j) for j, m in enumerate(masks)]
-    letters = list(letters)
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for i in range(len(letters) - 1):
-            gi, si = letters[i]
-            for j in range(i + 1, len(letters)):
-                gj, sj = letters[j]
-                if gj == gi:
-                    if sj == -si:
-                        del letters[j]
-                        del letters[i]
-                        shrinking = True
-                        break
-                elif nonadj[gi] >> gj & 1:
-                    break
-            if shrinking:
-                break
-    out = []
-    while letters:
-        seen = 0
-        best = best_key = None
-        for pos, (g, s) in enumerate(letters):
-            key = (g, 0 if s == 1 else 1)
-            if not seen & nonadj[g] and (best_key is None or key < best_key):
-                best, best_key = pos, key
-            seen |= 1 << g
-        out.append(letters.pop(best))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -443,92 +443,3 @@ def test_kernel_row_operations_stay_quadratic_in_n(monkeypatch, family, n):
     vectors = [tuple(rng.randint(-9, 9) for _ in range(generators.dim)) for _ in range(2)]
     assert len(saturate(generators, vectors).annihilator) == generators.dim - 2
     assert 0 < len(calls) <= 32 * n**2
-
-
-def test_kill_character():
-    lat = saturate(AB, [(2, 3)])
-    kc = kill_character(lat)
-    assert [tuple(r.values) for r in kc.rows] == [(3, -2)]
-    # empty lattice: the whole dual space survives
-    full = kill_character(saturate(AB, []))
-    assert [tuple(r.values) for r in full.rows] == [(1, 0), (0, 1)]
-    # full lattice: nothing kills it
-    assert kill_character(saturate(AB, [(1, 0), (0, 1)])).rows == ()
-
-
-def test_kill_character_annihilates_exactly():
-    rng = random.Random(71)
-    for _ in range(150):
-        dim = rng.randrange(1, 5)
-        basis = GeneratorBasis(tuple(f"g{i}" for i in range(dim)))
-        vecs = [
-            tuple(rng.randrange(-4, 5) for _ in range(dim))
-            for _ in range(rng.randrange(3))
-        ]
-        lat = saturate(basis, vecs)
-        kc = kill_character(lat)
-        assert len(kc.rows) == dim - lat.rank == dim - len(dense_hermite_form(vecs, dim))
-        for row in kc.rows:
-            for v in vecs:
-                assert row.pair(v) == 0
-        # the kernel of the killing rows is the vectors' rational span again
-        kernel = dense(integer_kernel([tuple(int(x) for x in r.values) for r in kc.rows], dim), dim)
-        assert len(kernel) == len(dense_hermite_form(vecs, dim))
-        assert all(in_span(kernel, v, dim) for v in vecs)
-
-
-def test_generic_point_frozen_schedule():
-    # full plane, bad = x-axis: (1,0) rejected at t=0, (1,1) accepted at t=1
-    gp = generic_point_avoiding(AB, [(1, 0), (0, 1)], [[(0, 1)]])
-    assert gp.point.values == (Fraction(1), Fraction(1))
-    assert gp.covering is None
-    # no bad subspaces: the first basis vector wins immediately
-    gp3 = generic_point_avoiding(ABC, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [])
-    assert gp3.point.values == (Fraction(1), Fraction(0), Fraction(0))
-
-
-def test_generic_point_covered():
-    gp = generic_point_avoiding(AB, [(1, 0)], [[(0, 1)]])
-    assert gp.point is None and gp.covering == 0
-    # the first covering subspace is reported
-    gp2 = generic_point_avoiding(AB, [(1, 0)], [[(1, 1)], [(0, 1)]])
-    assert gp2.covering == 1
-
-
-def test_generic_point_trivial_subspace():
-    gp = generic_point_avoiding(AB, [], [])
-    assert gp.point.is_zero()
-
-
-def test_generic_point_random_avoids():
-    rng = random.Random(83)
-    for _ in range(100):
-        dim = rng.randrange(1, 5)
-        basis = GeneratorBasis(tuple(f"g{i}" for i in range(dim)))
-        spanning = [
-            tuple(rng.randrange(-3, 4) for _ in range(dim))
-            for _ in range(rng.randrange(1, 3))
-        ]
-        bad = [
-            [tuple(rng.randrange(-2, 3) for _ in range(dim))]
-            for _ in range(rng.randrange(3))
-        ]
-        gp = generic_point_avoiding(basis, spanning, bad)
-        if gp.point is not None:
-            # inside the span
-            denom = 1
-            for v in gp.point.values:
-                denom = denom * v.denominator
-            scaled = tuple(int(v * denom) for v in gp.point.values)
-            assert in_span(spanning, scaled, dim)
-            for eqs in bad:
-                assert any(
-                    sum(Fraction(e) * x for e, x in zip(eq, gp.point.values)) != 0
-                    for eq in eqs
-                )
-        else:
-            eqs = bad[gp.covering]
-            rows = dense(hermite_form(spanning, dim), dim)
-            for row in rows:
-                for eq in eqs:
-                    assert sum(e * x for e, x in zip(eq, row)) == 0

@@ -707,34 +707,39 @@ CLI_OPERANDS = ["x", "4", "-", "-3", "-1.5", "a b"]
 CLI_VALUES = ["4", "-3", "0", "12"]
 
 
-@st.composite
-def command_lines(draw):
+def command_line(choice, randint):
     """A well-formed line (an optional --porcelain, a group, one of its
     commands, its option with a value, and its operands), then up to two
-    insertions, deletions or replacements of tokens drawn from CLI_TOKENS."""
-    group = draw(st.sampled_from(list(oracles.CLI_COMMANDS)))
-    command = draw(st.sampled_from(list(oracles.CLI_COMMANDS[group])))
+    insertions, deletions or replacements of tokens drawn from CLI_TOKENS.
+    choice(seq) picks an item of a list and randint(a, b) an int in a..b."""
+    group = choice(list(oracles.CLI_COMMANDS))
+    command = choice(list(oracles.CLI_COMMANDS[group]))
     int_option, operands = oracles.CLI_COMMANDS[group][command]
     tail = []
     for operand in operands:
-        count = draw(st.integers(0, 3)) if operand.endswith("*") else 1
-        tail += draw(st.lists(st.sampled_from(CLI_OPERANDS), min_size=count, max_size=count))
+        count = randint(0, 3) if operand.endswith("*") else 1
+        tail += [choice(CLI_OPERANDS) for _ in range(count)]
     if int_option:
-        value = draw(st.sampled_from(CLI_VALUES))
-        option = draw(st.sampled_from([[int_option, value], [f"{int_option}={value}"]]))
+        value = choice(CLI_VALUES)
+        option = choice([[int_option, value], [f"{int_option}={value}"]])
         # before or after the operands: argparse reads 'vectors*' from one run of tokens
-        tail = option + tail if draw(st.booleans()) else tail + option
-    argv = ["--porcelain"] * draw(st.integers(0, 1)) + [group, command] + tail
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(0, len(argv)))
-        edit = draw(st.sampled_from(["insert", "delete", "replace"]))
+        tail = option + tail if randint(0, 1) else tail + option
+    argv = ["--porcelain"] * randint(0, 1) + [group, command] + tail
+    for _ in range(randint(0, 2)):
+        at = randint(0, len(argv))
+        edit = choice(["insert", "delete", "replace"])
         if edit == "insert" or at == len(argv):
-            argv.insert(at, draw(st.sampled_from(CLI_TOKENS)))
+            argv.insert(at, choice(CLI_TOKENS))
         elif edit == "delete":
             del argv[at]
         else:
-            argv[at] = draw(st.sampled_from(CLI_TOKENS))
+            argv[at] = choice(CLI_TOKENS)
     return argv
+
+
+@st.composite
+def command_lines(draw):
+    return command_line(lambda seq: draw(st.sampled_from(seq)), lambda a, b: draw(st.integers(a, b)))
 
 
 def _read(parse, argv):

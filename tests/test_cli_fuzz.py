@@ -1,6 +1,7 @@
 """Random input files through the command line: every run ends in an exit code.
 
-Graph files go through `graph analyze` and `raag complement`; character and
+Graph files go through `graph analyze`, `raag complement`, `raag
+split-report --max-k 3` and `raag compare` against the 5-cycle; character and
 vector files through `braid`/`loop` `sigma` and `obstruct` on at most five
 strands, and seeded vector files through `obstruct` on 16; words and
 character files through `raag kill` and `raag sigma`.
@@ -19,6 +20,7 @@ inputs, and no deadline applies, so no outcome depends on machine speed.
 import os
 import random
 import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,27 @@ GRAPH_TEXT = st.one_of(
 )
 
 
+C5 = Path(__file__).parent / "data" / "c5.graph"
+C5_VERTICES, _, C5_MASKS = read_graph_file(C5.read_text())
+
+# the answers of a clique, where the benchmark's checkers do not apply
+CLIQUE_SPLIT = {
+    "clique": "true",
+    "max_k": "3",
+    "min_separating_clique": "none",
+    "witness": "none",
+    "verdicts": "0:no-claim 1:no-claim 2:no-claim 3:no-claim",
+    "nf_certified": "false",
+}
+CLIQUE_COMPARE = {
+    "clique1": "true",
+    "clique2": "false",
+    "invariant1": "none",
+    "invariant2": "none",
+    "verdict": "not-commensurable",
+}
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=200)
 @given(GRAPH_TEXT)
 def test_graph_commands_end_in_an_exit_code(text):
@@ -81,7 +104,12 @@ def test_graph_commands_end_in_an_exit_code(text):
         with open(path, "w", encoding="utf-8", errors="surrogatepass") as handle:
             handle.write(text)
         reports = []
-        for argv in (["graph", "analyze", path], ["raag", "complement", path]):
+        for argv in (
+            ["graph", "analyze", path],
+            ["raag", "complement", path],
+            ["raag", "split-report", "--max-k", "3", path],
+            ["raag", "compare", path, str(C5)],
+        ):
             report = cli.run(["--porcelain", *argv])
             assert report.exit_code in (0, 1, 2)
             if report.exit_code:
@@ -91,11 +119,24 @@ def test_graph_commands_end_in_an_exit_code(text):
         vertices, _, masks = read_graph_file(text)
     except GraphFileError:
         return
-    analyzed, complemented = reports
+    analyzed, complemented, split, compared = reports
+    expected = ORACLES.analyze_expected(vertices, masks)
     if analyzed.exit_code == 0:
-        assert ORACLES.porcelain_dict(analyzed.porcelain) == ORACLES.analyze_expected(vertices, masks)
+        assert ORACLES.porcelain_dict(analyzed.porcelain) == expected
     if complemented.exit_code == 0:
         assert ORACLES.check_complement(vertices, masks, 0, complemented.porcelain) is None
+    clique = expected["clique"] == "true"
+    if split.exit_code == 0:
+        if clique:
+            got = ORACLES.porcelain_dict(split.porcelain)
+            assert got.pop("note") and got == CLIQUE_SPLIT
+        else:
+            assert ORACLES.check_split_report(vertices, masks, 3, 0, split.porcelain) is None
+    if compared.exit_code == 0:
+        if clique:
+            assert ORACLES.porcelain_dict(compared.porcelain) == CLIQUE_COMPARE
+        else:
+            assert ORACLES.check_compare((vertices, masks), (C5_VERTICES, C5_MASKS), 0, compared.porcelain) is None
 
 
 def run_all(files, argvs):

@@ -9,7 +9,6 @@ from bnskit.graphs import (
     is_clique,
     is_connected,
     is_separating,
-    min_separating_clique_witness,
     out_finiteness_predicates,
 )
 
@@ -28,8 +27,6 @@ C4 = Graph("wxyz", [("w", "x"), ("x", "y"), ("y", "z"), ("z", "w")])
 C5 = graph_from_indices(5, [(i, (i + 1) % 5) for i in range(5)])
 K3 = Graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
 STAR = Graph("cxyz", [("c", "x"), ("c", "y"), ("c", "z")])
-BOWTIE = graph_from_indices(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-DIAMOND = graph_from_indices(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 TWO_PARTS = Graph("abcd", [("a", "b"), ("c", "d")])
 
 
@@ -42,6 +39,10 @@ def test_construction_validation():
         Graph("ab", [("a", "q")])
     with pytest.raises(InputError):
         Graph("ab", [("a", "b"), ("b", "a")])
+    # an edge that is not a pair is named, not a bare ValueError or TypeError
+    for edge in (("a", "b", "c"), ("a",), (), 5, None):
+        with pytest.raises(InputError, match="not a pair"):
+            Graph(["a", "b"], [edge])
 
 
 def test_vertex_order_and_lookup():
@@ -92,24 +93,6 @@ def test_separating_conventions():
     assert not is_separating(P3, [])
 
 
-def test_min_separating_clique_goldens():
-    assert min_separating_clique_witness(P3) == ("b",)
-    assert min_separating_clique_witness(C4) is None
-    assert min_separating_clique_witness(C5) is None
-    assert min_separating_clique_witness(BOWTIE) == ("v2",)
-    assert min_separating_clique_witness(DIAMOND) == ("v1", "v2")
-    assert min_separating_clique_witness(TWO_PARTS) == ()
-    assert min_separating_clique_witness(K3) is None
-
-
-def test_min_separating_clique_witness_is_separating_clique():
-    for g in (P3, C4, C5, BOWTIE, DIAMOND, TWO_PARTS, K3, STAR):
-        w = min_separating_clique_witness(g)
-        if w is not None:
-            assert is_clique(g, w)
-            assert is_separating(g, w)
-
-
 def test_out_finiteness_star_graph():
     # a leaf's closed star separates the two remaining leaves
     rep = out_finiteness_predicates(STAR)
@@ -149,17 +132,6 @@ def test_connectivity_against_union_find():
         keep = [f"v{i}" for i in range(n) if subset >> i & 1]
         kept = [(f"v{i}", f"v{j}") for i, j in edges if subset >> i & 1 and subset >> j & 1]
         assert is_connected(Graph(keep, kept)) == ORACLES.connected(masks, subset)
-
-
-def test_min_separating_clique_against_brute_force():
-    rng = random.Random(219)
-    for _ in range(150):
-        n = rng.randrange(1, 7)
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        edges = [p for p in pairs if rng.random() < 0.45]
-        witness = min_separating_clique_witness(graph_from_indices(n, edges))
-        brute = ORACLES.min_separating_clique(n, ORACLES.masks_of(n, edges))
-        assert (None if witness is None else len(witness)) == (None if brute is None else len(ORACLES.bits(brute)))
 
 
 def _porcelain(*argv):

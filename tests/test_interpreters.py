@@ -2,11 +2,12 @@
 
 `pyproject.toml` asks for Python 3.10 or newer.  `tests/interpreter_digest.py`
 answers the golden corpus lines, `graph analyze` and `raag complement` on
-seeded graphs, and help and usage-error lines, and says which modules a
-`graph analyze` run loads; this test runs it under every CPython 3.10 or
-newer it finds and compares each answer with the running interpreter's.
-The two answers that differ between interpreters are listed in `agreed`,
-each with its reason; any other difference fails the test.  It looks for `$PYENV_ROOT/versions/*/bin/python`
+seeded graphs, help and usage-error lines, and 1,000 seeded parser lines,
+and says which modules a `graph analyze` run loads; this test runs it under
+every CPython 3.10 or newer it finds and compares each answer with the
+running interpreter's.  The known differences between interpreters are
+listed in `agreed`, each with its reason; any other difference fails the
+test and names the line.  It looks for `$PYENV_ROOT/versions/*/bin/python`
 (`~/.pyenv` when `PYENV_ROOT` is unset) and for `python3.10` to `python3.19`
 in every directory on `PATH`.  A candidate that does not start, as a pyenv
 shim with no version selected does not, is skipped, and two that are one
@@ -23,6 +24,7 @@ import sys
 from pathlib import Path
 
 from .test_acceptance import CLI_CORPUS, DATA, resolve_argv
+from .test_cli import command_line
 
 ROOT = Path(__file__).resolve().parent.parent
 DRIVER = ROOT / "tests" / "interpreter_digest.py"
@@ -87,19 +89,49 @@ def usage_argvs():
     ]
 
 
-def agreed(argv, answer, usage):
-    """answer with the known differences between interpreters taken out;
-    usage is the same interpreter's answer to `-h`.
+def replayed_argvs():
+    """1,000 seeded parser lines, drawn by `test_cli.py::command_line`: a
+    well-formed line, then up to two token edits from `CLI_TOKENS`."""
+    rng = random.Random(1827)
+    return [command_line(rng.choice, rng.randint) for _ in range(1000)]
 
-    - `-hx`: argparse 3.13 reads it as `-h` and prints the top-level usage
-      with exit code 0; 3.10-3.12 reject it with `error=argument -h/--help:
-      ignored explicit argument 'x'` and exit code 1.  Either is one answer.
+
+def dash_dash_before_command(argv):
+    """Does a `--` come before the group and the command are both read, that
+    is, before the second token that does not start with `-`?"""
+    operands = 0
+    for token in argv:
+        if token == "--":
+            return True
+        operands += not token.startswith("-")
+        if operands == 2:
+            return False
+    return False
+
+
+def agreed(argv, answer):
+    """answer with the known differences between interpreters taken out.
+
+    - `-hx`: argparse 3.13 reads it as `-h` and prints the usage of the level
+      that reads it, with exit code 0; 3.10-3.12 reject it with
+      `error=argument -h/--help: ignored explicit argument 'x'` and exit
+      code 1.  Either is one answer.
+    - `--` where the group or the command is expected: 3.10.13-3.13.0 read
+      it as that operand and reject it as an invalid choice; 3.13.13 takes it
+      for the end of the options, drops it and reads the next token instead.
+      Either is one answer.
     - An invalid group or command lists the choices quoted,
       `(choose from 'graph', 'raag', 'braid', 'loop')`, on 3.10.13-3.13.0,
       and unquoted on 3.13.13.  The quotes are dropped.
     """
-    if argv == ["-hx"] and (answer == usage or answer[2] == ["error=argument -h/--help: ignored explicit argument 'x'"]):
+    exit_code, human, porcelain, printed, _ = answer
+    if "-hx" in argv and (
+        porcelain == ["error=argument -h/--help: ignored explicit argument 'x'"]
+        or exit_code == 0 and human is None and printed.startswith("usage: bnskit")
+    ):
         return "-h, or its argument rejected"
+    if dash_dash_before_command(argv):
+        return "-- read as the group or command, or dropped"
     return json.loads(re.sub(r"\(choose from [^)]*\)", lambda m: m[0].replace("'", ""), json.dumps(answer)))
 
 
@@ -109,14 +141,13 @@ def run_driver(executable, argvs):
         [executable, str(DRIVER)], input=json.dumps(argvs), capture_output=True, text=True, env=env, timeout=300
     )
     assert done.returncode == 0 and not done.stderr, (executable, done.stderr)
-    answers = json.loads(done.stdout)
-    usage = answers[argvs.index(["-h"])]
-    return [agreed(argv, answer, usage) for argv, answer in zip(argvs, answers)]
+    return [agreed(argv, answer) for argv, answer in zip(argvs, json.loads(done.stdout))]
 
 
 def test_every_interpreter_gives_the_same_bytes(tmp_path):
     corpus = [resolve_argv(argv) for argv, _, _ in CLI_CORPUS]
     argvs = graph_argvs(tmp_path) + corpus + [["--porcelain", *argv] for argv in corpus] + usage_argvs()
+    argvs += replayed_argvs()
     assert argvs[0][:2] == ["graph", "analyze"]
     expect = run_driver(sys.executable, argvs)
     own = os.path.realpath(sys.executable)

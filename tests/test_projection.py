@@ -72,7 +72,6 @@ def test_sigma_membership_matches_subset_scan():
                 v = family.module.sigma_membership(n, character(family, n, values))
                 expected = verdict_fields(ORACLES.projection_verdict(family.name, n, values))
                 assert fields(v) == expected, (family.name, n, values)
-                assert projection_inside(family.name, n, values) == v.inside
                 outcomes[expected[3] or expected[1] or expected[0]] += 1
                 checked += 1
     assert checked >= 2000
