@@ -9,8 +9,8 @@ The package namespace holds only what the README's Library section uses:
 `Graph`, `make_character` and the error classes.  Every other name is
 imported from its own module, e.g. `from bnskit import braid` or
 `from bnskit.characters import saturate`.  `import bnskit` runs only the
-error, record and graph modules; `make_character` loads the character
-module on first use.
+error module; `Graph` loads the graph module and `make_character` the
+character module on first use.
 
 Tuples on hot paths are built from lists, not generators.  CPython resizes a
 tuple built from a generator after allocating it, and files the freed result
@@ -19,7 +19,6 @@ runs of small operations grew the process by megabytes that way.
 """
 
 from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError
-from .graphs import Graph
 
 __all__ = [
     "BnsError",
@@ -35,8 +34,12 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # make_character loads the character and word modules on first use, so
-    # a process that never calls it does not compile them
+    # Graph and make_character load their modules on first use, so a
+    # process that never uses them does not compile them
+    if name == "Graph":
+        from .graphs import Graph
+
+        return Graph
     if name == "make_character":
         from .characters import make_character
 

@@ -18,11 +18,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import InputError
 from .records import Record
-from .words import Word
+
+if TYPE_CHECKING:  # annotations only: a character alone needs no word module
+    from .words import Word
 
 # a lattice row: the (column, value) pairs of its nonzero entries, in column order
 Row = tuple[tuple[int, int], ...]

@@ -11,42 +11,19 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import importlib.util
 import os
 import re
 import sys
 from dataclasses import dataclass
 from itertools import compress
-from types import ModuleType
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError
-from .graphs import Graph, is_clique, is_connected, min_separating_clique_witness, out_finiteness_predicates
-
-
-def _lazy(name: str) -> ModuleType:
-    """The module name (relative to this package when it starts with '.'),
-    put in `sys.modules` now and run on its first attribute access, so a
-    process compiles only the modules its command uses.  A module loaded
-    already is returned as it is."""
-    # __package__, not __name__: under `python -m bnskit.cli` this module is __main__
-    name = importlib.util.resolve_name(name, __package__)
-    module = sys.modules.get(name)
-    if module is None:
-        spec = importlib.util.find_spec(name)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-        parent, _, child = name.rpartition(".")
-        if parent:
-            setattr(sys.modules[parent], child, module)
-    return module
-
+from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError, _lazy, _quote
 
 braid = _lazy(".braid")
 characters = _lazy(".characters")
 fractions = _lazy("fractions")
+graphs = _lazy(".graphs")
 loop = _lazy(".loop")
 obstruction = _lazy(".obstruction")
 raag = _lazy(".raag")
@@ -76,7 +53,7 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def parse_graph_file(text: str) -> Graph:
+def parse_graph_file(text: str) -> graphs.Graph:
     """Parse the graph format: 'vertices: a b c' and 'edges: a-b b-c' lines.
     The vertex positions and neighbour masks are built as the lines are
     checked, so the graph is made without checking them again."""
@@ -94,11 +71,11 @@ def parse_graph_file(text: str) -> Graph:
                 # apostrophe (like '^-1') marks an inverse letter in words
                 for mark in "-=,:|":
                     if mark in token:
-                        raise ParseError(lineno, f"vertex name {token!r} may not contain {mark!r}")
+                        raise ParseError(lineno, f"vertex name {_quote(token)} may not contain {mark!r}")
                 if token.endswith("'"):
-                    raise ParseError(lineno, f"vertex name {token!r} may not end in an apostrophe")
+                    raise ParseError(lineno, f"vertex name {_quote(token)} may not end in an apostrophe")
                 if token in index:
-                    raise ParseError(lineno, f"duplicate vertex {token!r}")
+                    raise ParseError(lineno, f"duplicate vertex {_quote(token)}")
                 index[token] = len(vertices)
                 vertices.append(token)
                 masks.append(0)
@@ -106,21 +83,21 @@ def parse_graph_file(text: str) -> Graph:
             for token in line[len("edges:"):].split():
                 parts = token.split("-")
                 if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise ParseError(lineno, f"malformed edge {token!r}")
+                    raise ParseError(lineno, f"malformed edge {_quote(token)}")
                 i, j = index.get(parts[0]), index.get(parts[1])
                 if i is None or j is None:
-                    raise ParseError(lineno, f"edge {token!r} uses an undeclared vertex")
+                    raise ParseError(lineno, f"edge {_quote(token)} uses an undeclared vertex")
                 if i == j:
-                    raise ParseError(lineno, f"self-loop {token!r}")
+                    raise ParseError(lineno, f"self-loop {_quote(token)}")
                 if masks[i] >> j & 1:
-                    raise ParseError(lineno, f"duplicate edge {token!r}")
+                    raise ParseError(lineno, f"duplicate edge {_quote(token)}")
                 masks[i] |= 1 << j
                 masks[j] |= 1 << i
         else:
-            raise ParseError(lineno, f"expected 'vertices:' or 'edges:', got {line!r}")
+            raise ParseError(lineno, f"expected 'vertices:' or 'edges:', got {_quote(line)}")
     if not saw_vertices:
         raise ParseError(1, "missing 'vertices:' line")
-    return Graph._checked(tuple(vertices), index, masks)
+    return graphs.Graph._checked(tuple(vertices), index, masks)
 
 
 def _assignments(
@@ -133,19 +110,19 @@ def _assignments(
     assigned = set()
     for lineno, line in _content_lines(text):
         if "=" not in line:
-            raise ParseError(lineno, f"expected 'name = value', got {line!r}")
+            raise ParseError(lineno, f"expected 'name = value', got {_quote(line)}")
         name, _, value_text = line.partition("=")
         name = name.strip()
         value_text = value_text.strip()
         try:
             index = basis.index(name)
         except InputError:
-            raise ParseError(lineno, f"unknown generator {name!r}") from None
+            raise ParseError(lineno, f"unknown generator {_quote(name)}") from None
         if index in assigned:
-            raise ParseError(lineno, f"generator {name!r} assigned twice")
+            raise ParseError(lineno, f"generator {_quote(name)} assigned twice")
         assigned.add(index)
         if not _VALUE_RE.match(value_text):
-            raise ParseError(lineno, f"malformed rational {value_text!r}")
+            raise ParseError(lineno, f"malformed rational {_quote(value_text)}")
         try:
             value = fractions.Fraction(value_text) if "/" in value_text else int(value_text)
         except ValueError:
@@ -170,7 +147,7 @@ def _parse_letter(lineno: int, token: str, known: set[str]) -> tuple[str, int]:
     elif token.endswith("'"):
         token, sign = token[:-1], -1
     if token not in known:
-        raise ParseError(lineno, f"unknown generator {token!r}")
+        raise ParseError(lineno, f"unknown generator {_quote(token)}")
     return token, sign
 
 
@@ -193,7 +170,7 @@ def parse_vector_file(text: str, basis: characters.GeneratorBasis) -> characters
     entries = {}
     for lineno, index, value_text, value in _assignments(text, basis):
         if value.denominator != 1:
-            raise ParseError(lineno, f"integer required, got {value_text!r}")
+            raise ParseError(lineno, f"integer required, got {_quote(value_text)}")
         if value:
             entries[index] = value.numerator
     return tuple(sorted(entries.items()))
@@ -310,10 +287,10 @@ def _read_file(path: str) -> str:
 
 def _cmd_graph_analyze(args) -> RenderedReport:
     g = parse_graph_file(_read_file(args.graph))
-    witness = min_separating_clique_witness(g)
-    predicates = out_finiteness_predicates(g)
-    clique = is_clique(g, g.vertices)
-    connected = is_connected(g)
+    witness = graphs.min_separating_clique_witness(g)
+    predicates = graphs.out_finiteness_predicates(g)
+    clique = graphs.is_clique(g, g.vertices)
+    connected = graphs.is_connected(g)
     porcelain = {
         "vertices": _fmt_set(g.vertices),
         "edges": _fmt_set(f"{a}-{b}" for a, b in g.edges),
@@ -650,6 +627,37 @@ def _nested_parser() -> _Parser:
     return top
 
 
+def _reject_dash_dash(argv: list[str], read: list[str]) -> None:
+    """Raise the invalid choice that argparse 3.10-3.13.0 gives for a '--'
+    where the group or the command is expected; later versions drop such a
+    '--' and read the next token in its place.  A last '--' is no operand
+    to any of them, so the operand is missing.  The tokens before it are
+    read as those versions read them: an option that gives help or an error
+    comes first, an unknown option is left for later, and a '-' alone, a
+    negative number or a token with a space is the operand itself."""
+    group = None
+    known = ("-h", "--help", "--porcelain")
+    porcelain = False
+    for at, token in enumerate(argv):
+        if token == "--":
+            if at == len(argv) - 1:
+                return  # a '--' with nothing after it leaves the operand missing
+            if porcelain:
+                read.append("--porcelain")
+            level, choices = ("group", _COMMANDS) if group is None else ("command", _COMMANDS[group])
+            raise UsageError(
+                f"argument {level}: invalid choice: '--' (choose from {', '.join(map(repr, choices))})"
+            )
+        if token.partition("=")[0] in known or token[:2] in known:
+            if token != "--porcelain":
+                return
+            porcelain = True
+        elif token[:1] != "-" or len(token) == 1 or re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+            if group is not None or token not in _COMMANDS:
+                return
+            group, known = token, ("-h", "--help")
+
+
 def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
     """The arguments of one invocation, with the errors and the help that
     argparse's nested subparsers give.  The top-level options read go to
@@ -665,6 +673,7 @@ def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
         if unknown:
             raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
         return args
+    _reject_dash_dash(argv, read)
     namespace = argparse.Namespace()
     try:
         return _nested_parser().parse_args(argv, namespace)

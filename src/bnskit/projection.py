@@ -39,10 +39,12 @@ from itertools import combinations, compress
 from typing import Optional, Sequence
 
 from .characters import Character, GeneratorBasis, Row, _sparse, make_character
-from .errors import DomainError, InputError, PreconditionError, require_int
-from .obstruction import ObstructionReport, _demo_basis, run_obstruction
+from .errors import DomainError, InputError, PreconditionError, _lazy, require_int
 from .records import Record
 from .words import Word
+
+# run only by nf_obstruction_demo, so sigma and witness do not compile it
+obstruction = _lazy(".obstruction")
 
 IN = "in"
 OUT = "out"
@@ -210,12 +212,12 @@ class ProjectionFamily(Record):
             for kept in combinations(range(1, n + 1), base.size)
         ]
 
-    def nf_obstruction_demo(self, n: int, vectors: Sequence[Sequence[int]]) -> ObstructionReport:
+    def nf_obstruction_demo(self, n: int, vectors: Sequence[Sequence[int]]) -> obstruction.ObstructionReport:
         """Either certify a killing character alive on both rays, or exhibit the
         covering dead subspace together with its free-subgroup witness pair.
         The vectors are dense int vectors, checked and made `Row`s here."""
-        dim = _demo_basis(self, n).dim
-        return run_obstruction(self, n, _sparse(vectors, dim))
+        dim = obstruction._demo_basis(self, n).dim
+        return obstruction.run_obstruction(self, n, _sparse(vectors, dim))
 
 
 class PairBasis:

@@ -12,15 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Sequence
 
-from .characters import (
-    Character,
-    GeneratorBasis,
-    SaturatedLattice,
-    _first_combination,
-    abelianize,
-    saturate,
-)
-from .errors import InputError, PreconditionError, require_int
+from .errors import InputError, PreconditionError, _lazy, _quote, require_int
 from .graphs import (
     Graph,
     _components,
@@ -29,7 +21,11 @@ from .graphs import (
     min_separating_clique_witness,
 )
 from .records import Record
-from .words import Word, raag_commute
+
+# run only by vertex_basis, _commuting_vectors and kill_and_test, so the
+# commands that read a graph alone do not compile them
+characters = _lazy(".characters")
+words = _lazy(".words")
 
 IN = "in"
 OUT = "out"
@@ -49,16 +45,16 @@ class RaagSigmaVerdict(Record):
         return self.status == IN
 
 
-def vertex_basis(g: Graph) -> GeneratorBasis:
-    return GeneratorBasis(g.vertices)
+def vertex_basis(g: Graph) -> characters.GeneratorBasis:
+    return characters.GeneratorBasis(g.vertices)
 
 
-def _check_character(g: Graph, c: Character) -> None:
+def _check_character(g: Graph, c: characters.Character) -> None:
     if c.basis.names != g.vertices:
         raise InputError("character basis must be the graph's vertex tuple")
 
 
-def sigma_membership(g: Graph, c: Character) -> RaagSigmaVerdict:
+def sigma_membership(g: Graph, c: characters.Character) -> RaagSigmaVerdict:
     """Decide membership via the living subgraph, connectivity first.
 
     >>> from .characters import make_character
@@ -110,20 +106,18 @@ def sigma_complement_supports(g: Graph) -> list[tuple[str, ...]]:
     return [g._names(s) for s in _separating_sets(g)]
 
 
-def _commuting_vectors(g: Graph, gens: Sequence[Word]) -> list[tuple[int, ...]]:
+def _commuting_vectors(g: Graph, gens: Sequence[words.Word]) -> list[tuple[int, ...]]:
     basis = vertex_basis(g)
     for w in gens:
         if w.alphabet != g.vertices:
             raise InputError("generator word alphabet must equal the graph's vertices")
     for u, v in combinations(gens, 2):
-        if not raag_commute(g, u, v):
-            raise PreconditionError(
-                f"generator words {str(u)!r} and {str(v)!r} do not commute"
-            )
-    return [abelianize(basis, w) for w in gens]
+        if not words.raag_commute(g, u, v):
+            raise PreconditionError(f"generator words {_quote(str(u))} and {_quote(str(v))} do not commute")
+    return [characters.abelianize(basis, w) for w in gens]
 
 
-def _split_dead(g: Graph, lattice: SaturatedLattice) -> tuple[tuple[str, ...], list[int]]:
+def _split_dead(g: Graph, lattice: characters.SaturatedLattice) -> tuple[tuple[str, ...], list[int]]:
     """Dead vertices, whose unit vectors lie in the lattice because no
     annihilator row holds their column, and the indices of the living ones."""
     living = {j for row in lattice.annihilator for j, _ in row}
@@ -136,7 +130,7 @@ class KillTestResult(Record):
     __slots__ = ("lattice", "specialized", "dead", "verdict_plus", "verdict_minus")
 
 
-def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
+def kill_and_test(g: Graph, gens: Sequence[words.Word]) -> KillTestResult:
     """Kill a proper subgroup generated by commuting words, then test both rays.
 
     The saturation of the abelianized generators is annihilated by the rows
@@ -147,7 +141,7 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
     """
     basis = vertex_basis(g)
     vectors = _commuting_vectors(g, gens)
-    lattice = saturate(basis, vectors)
+    lattice = characters.saturate(basis, vectors)
     if lattice.rank == basis.dim:
         raise PreconditionError(
             "generators span the whole abelianization; the subgroup is not proper"
@@ -155,7 +149,7 @@ def kill_and_test(g: Graph, gens: Sequence[Word]) -> KillTestResult:
     dead, alive = _split_dead(g, lattice)
     # each living column is nonzero on some annihilator row, so its zero set
     # is a proper subspace of their span
-    specialized = _first_combination(
+    specialized = characters._first_combination(
         basis, lattice.annihilator, lambda c: all(c.values[i] for i in alive)
     )
     return KillTestResult(

@@ -8,11 +8,13 @@ graph group normal forms.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError, require_int
-from .graphs import Graph
 from .records import Record
+
+if TYPE_CHECKING:  # annotations only: a word alone needs no graph module
+    from .graphs import Graph
 
 Letter = tuple[str, int]
 
@@ -170,6 +172,7 @@ def raag_normal_form(g: Graph, w: Word) -> Word:
     ShortLex-least one by greedily emitting the least letter that can
     commute to the front; it is the same for every geodesic input.
 
+    >>> from .graphs import Graph
     >>> g = Graph("ab", [("a", "b")])
     >>> str(raag_normal_form(g, word("ab", ["b", "a", ("b", -1)])))
     'a'
@@ -195,6 +198,7 @@ def raag_normal_form(g: Graph, w: Word) -> Word:
 def raag_commute(g: Graph, u: Word, v: Word) -> bool:
     """Do u and v commute in the graph group of g?
 
+    >>> from .graphs import Graph
     >>> g = Graph("abc", [("a", "b"), ("b", "c")])
     >>> raag_commute(g, word("abc", "aab"), word("abc", "bbb"))
     True

@@ -9,8 +9,8 @@ porcelain lines, what the line wrote to standard output, and which of the
 modules that load on first use have run by then.  Help ends the parse with
 `SystemExit` after writing to standard output; then the exit code is the one
 it carries, and there is no report.  The first lines are meant to be
-`graph analyze` runs, so the answers also cover the probe that
-`graph analyze` runs no family, lattice or word module.
+`graph analyze` runs, so the answers also cover the check that
+`graph analyze` runs the graph module alone.
 
 It uses the standard library only, so that every supported interpreter can
 run it: the same output from two interpreters means the same bytes.
@@ -22,9 +22,9 @@ import json
 import sys
 import types
 
-# the modules `bnskit.cli` puts in sys.modules unrun, as in
-# tests/test_public_surface.py
-LOADED_ON_FIRST_USE = ("braid", "loop", "projection", "obstruction", "raag", "characters", "words")
+# the modules `bnskit.cli` puts in sys.modules unrun, each run by the
+# commands that `RUNS` in tests/test_public_surface.py lists it for
+LOADED_ON_FIRST_USE = ("braid", "loop", "projection", "obstruction", "graphs", "raag", "characters", "words")
 
 
 def answers(argvs) -> list:

@@ -16,8 +16,10 @@ so agreement is evidence rather than tautology.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import importlib.util
+import io
 import re
 import sys
 from fractions import Fraction
@@ -473,9 +475,34 @@ def cli_arguments(args: argparse.Namespace):
     return args.group, args.command, number, tuple([getattr(args, o.rstrip("*")) for o in operands])
 
 
+# a token that argparse reads as an operand and no command line holds
+_MARK = "<-->"
+
+
 def nested_cli_parse(argv):
     """What the nested parser reads from argv, as `cli_arguments` gives it,
     and whether its top level read --porcelain; a CliUsageError if it
-    rejects argv."""
-    args = _nested_cli_parser().parse_args(list(argv))
+    rejects argv.
+
+    A `--` where the group or the command is expected is an invalid choice,
+    quoted as argparse 3.10-3.13.0 quote it, whatever the running argparse
+    does with it (3.13.13 drops it).  Whether the first `--` stands there is
+    left to argparse: with it replaced by a plain operand, the parser
+    rejects that operand as the group or the command."""
+    argv = list(argv)
+    at = argv.index("--") if "--" in argv else len(argv)
+    # a last `--` is no operand to any version, so the operand is missing
+    if at < len(argv) - 1:
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                _nested_cli_parser().parse_args([*argv[:at], _MARK, *argv[at + 1:]])
+        except CliUsageError as e:
+            level = re.match(rf"argument (group|command): invalid choice: '{_MARK}'", str(e))
+            if level:
+                group = next((token for token in argv[:at] if token in CLI_COMMANDS), None)
+                choices = ", ".join(map(repr, CLI_COMMANDS if group is None else CLI_COMMANDS[group]))
+                raise CliUsageError(f"argument {level[1]}: invalid choice: '--' (choose from {choices})") from None
+        except SystemExit:
+            pass
+    args = _nested_cli_parser().parse_args(argv)
     return cli_arguments(args), args.porcelain

@@ -523,6 +523,68 @@ def test_output_format_is_what_the_top_level_read(tmp_path):
         assert (done.returncode, done.stdout, done.stderr) == (1, out, ""), argv
 
 
+def test_dash_dash_where_the_group_or_command_is_expected_is_an_invalid_choice(capsys):
+    """The same answer on every interpreter: argparse 3.13.13 would drop
+    such a '--' and read the next token.  Help or an option error before it
+    still comes first, a positional token before it is the operand, and a
+    last '--' leaves the operand missing."""
+    groups = "choose from 'graph', 'raag', 'braid', 'loop'"
+    commands = "choose from 'sigma', 'kill', 'complement', 'split-report', 'compare'"
+    for argv, line in [
+        (["--porcelain", "--", "graph", "analyze", "x"], f"error=argument group: invalid choice: '--' ({groups})"),
+        (["--porc", "--", "-h"], f"error=argument group: invalid choice: '--' ({groups})"),
+        (["raag", "--", "kill", "x", "y"], f"error=argument command: invalid choice: '--' ({commands})"),
+        (["raag", "--porcelain", "--", "kill"], f"error=argument command: invalid choice: '--' ({commands})"),
+        (["-", "--", "graph"], f"error=argument group: invalid choice: '-' ({groups})"),
+        (["-3", "--", "graph"], f"error=argument group: invalid choice: '-3' ({groups})"),
+        (["--porcelain=1", "--", "graph"], "error=argument --porcelain: ignored explicit argument '1'"),
+        (["raag", "--"], "error=the following arguments are required: command"),
+    ]:
+        read = []
+        report = cli._run(argv, read)
+        assert (report.exit_code, report.porcelain) == (1, (line,)), argv
+        assert read == ["--porcelain"] * (argv[0] == "--porcelain"), argv
+    for argv, usage in [(["-h", "--", "graph"], "usage: bnskit [-h]"), (["raag", "-h", "--", "kill"], "usage: bnskit raag")]:
+        with pytest.raises(SystemExit) as done:
+            run(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith(usage), argv
+
+
+def test_error_lines_quote_at_most_80_characters_of_input(tmp_path):
+    """Tokens, lines, words and values read from files are quoted up to 80
+    characters, then '...'; file paths are quoted whole."""
+    cycle = tmp_path / "c8.graph"
+    names = [f"v{i}" for i in range(8)]
+    cycle.write_text(f"vertices: {' '.join(names)}\nedges: {' '.join(f'{a}-{b}' for a, b in zip(names, names[1:] + names[:1]))}\n")
+    long_words = tmp_path / "long.words"
+    long_words.write_text(" ".join(["v0"] * 4000) + "\n" + " ".join(["v2"] * 4000) + "\n")
+    report = run(["--porcelain", "raag", "kill", str(cycle), str(long_words)])
+    (line,) = report.porcelain
+    u, v = (" ".join([name] * 40)[:80] for name in ("v0", "v2"))
+    assert report.exit_code == 2
+    assert line == f"error=generator words {u!r}... and {v!r}... do not commute"
+    assert len(line.encode()) < 300
+    commas = tmp_path / "commas.graph"
+    listed = ",".join(f"v{i}" for i in range(1000))
+    commas.write_text(f"vertices: {listed}\n")
+    report = run(["--porcelain", "graph", "analyze", str(commas)])
+    assert report.porcelain == (f"error=line 1: vertex name {listed[:80]!r}... may not contain ','",)
+    assert len(report.porcelain[0].encode()) < 300
+    edge = "-".join(["a"] * 50)
+    for text, message in [
+        ("vertices: a\nedges: " + edge, f"line 2: malformed edge {edge[:80]!r}..."),
+        ("x" * 81, f"line 1: expected 'vertices:' or 'edges:', got {'x' * 80!r}..."),
+        ("x" * 80, f"line 1: expected 'vertices:' or 'edges:', got {'x' * 80!r}"),
+    ]:
+        commas.write_text(text)
+        assert run(["--porcelain", "graph", "analyze", str(commas)]).porcelain == (f"error={message}",)
+    long_path = tmp_path / ("p" * 120)
+    assert run(["--porcelain", "graph", "analyze", str(long_path)]).porcelain == (
+        f"error=cannot read {str(long_path)!r}: {os.strerror(errno.ENOENT)}",
+    )
+
+
 def test_each_input_is_read_once(tmp_path, monkeypatch):
     """A run opens each input path once, the readers build their words and
     graphs without checking them a second time, and a vector keeps only its

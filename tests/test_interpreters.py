@@ -96,19 +96,6 @@ def replayed_argvs():
     return [command_line(rng.choice, rng.randint) for _ in range(1000)]
 
 
-def dash_dash_before_command(argv):
-    """Does a `--` come before the group and the command are both read, that
-    is, before the second token that does not start with `-`?"""
-    operands = 0
-    for token in argv:
-        if token == "--":
-            return True
-        operands += not token.startswith("-")
-        if operands == 2:
-            return False
-    return False
-
-
 def agreed(argv, answer):
     """answer with the known differences between interpreters taken out.
 
@@ -116,10 +103,6 @@ def agreed(argv, answer):
       that reads it, with exit code 0; 3.10-3.12 reject it with
       `error=argument -h/--help: ignored explicit argument 'x'` and exit
       code 1.  Either is one answer.
-    - `--` where the group or the command is expected: 3.10.13-3.13.0 read
-      it as that operand and reject it as an invalid choice; 3.13.13 takes it
-      for the end of the options, drops it and reads the next token instead.
-      Either is one answer.
     - An invalid group or command lists the choices quoted,
       `(choose from 'graph', 'raag', 'braid', 'loop')`, on 3.10.13-3.13.0,
       and unquoted on 3.13.13.  The quotes are dropped.
@@ -130,8 +113,6 @@ def agreed(argv, answer):
         or exit_code == 0 and human is None and printed.startswith("usage: bnskit")
     ):
         return "-h, or its argument rejected"
-    if dash_dash_before_command(argv):
-        return "-- read as the group or command, or dropped"
     return json.loads(re.sub(r"\(choose from [^)]*\)", lambda m: m[0].replace("'", ""), json.dumps(answer)))
 
 

@@ -2,10 +2,10 @@
 namespace that holds only the names that example and the error docs use,
 and no public function or class that nothing uses.
 
-`import bnskit` loads the error, record and graph modules only;
-`make_character` loads the character module on first use, the families and
-the command line load when they are imported by name, and a command runs
-only the modules it uses.
+`import bnskit` runs the error module only; `Graph` and `make_character`
+load their modules on first use, the families and the command line load
+when they are imported by name, and each command runs only the modules it
+uses, as `RUNS` lists them.
 """
 
 import ast
@@ -15,8 +15,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bnskit
 
+from .test_acceptance import CLI_CORPUS, resolve_argv
 from .test_tracer_names import _load_tracing
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -24,30 +27,38 @@ SRC = Path(bnskit.__file__).resolve().parent
 
 TOP_LEVEL = ["BnsError", "DomainError", "Graph", "InputError", "ParseError", "PreconditionError", "make_character"]
 
-# the modules that load only when imported by name or used by a command
-# that needs them: neither `import bnskit` nor `graph analyze` runs them
-LOADED_BY_NAME = ("braid", "loop", "projection", "obstruction", "raag", "characters", "words")
+# the package modules each command runs besides errors, records and the
+# command line itself
+RUNS = {
+    ("graph", "analyze"): {"graphs"},
+    **{("raag", command): {"graphs", "raag"} for command in ("complement", "split-report", "compare")},
+    ("raag", "sigma"): {"graphs", "raag", "characters"},
+    ("raag", "kill"): {"graphs", "raag", "characters", "words"},
+    **{
+        (family, command): {family, "projection", "characters", "words"} | ({"obstruction"} if command == "obstruct" else set())
+        for family in ("braid", "loop")
+        for command in ("sigma", "witness", "obstruct")
+    },
+}
 
-# what is loaded is read before the names are resolved, which loads characters
+# the package modules that have run once source has: a module put in
+# sys.modules lazily is a plain module once it has run
 PROBE = """
-import json, sys
-import bnskit
-print(json.dumps({
-    "loaded": [m for m in LOADED_BY_NAME + ("cli",) if "bnskit." + m in sys.modules],
-    "unresolved": [name for name in bnskit.__all__ if not hasattr(bnskit, name)],
-}))
+import json, runpy, sys, types
+{source}
+print(json.dumps(sorted(
+    name.split(".", 1)[1] for name, module in sys.modules.items()
+    if name.startswith("bnskit.") and type(module) is types.ModuleType
+)))
 """
 
-# a module that is put in sys.modules lazily is a plain module once it has run
-RUN_PROBE = """
-import json, runpy, sys, types
-sys.argv = ["bnskit", "--porcelain", "graph", "analyze", GRAPH]
+# `python -m bnskit.cli` runs the command line as __main__, not as bnskit.cli
+COMMAND = """
+sys.argv = ["bnskit", "--porcelain", *ARGV]
 try:
     runpy.run_module("bnskit.cli", run_name="__main__")
 except SystemExit as e:
-    code = e.code
-ran = [m for m in LOADED_BY_NAME if type(sys.modules.get("bnskit." + m)) is types.ModuleType]
-print(json.dumps({"code": code, "ran": ran}))
+    assert e.code == 0, e.code
 """
 
 
@@ -84,25 +95,34 @@ def test_readme_library_example_runs():
     assert checked == [False, ("out", "pb3-sum"), "certificate"]
 
 
-def _probe(source: str) -> dict:
-    """The JSON that source prints last, run in a fresh interpreter with
-    LOADED_BY_NAME defined."""
+def _probe(source: str) -> tuple[list[str], list[str]]:
+    """The lines that source prints, then the package modules that have run,
+    in a fresh interpreter."""
     src = str(Path(bnskit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    source = f"LOADED_BY_NAME = {LOADED_BY_NAME!r}\n{source}"
-    done = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True, env=env)
+    done = subprocess.run([sys.executable, "-c", PROBE.format(source=source)], capture_output=True, text=True, env=env)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    *printed, ran = done.stdout.splitlines()
+    return printed, json.loads(ran)
 
 
 def test_import_loads_only_the_documented_namespace():
     assert sorted(bnskit.__all__) == TOP_LEVEL
-    assert _probe(PROBE) == {"loaded": [], "unresolved": []}
+    assert all(hasattr(bnskit, name) for name in TOP_LEVEL)
+    assert _probe("import bnskit") == ([], ["errors"])
 
 
-def test_graph_analyze_runs_no_family_or_lattice_module():
-    graph = Path(__file__).resolve().parent / "data" / "c5.graph"
-    assert _probe(f"GRAPH = {str(graph)!r}\n{RUN_PROBE}") == {"code": 0, "ran": []}
+def _first_corpus_run(command):
+    """The argv and porcelain of the golden corpus's first exit-0 run of command."""
+    return next((resolve_argv(argv), porcelain) for argv, code, porcelain in CLI_CORPUS if tuple(argv[:2]) == command and code == 0)
+
+
+@pytest.mark.parametrize("command", sorted(RUNS), ids=" ".join)
+def test_command_runs_only_its_modules(command):
+    argv, porcelain = _first_corpus_run(command)
+    printed, ran = _probe(f"ARGV = {argv!r}\n{COMMAND}")
+    assert printed == list(porcelain)
+    assert set(ran) == RUNS[command] | {"errors", "records"}, ran
 
 
 def _references(node: ast.AST, modules: set[str]) -> set[tuple[str | None, str]]:

@@ -5,9 +5,9 @@ import pytest
 
 from bnskit import Graph, InputError, PreconditionError, make_character
 from bnskit.words import word
-from bnskit import raag
+from bnskit import cli, raag
 
-from .oracles import bench_oracles, sigma_alive
+from .oracles import all_labeled_graphs, bench_oracles
 
 
 P3 = Graph("abc", [("a", "b"), ("b", "c")])
@@ -96,23 +96,37 @@ def test_membership_negation_symmetry_random():
     assert seen == {raag.IN, raag.LIVING_DISCONNECTED, raag.NOT_DOMINATING}, seen
 
 
-def test_membership_against_independent_oracle_random():
-    rng = random.Random(37)
-    for _ in range(400):
-        n = rng.randrange(1, 6)
+# the values of the living vertices, fractions among them, taken in turn
+SIGMA_POOL = (1, Fraction(-3, 2), 2, Fraction(1, 3), -1)
+
+
+def test_sigma_on_every_graph_up_to_four_vertices(tmp_path):
+    """`raag sigma` through the command line on every labelled graph of 1-4
+    vertices and every nonempty living set, 1,023 runs, each checked by the
+    benchmark's checker.  Acceptance 01 runs 5-vertex graphs only."""
+    oracles = bench_oracles()
+    seen = set()
+    runs = 0
+    for n in range(1, 5):
         names = [f"v{i}" for i in range(n)]
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        picked = [p for p in pairs if rng.random() < 0.5]
-        g = Graph(names, [(names[i], names[j]) for i, j in picked])
-        masks = bench_oracles().masks_of(n, picked)
-        values = {nm: rng.choice((-1, 0, 1, 2)) for nm in names}
-        c = make_character(raag.vertex_basis(g), values)
-        living = 0
-        for i, nm in enumerate(names):
-            if values[nm]:
-                living |= 1 << i
-        expected = living != 0 and sigma_alive(n, masks, living)
-        assert raag.sigma_membership(g, c).inside == expected
+        characters = []
+        for living in range(1, 1 << n):
+            values = [SIGMA_POOL[(i + living) % len(SIGMA_POOL)] if living >> i & 1 else 0 for i in range(n)]
+            path = tmp_path / f"n{n}-{living}.char"
+            path.write_text("".join(f"{name} = {value}\n" for name, value in zip(names, values)))
+            characters.append((str(path), values))
+        for k, (edges, masks) in enumerate(all_labeled_graphs(n)):
+            graph = tmp_path / f"n{n}-{k}.graph"
+            graph.write_text(f"vertices: {' '.join(names)}\nedges: {' '.join(f'{names[i]}-{names[j]}' for i, j in edges)}\n")
+            for path, values in characters:
+                report = cli.run(["--porcelain", "raag", "sigma", str(graph), path])
+                assert oracles.check_raag_sigma(names, masks, values, report.exit_code, report.porcelain) is None, (
+                    edges, values, report.porcelain,
+                )
+                seen.add(report.porcelain[0])
+                runs += 1
+    assert runs == 1023
+    assert seen == {"status=in", "reason=living-disconnected", "reason=not-dominating"}, seen
 
 
 def _random_factor(rng, prefix):
