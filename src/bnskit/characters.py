@@ -20,7 +20,7 @@ from itertools import compress
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-from .errors import InputError
+from .errors import InputError, require_int
 from .records import Record
 
 if TYPE_CHECKING:  # annotations only: a character alone needs no word module
@@ -244,7 +244,10 @@ def _pairs(row: SparseRow, start: int) -> Row:
 def _sparse(rows: Iterable[Sequence[int]], dim: int) -> list[Row]:
     """Dense rows as `Row`s, if each is an int vector of length dim; any
     other entry (a float, a bool, a Fraction) is an InputError.  The
-    boundary between the dense entry points and the sparse core."""
+    boundary between the dense entry points and the sparse core, so it also
+    checks that dim is a nonnegative int."""
+    if require_int(dim, "dim") < 0:
+        raise InputError("dim must be nonnegative")
     rows = [r if isinstance(r, (tuple, list)) else list(r) for r in rows]
     for r in rows:
         if len(r) != dim:

@@ -669,10 +669,7 @@ def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
     if len(plain) == 2 and plain[1] in _COMMANDS.get(plain[0], ()):
         if start:
             read.append("--porcelain")
-        args, unknown = _parser(*plain).parse_known_args(argv[start + 2:])
-        if unknown:
-            raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-        return args
+        return _parser(*plain).parse_args(argv[start + 2:])
     _reject_dash_dash(argv, read)
     namespace = argparse.Namespace()
     try:

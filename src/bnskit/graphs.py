@@ -23,7 +23,6 @@ x in S, has N(C) inside S (proved at `_separating_sets`).
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -31,7 +30,7 @@ from .errors import InputError, PreconditionError
 from .records import Record
 
 
-class Graph:
+class Graph(Record):
     """A finite simple graph.
 
     >>> g = Graph("abc", [("a", "b"), ("b", "c")])
@@ -40,6 +39,9 @@ class Graph:
     >>> is_connected(g)
     True
     """
+
+    __slots__ = ("vertices", "edges", "_index", "_masks", "_nonadjacency")
+    _fields = ("vertices", "edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()):
         vertices = tuple(vertices)
@@ -73,21 +75,18 @@ class Graph:
         return g
 
     def _fill(self, vertices: tuple[str, ...], index: dict[str, int], masks: list[int]) -> None:
-        self.vertices = vertices
-        self._index = index
-        self._masks = tuple(masks)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_masks", tuple(masks))
+        # bit i of entry j: vertex i is neither vertex j nor adjacent to it
+        full = (1 << len(vertices)) - 1
+        object.__setattr__(self, "_nonadjacency", tuple([full & ~(m | 1 << j) for j, m in enumerate(masks)]))
         # combinations copies its input into a tuple, sized exactly for a range
         # (see the package docstring on tuples)
         vs = vertices
-        self.edges = tuple(
+        object.__setattr__(self, "edges", tuple(
             [(vs[i], vs[j]) for i, j in combinations(range(len(vs)), 2) if masks[i] >> j & 1]
-        )
-
-    @cached_property
-    def _nonadjacency(self) -> tuple[int, ...]:
-        # bit i of entry j: vertex i is neither vertex j nor adjacent to it
-        full = (1 << len(self.vertices)) - 1
-        return tuple([full & ~(m | 1 << j) for j, m in enumerate(self._masks)])
+        ))
 
     def _mask(self, s: Iterable[str]) -> int:
         mask = 0
@@ -114,19 +113,6 @@ class Graph:
         """Canonical form of a vertex set: sorted by vertex order, no repeats."""
         out = sorted(set(s), key=self.index)
         return tuple(out)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.vertices == other.vertices
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Graph({self.vertices!r}, {self.edges!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,11 @@ def sigma_complement_supports(g: Graph) -> list[tuple[str, ...]]:
     return [g._names(s) for s in _separating_sets(g)]
 
 
-def _commuting_vectors(g: Graph, gens: Sequence[words.Word]) -> list[tuple[int, ...]]:
-    basis = vertex_basis(g)
+def _commuting_vectors(
+    g: Graph, basis: characters.GeneratorBasis, gens: Sequence[words.Word]
+) -> list[tuple[int, ...]]:
+    """The abelianized generator words over basis, g's vertex basis, once
+    they are checked to be over g's vertices and to commute pairwise."""
     for w in gens:
         if w.alphabet != g.vertices:
             raise InputError("generator word alphabet must equal the graph's vertices")
@@ -140,7 +143,7 @@ def kill_and_test(g: Graph, gens: Sequence[words.Word]) -> KillTestResult:
     Both that character and its negative get a membership verdict.
     """
     basis = vertex_basis(g)
-    vectors = _commuting_vectors(g, gens)
+    vectors = _commuting_vectors(g, basis, gens)
     lattice = characters.saturate(basis, vectors)
     if lattice.rank == basis.dim:
         raise PreconditionError(

@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # annotations only: a word alone needs no graph module
 Letter = tuple[str, int]
 
 
-class Word:
+class Word(Record):
     """An unreduced word: ordered alphabet plus signed letters."""
 
     __slots__ = ("alphabet", "letters")
@@ -40,15 +40,15 @@ class Word:
             if type(s) is not int or s not in (1, -1):
                 raise InputError(f"letter sign must be +1 or -1, got {s!r}")
             checked.append((g, s))
-        self.alphabet = alphabet
-        self.letters = tuple(checked)
+        object.__setattr__(self, "alphabet", alphabet)
+        object.__setattr__(self, "letters", tuple(checked))
 
     @classmethod
     def _checked(cls, alphabet: tuple[str, ...], letters: tuple[Letter, ...]) -> "Word":
         """A word from parts that already passed the constructor's checks."""
         w = object.__new__(cls)
-        w.alphabet = alphabet
-        w.letters = letters
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", letters)
         return w
 
     def inverse(self) -> "Word":
@@ -61,19 +61,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Word)
-            and self.alphabet == other.alphabet
-            and self.letters == other.letters
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, self.letters))
-
-    def __repr__(self) -> str:
-        return f"Word({self.alphabet!r}, {self.letters!r})"
 
     def __str__(self) -> str:
         if not self.letters:

@@ -228,10 +228,6 @@ def read_graph_file(text: str):
 # reach the shortest form, so the length-bounded universe is closed.
 
 
-def letter_codes(n_gens: int) -> range:
-    return range(2 * n_gens)
-
-
 def words_up_to(n_gens: int, max_len: int):
     """All code tuples of length <= max_len in shortlex order."""
     current = [()]

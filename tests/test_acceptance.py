@@ -182,7 +182,8 @@ def dead_vertices(g, gens):
     """The vertices dying under every character that kills the commuting
     words: the dead vertices of `raag.kill_and_test`, for any subgroup,
     proper or not."""
-    lattice = saturate(raag.vertex_basis(g), raag._commuting_vectors(g, gens))
+    basis = raag.vertex_basis(g)
+    lattice = saturate(basis, raag._commuting_vectors(g, basis, gens))
     return raag._split_dead(g, lattice)[0]
 
 

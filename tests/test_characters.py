@@ -277,16 +277,21 @@ def test_elimination_core_matches_dense_reference():
 @pytest.mark.parametrize("entry", [0.5, 1.0, True, False, Fraction(1), Fraction(1, 2), "1", None], ids=repr)
 @pytest.mark.parametrize(
     "call",
-    [lambda rows: hermite_form(rows, 2), lambda rows: integer_kernel(rows, 2)],
+    [hermite_form, integer_kernel],
     ids=["hermite_form", "integer_kernel"],
 )
 def test_lattice_functions_take_only_int_entries(call, entry):
     # the entry sits in the last row, after a valid one
     with pytest.raises(InputError):
-        call([[1, 0], [entry, 0]])
+        call([[1, 0], [entry, 0]], 2)
     with pytest.raises(InputError):
-        call([[1, 0], (0, entry)])
-    assert call([[1, 0], [0, 1]]) is not None
+        call([[1, 0], (0, entry)], 2)
+    # or stands for the dimension, which must be a nonnegative int as well
+    with pytest.raises(InputError):
+        call([], entry)
+    with pytest.raises(InputError):
+        call([], -1)
+    assert call([[1, 0], [0, 1]], 2) is not None
 
 
 def test_saturate():

@@ -2,6 +2,7 @@
 of frozen dataclasses, and no `dataclasses` import outside the command line.
 """
 
+import ast
 import copy
 import dataclasses
 import importlib
@@ -88,7 +89,7 @@ def _instances():
     )
     yield (
         lambda: f2z(["A", ("B", -1)], 3),
-        "F2ZElement(free_part=Word(('A', 'B'), (('A', 1), ('B', -1))), central=3)",
+        "F2ZElement(free_part=Word(alphabet=('A', 'B'), letters=(('A', 1), ('B', -1))), central=3)",
     )
     yield (
         lambda: braid.sigma_membership(4, make_character(b4.generators, {"S(1,2)": 1, "S(1,3)": -1})),
@@ -96,8 +97,9 @@ def _instances():
     )
     yield (
         lambda: braid.witness_pair(4, make_character(b4.generators, {"S(1,2)": 1, "S(1,3)": -1})),
-        "WitnessPair(u=Word(('S(1,2)', 'S(1,3)', 'S(1,4)', 'S(2,3)', 'S(2,4)', 'S(3,4)'), (('S(1,4)', 1),)), "
-        "v=Word(('S(1,2)', 'S(1,3)', 'S(1,4)', 'S(2,3)', 'S(2,4)', 'S(3,4)'), (('S(2,4)', 1),)), "
+        "WitnessPair(u=Word(alphabet=('S(1,2)', 'S(1,3)', 'S(1,4)', 'S(2,3)', 'S(2,4)', 'S(3,4)'), "
+        "letters=(('S(1,4)', 1),)), "
+        "v=Word(alphabet=('S(1,2)', 'S(1,3)', 'S(1,4)', 'S(2,3)', 'S(2,4)', 'S(3,4)'), letters=(('S(2,4)', 1),)), "
         "designated=(1, 2, 4))",
     )
     yield (
@@ -120,6 +122,14 @@ def _instances():
     yield (
         lambda: raag.kill_and_test(path(), [word("abc", "b")]),
         None,
+    )
+    yield (
+        path,
+        "Graph(vertices=('a', 'b', 'c'), edges=(('a', 'b'), ('b', 'c')))",
+    )
+    yield (
+        lambda: word("ab", ["a", ("b", -1)]),
+        "Word(alphabet=('a', 'b'), letters=(('a', 1), ('b', -1)))",
     )
     yield (
         lambda: braid.nf_obstruction_demo(4, [[1, 0, 0, 0, 0, 0]]),
@@ -199,8 +209,37 @@ def test_projection_family_compares_by_identity():
     assert copy.basis(4).family is copy and copy.basis(4).names == family.basis(4).names
 
 
+# the value methods that only the Record base defines, and the one class
+# that replaces two of them, to compare by identity
+VALUE_METHODS = {"__eq__", "__hash__", "__repr__"}
+OWN_VALUE_METHODS = {("projection", "ProjectionFamily", "__eq__"), ("projection", "ProjectionFamily", "__hash__")}
+
+
+def _bound_names(cls):
+    """The names bound in a class definition, by def or by assignment."""
+    for node in ast.walk(cls):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def test_only_the_record_base_defines_equality_hashing_and_repr():
+    src = Path(bnskit.__file__).resolve().parent
+    found = {
+        (path.stem, cls.name, name)
+        for path in src.glob("*.py")
+        if path.name != "records.py"
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for name in _bound_names(cls)
+        if name in VALUE_METHODS
+    }
+    assert found == OWN_VALUE_METHODS
+
+
 # the record classes whose own __init__ checks or converts its input
-VALIDATING = {"GeneratorBasis", "Character", "VectorCharacter", "F2ZElement"}
+VALIDATING = {"GeneratorBasis", "Character", "VectorCharacter", "F2ZElement", "Graph", "Word"}
 GENERATED = {
     "SaturatedLattice", "GenericPoint", "OutFinitenessReport", "WitnessPair", "ObstructionReport", "BaseGroup",
     "ProjectionFamily", "DeadSubspace", "ProjectionVerdict", "RaagSigmaVerdict", "KillTestResult", "SplitReport",
