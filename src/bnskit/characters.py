@@ -270,13 +270,33 @@ def hermite_form(rows: Iterable[Sequence[int]], dim: int) -> tuple[Row, ...]:
     return tuple([_pairs(row, 0) for row in _normalized(echelon)])
 
 
+def _bad_entry(j, a, last: int, dim: int) -> None:
+    """Raise the InputError for an entry (j, a) of a `Row` that fails the
+    fast check in `_kernel`, after an entry at column last; an int subclass
+    other than bool passes."""
+    require_int(j, "a row's column")
+    require_int(a, "a row's value")
+    if not 0 <= j < dim:
+        raise InputError(f"column {j} is outside 0..{dim - 1}")
+    if j <= last:
+        raise InputError(f"columns must increase, got {j} after {last}")
+    if not a:
+        raise InputError(f"column {j} holds a zero")
+
+
 def _kernel(rows: Sequence[Row], dim: int) -> tuple[Row, ...]:
-    """`integer_kernel` of rows given as `Row`s, whose columns lie below dim."""
+    """`integer_kernel` of rows given as `Row`s: nonzero int values at int
+    columns that increase and lie below dim, as any other entry is an
+    InputError."""
     m = len(rows)
     augmented = [{m + j: 1} for j in range(dim)]
     for k, row in enumerate(rows):
+        last = -1
         for j, a in row:
+            if type(j) is not int or type(a) is not int or not last < j < dim or not a:
+                _bad_entry(j, a, last, dim)
             augmented[j][k] = a
+            last = j
     return tuple([_pairs(row, m) for row in _normalized(_echelon(augmented, m + dim), m)])
 
 

@@ -521,9 +521,10 @@ _PROJECTION_GROUPS = {
 # argument parsing
 #
 # `bnskit [--porcelain] GROUP COMMAND [options] operands`.  A plain line,
-# `--porcelain` tokens and then a group and one of its commands, is read by
-# that command's own parser; any other line by argparse's nested
-# subparsers, which give its help and its errors.
+# `--porcelain` tokens and then a group and one of its commands, is read
+# from the command table when the rest takes the one spelling that scripts
+# use, and by that command's own parser otherwise; any other line by
+# argparse's nested subparsers, which give its help and its errors.
 
 # group -> command -> (handler, int option or None, operands, fixed defaults);
 # an operand ending in * takes any number of files
@@ -658,6 +659,35 @@ def _reject_dash_dash(argv: list[str], read: list[str]) -> None:
             group, known = token, ("-h", "--help")
 
 
+def _table_args(group: str, command: str, tokens: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace that the command's own parser makes of tokens, read
+    from the command table, when they take the one spelling that scripts
+    use: the int option first as '-n 4', its value ASCII digits, then as
+    many operands as the command takes, none starting with '-'.  None for
+    any other spelling, which argparse reads, with its help and errors."""
+    handler, int_option, operands, defaults = _COMMANDS[group][command]
+    args = argparse.Namespace(handler=handler, group=group, command=command, **defaults)
+    if int_option:
+        if len(tokens) < 2 or tokens[0] != int_option or not (tokens[1].isascii() and tokens[1].isdigit()):
+            return None
+        try:
+            setattr(args, int_option.lstrip("-").replace("-", "_"), int(tokens[1]))
+        except ValueError:  # past the interpreter's digit limit
+            return None
+        tokens = tokens[2:]
+    star = operands[-1].endswith("*")
+    count = len(operands) - star
+    if len(tokens) < count or (len(tokens) > count and not star):
+        return None
+    for token in tokens:
+        if token[:1] == "-":
+            return None
+    args.__dict__.update(zip(operands[:count], tokens))
+    if star:
+        setattr(args, operands[-1][:-1], tokens[count:])
+    return args
+
+
 def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
     """The arguments of one invocation, with the errors and the help that
     argparse's nested subparsers give.  The top-level options read go to
@@ -669,7 +699,9 @@ def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
     if len(plain) == 2 and plain[1] in _COMMANDS.get(plain[0], ()):
         if start:
             read.append("--porcelain")
-        return _parser(*plain).parse_args(argv[start + 2:])
+        tokens = argv[start + 2:]
+        args = _table_args(*plain, tokens)
+        return _parser(*plain).parse_args(tokens) if args is None else args
     _reject_dash_dash(argv, read)
     namespace = argparse.Namespace()
     try:

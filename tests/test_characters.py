@@ -20,7 +20,7 @@ from bnskit.characters import (
 )
 from bnskit.cli import parse_character_file
 from bnskit.words import word
-from bnskit import braid, characters, loop, raag
+from bnskit import braid, characters, loop, obstruction, raag
 
 from .oracles import dense_hermite_form
 
@@ -389,6 +389,20 @@ def test_pair_rejects_inexact_entries():
             c.pair(vec)
     assert c.pair((3, 5)) == 3
     assert c.pair((Fraction(1, 2), 0)) == Fraction(1, 2)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [((-1, 1),), ((6, 1),), ((99, 1),), ((0, True),), ((0, 1.5),), ((0, Fraction(1)),), ((True, 1),),
+     ((0, 1), (0, 2)), ((1, 1), (0, 1)), ((0, 0),)],
+    ids=repr,
+)
+def test_obstruction_rows_must_be_pairs_below_dim(row):
+    """`run_obstruction` takes `Row`s: nonzero int values at int columns
+    that increase and lie below the basis dimension, 6 at braid n = 4."""
+    with pytest.raises(InputError):
+        obstruction.run_obstruction(braid.FAMILY, 4, [((0, 1), (5, 2)), row])
+    assert obstruction.run_obstruction(braid.FAMILY, 4, [((0, 1), (5, 2))]).branch == obstruction.CERTIFICATE
 
 
 def test_one_integer_kernel_per_obstruction_and_kill(monkeypatch):

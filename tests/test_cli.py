@@ -721,8 +721,9 @@ def test_closed_standard_input_is_an_error():
 
 
 def test_one_parse_and_one_parser_per_run(monkeypatch):
-    """A run builds only its own command's parser, once per process, and
-    parses its command line once."""
+    """A plain line in the one spelling that scripts use builds no parser
+    and makes no parse; another spelling builds its own command's parser,
+    once per process, and parses its command line once."""
     calls = Counter()
 
     def counted(name):
@@ -739,9 +740,33 @@ def test_one_parse_and_one_parser_per_run(monkeypatch):
     cli._parser.cache_clear()
     graph = str(_DATA / "p3.graph")
     assert run(["--porcelain", "graph", "analyze", graph]).exit_code == 0
-    assert calls == {"__init__": 1, "parse_known_args": 1}
     assert run(["graph", "analyze", graph]).exit_code == 0
+    assert calls == {}
+    assert run(["--porcelain", "raag", "split-report", "--max-k=3", graph]).exit_code == 0
+    assert calls == {"__init__": 1, "parse_known_args": 1}
+    assert run(["raag", "split-report", "--max-k=3", graph]).exit_code == 0
     assert calls == {"__init__": 1, "parse_known_args": 2}
+
+
+def _table_lines():
+    """A line in the table's spelling for each command, `obstruct` with 0
+    and 3 vectors."""
+    for group, commands in cli._COMMANDS.items():
+        for command, (_, int_option, operands, _) in commands.items():
+            option = [int_option, "12"] if int_option else []
+            if operands[-1].endswith("*"):
+                yield group, command, option
+                yield group, command, option + ["a", "b b", "c"]
+            else:
+                yield group, command, option + [f"{o}.txt" for o in operands]
+
+
+@pytest.mark.parametrize("group,command,tokens", list(_table_lines()))
+def test_table_reading_is_the_command_parser_reading(group, command, tokens):
+    """Read from the table, a plain line gives the namespace, handler,
+    module and defaults included, that its command's own parser gives."""
+    args = cli._table_args(group, command, tokens)
+    assert args is not None and args == cli._parser(group, command).parse_args(tokens)
 
 
 def test_reference_parser_has_the_command_table():
@@ -819,12 +844,29 @@ def _read(parse, argv):
 
 @settings(deadline=None, derandomize=True, database=None, max_examples=2000)
 @given(command_lines())
+# plain lines that the command table leaves to argparse: the option joined
+# to its value, after the operands or repeated, a value that is not ASCII
+# digits or is past the digit limit, help, an operand starting with '-',
+# and a missing or an extra operand
+@example(["braid", "sigma", "-n=4", "x"])
+@example(["braid", "sigma", "-n4", "x"])
+@example(["braid", "sigma", "x", "-n", "4"])
+@example(["loop", "obstruct", "-n", "4", "x", "-n", "5"])
+@example(["braid", "sigma", "-n", "+4", "x"])
+@example(["braid", "sigma", "-n", "\u0664", "x"])
+@example(["braid", "sigma", "-n", "9" * 5000, "x"])
+@example(["graph", "analyze", "-h"])
+@example(["raag", "sigma", "-", "x"])
+@example(["raag", "split-report", "--max-k", "2", "-3"])
+@example(["raag", "sigma", "x"])
+@example(["raag", "compare", "x", "y", "z"])
+@example(["braid", "witness", "-n", "4"])
 def test_command_lines_read_as_by_nested_subparsers(argv):
-    """A plain line goes to its command's own parser, any other to nested
-    subparsers whose top and group levels print `cli._usage` for help; what
-    is read, whether the top level read --porcelain, every error, and which
-    level prints help must be what the nested argparse subparsers in
-    `tests/oracles.py` give."""
+    """A plain line is read from the command table or by its command's own
+    parser, any other by nested subparsers whose top and group levels print
+    `cli._usage` for help; what is read, whether the top level read
+    --porcelain, every error, and which level prints help must be what the
+    nested argparse subparsers in `tests/oracles.py` give."""
     read = []
     flat = _read(lambda v: (oracles.cli_arguments(cli._parse(v, read)), "--porcelain" in read), argv)
     assert flat == _read(oracles.nested_cli_parse, argv)

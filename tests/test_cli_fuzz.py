@@ -2,7 +2,7 @@
 
 Graph files go through `graph analyze`, `raag complement`, `raag
 split-report --max-k 3` and `raag compare` against the 5-cycle; character and
-vector files through `braid`/`loop` `sigma` and `obstruct` on at most five
+vector files through `braid`/`loop` `sigma`, `witness` and `obstruct` on at most five
 strands, and seeded vector files through `obstruct` on 16; words and
 character files through `raag kill` and `raag sigma`.
 When a run succeeds on input that is well formed, its answer is checked by
@@ -17,6 +17,7 @@ The examples are derandomized, so every run of the suite tries the same
 inputs, and no deadline applies, so no outcome depends on machine speed.
 """
 
+import math
 import os
 import random
 import tempfile
@@ -222,12 +223,47 @@ def projection_commands(draw):
 def test_character_and_vector_files_end_in_an_exit_code(command):
     family, n, files = command
     obstruct = [family, "obstruct", "-n", n, *range(1, len(files))]
-    sigma, obstructed = run_all([text for text, _ in files], [[family, "sigma", "-n", n, 0], obstruct])
+    sigma, witness, obstructed = run_all(
+        [text for text, _ in files], [[family, "sigma", "-n", n, 0], [family, "witness", "-n", n, 0], obstruct]
+    )
     values = [parsed for _, parsed in files]
     if sigma.exit_code == 0 and values[0] is not None:
         assert ORACLES.check_projection_sigma(family, int(n), values[0], 0, sigma.porcelain) is None
+    if witness.exit_code == 0 and values[0] is not None:
+        assert ORACLES.check_projection_witness(family, int(n), values[0], 0, witness.porcelain) is None
     if obstructed.exit_code == 0 and None not in values[1:]:
         assert ORACLES.check_obstruction(family, int(n), values[1:], 0, obstructed.porcelain) is None
+
+
+@st.composite
+def dead_characters(draw):
+    """A character in one dead subspace, at braid n = 4-5 or loop n = 3-4:
+    an integer combination of the subspace's rational basis, cleared of
+    denominators.  Returns the family, n and the values by strand pair."""
+    family, n = draw(st.sampled_from([("braid", 4), ("braid", 5), ("loop", 3), ("loop", 4)]))
+    _, _, equations = draw(st.sampled_from(dead_subspaces(family, n)))
+    pairs = ORACLES.family_pairs(family, n)
+    basis = ORACLES.nullspace([list(row) for row in equations], len(pairs))
+    coefficients = draw(st.lists(st.integers(-3, 3), min_size=len(basis), max_size=len(basis)))
+    point = [sum(c * row[k] for c, row in zip(coefficients, basis)) for k in range(len(pairs))]
+    scale = math.lcm(*(x.denominator for x in point))
+    return family, n, {pair: int(x * scale) for pair, x in zip(pairs, point) if x}
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=100)
+@given(dead_characters())
+def test_witnesses_of_dead_characters_are_checked(command):
+    """Every nonzero character of a dead subspace lies outside the
+    invariant, so `witness` answers it, and the benchmark's checker reads
+    the answer; the zero character has none."""
+    family, n, values = command
+    letter = "S" if family == "braid" else "A"
+    text = "".join(f"{letter}({i},{j}) = {x}\n" for (i, j), x in values.items())
+    (report,) = run_all([text], [[family, "witness", "-n", str(n), 0]])
+    if not values:
+        assert report.porcelain == ("error=the zero character does not admit a witness pair",)
+    else:
+        assert ORACLES.check_projection_witness(family, n, values, report.exit_code, report.porcelain) is None
 
 
 @st.composite
