@@ -285,18 +285,21 @@ def _bad_entry(j, a, last: int, dim: int) -> None:
 
 
 def _kernel(rows: Sequence[Row], dim: int) -> tuple[Row, ...]:
-    """`integer_kernel` of rows given as `Row`s: nonzero int values at int
-    columns that increase and lie below dim, as any other entry is an
-    InputError."""
+    """`integer_kernel` of rows given as `Row`s: sequences of pairs, nonzero
+    int values at int columns that increase and lie below dim, as any other
+    row or entry is an InputError."""
     m = len(rows)
     augmented = [{m + j: 1} for j in range(dim)]
     for k, row in enumerate(rows):
         last = -1
-        for j, a in row:
-            if type(j) is not int or type(a) is not int or not last < j < dim or not a:
-                _bad_entry(j, a, last, dim)
-            augmented[j][k] = a
-            last = j
+        try:
+            for j, a in row:
+                if type(j) is not int or type(a) is not int or not last < j < dim or not a:
+                    _bad_entry(j, a, last, dim)
+                augmented[j][k] = a
+                last = j
+        except (TypeError, ValueError):
+            raise InputError(f"row {k} is not a sequence of (column, value) pairs") from None
     return tuple([_pairs(row, m) for row in _normalized(_echelon(augmented, m + dim), m)])
 
 

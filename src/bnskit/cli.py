@@ -520,11 +520,11 @@ _PROJECTION_GROUPS = {
 # ---------------------------------------------------------------------------
 # argument parsing
 #
-# `bnskit [--porcelain] GROUP COMMAND [options] operands`.  A plain line,
-# `--porcelain` tokens and then a group and one of its commands, is read
-# from the command table when the rest takes the one spelling that scripts
-# use, and by that command's own parser otherwise; any other line by
-# argparse's nested subparsers, which give its help and its errors.
+# `bnskit [--porcelain] GROUP COMMAND [options] operands`.  `_parse` reads
+# the tokens up to the command itself, with the help and the errors of
+# argparse's nested subparsers; the rest is read from the command table
+# when it takes the one spelling that scripts use, and by that command's own
+# argparse parser otherwise.
 
 # group -> command -> (handler, int option or None, operands, fixed defaults);
 # an operand ending in * takes any number of files
@@ -564,22 +564,19 @@ def _ascii_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _command_parser(parser: _Parser, group: str, command: str) -> _Parser:
-    """parser, given the option, operands and defaults of one command."""
+@functools.cache
+def _parser(group: str, command: str) -> _Parser:
+    """The parser of one command's options and operands, built on first
+    use and kept for the process."""
     handler, int_option, operands, defaults = _COMMANDS[group][command]
+    # no abbreviations: '--max' is not '--max-k'
+    parser = _Parser(prog=f"bnskit {group} {command}", allow_abbrev=False)
     if int_option:
         parser.add_argument(int_option, type=_ascii_int, required=True)
     for operand in operands:
         parser.add_argument(operand.rstrip("*"), nargs="*" if operand.endswith("*") else None)
     parser.set_defaults(handler=handler, group=group, command=command, **defaults)
     return parser
-
-
-@functools.cache
-def _parser(group: str, command: str) -> _Parser:
-    """The parser of one command, built on first use and kept for the process."""
-    # no abbreviations: '--max' is not '--max-k'
-    return _command_parser(_Parser(prog=f"bnskit {group} {command}", allow_abbrev=False), group, command)
 
 
 def _usage(group: Optional[str]) -> str:
@@ -597,74 +594,13 @@ def _usage(group: Optional[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Usage(argparse.Action):
-    """-h/--help of the top level or of a group: print its `_usage` and exit."""
-
-    def __init__(self, option_strings, dest, group=None):
-        super().__init__(option_strings, argparse.SUPPRESS, nargs=0, default=argparse.SUPPRESS)
-        self.group = group
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        # print, unlike sys.stdout.write, does nothing when the process
-        # started with no standard output
-        print(_usage(self.group), end="")
-        raise SystemExit(0)
-
-
-@functools.cache
-def _nested_parser() -> _Parser:
-    """The parser of any command line, built on first use: a subparser level
-    for the group and one for the command."""
-    top = _Parser(prog="bnskit", add_help=False, allow_abbrev=False)
-    top.add_argument("-h", "--help", action=_Usage)
-    top.add_argument("--porcelain", action="store_true")
-    groups = top.add_subparsers(dest="group", required=True)
-    for group, commands in _COMMANDS.items():
-        level = groups.add_parser(group, add_help=False, allow_abbrev=False)
-        level.add_argument("-h", "--help", action=_Usage, group=group)
-        subparsers = level.add_subparsers(dest="command", required=True)
-        for command in commands:
-            _command_parser(subparsers.add_parser(command, allow_abbrev=False), group, command)
-    return top
-
-
-def _reject_dash_dash(argv: list[str], read: list[str]) -> None:
-    """Raise the invalid choice that argparse 3.10-3.13.0 gives for a '--'
-    where the group or the command is expected; later versions drop such a
-    '--' and read the next token in its place.  A last '--' is no operand
-    to any of them, so the operand is missing.  The tokens before it are
-    read as those versions read them: an option that gives help or an error
-    comes first, an unknown option is left for later, and a '-' alone, a
-    negative number or a token with a space is the operand itself."""
-    group = None
-    known = ("-h", "--help", "--porcelain")
-    porcelain = False
-    for at, token in enumerate(argv):
-        if token == "--":
-            if at == len(argv) - 1:
-                return  # a '--' with nothing after it leaves the operand missing
-            if porcelain:
-                read.append("--porcelain")
-            level, choices = ("group", _COMMANDS) if group is None else ("command", _COMMANDS[group])
-            raise UsageError(
-                f"argument {level}: invalid choice: '--' (choose from {', '.join(map(repr, choices))})"
-            )
-        if token.partition("=")[0] in known or token[:2] in known:
-            if token != "--porcelain":
-                return
-            porcelain = True
-        elif token[:1] != "-" or len(token) == 1 or re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
-            if group is not None or token not in _COMMANDS:
-                return
-            group, known = token, ("-h", "--help")
-
-
 def _table_args(group: str, command: str, tokens: list[str]) -> Optional[argparse.Namespace]:
     """The namespace that the command's own parser makes of tokens, read
     from the command table, when they take the one spelling that scripts
     use: the int option first as '-n 4', its value ASCII digits, then as
     many operands as the command takes, none starting with '-'.  None for
-    any other spelling, which argparse reads, with its help and errors."""
+    any other spelling, which the command's argparse parser reads, with its
+    help and errors."""
     handler, int_option, operands, defaults = _COMMANDS[group][command]
     args = argparse.Namespace(handler=handler, group=group, command=command, **defaults)
     if int_option:
@@ -689,26 +625,53 @@ def _table_args(group: str, command: str, tokens: list[str]) -> Optional[argpars
 
 
 def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
-    """The arguments of one invocation, with the errors and the help that
-    argparse's nested subparsers give.  The top-level options read go to
-    read, also when a later token is an error."""
-    start = 0
-    while argv[start:start + 1] == ["--porcelain"]:
-        start += 1
-    plain = argv[start:start + 2]
-    if len(plain) == 2 and plain[1] in _COMMANDS.get(plain[0], ()):
-        if start:
-            read.append("--porcelain")
-        tokens = argv[start + 2:]
-        args = _table_args(*plain, tokens)
-        return _parser(*plain).parse_args(tokens) if args is None else args
-    _reject_dash_dash(argv, read)
-    namespace = argparse.Namespace()
-    try:
-        return _nested_parser().parse_args(argv, namespace)
-    finally:
-        if getattr(namespace, "porcelain", False):
-            read.append("--porcelain")
+    """The arguments of one invocation, read as argparse 3.10-3.12 read
+    nested subparsers: a top level and a group level above the command's
+    own parser.  The tokens up to the command are read here: `--porcelain`
+    at the top level only, help at either level, any other option held back
+    until the command's own parse has succeeded, and the group, then the
+    command.  The tokens after the command go to the command table or to
+    the command's own parser.  The top-level options read go to read, also
+    when a later token is an error."""
+    group, choices, unknown = None, _COMMANDS, []
+    for at, token in enumerate(argv):
+        if token in choices:
+            if group is None:
+                group, choices = token, _COMMANDS[token]
+                continue
+            tokens = argv[at + 1:]
+            args = _table_args(group, token, tokens)
+            if args is None:
+                args, rest = _parser(group, token).parse_known_args(tokens)
+                unknown += rest
+            if unknown:
+                raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+            return args
+        name, equals, argument = token.partition("=")
+        if token == "--porcelain" and group is None:
+            read.append(token)
+        elif token == "--help" or token[:2] == "-h":
+            # -h reads the h's after it, in the token or after '-h=', as
+            # more -h flags, and refuses any other argument, an empty one too
+            if token[:2] == "-h" and name != "-h":
+                argument = token[2:]
+            if argument.lstrip("h") or equals and not argument:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {argument.lstrip('h')!r}")
+            # print, unlike sys.stdout.write, does nothing when the process
+            # started with no standard output
+            print(_usage(group), end="")
+            raise SystemExit(0)
+        elif equals and (name == "--help" or name == "--porcelain" and group is None):
+            option = "-h/--help" if name == "--help" else name
+            raise UsageError(f"argument {option}: ignored explicit argument {argument!r}")
+        elif token[:1] != "-" or token in ("-", "--") or " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+            if token == "--" and at == len(argv) - 1:
+                break  # a last '--' is no operand, so the operand is missing
+            level, names = "command" if group else "group", ", ".join(map(repr, choices))
+            raise UsageError(f"argument {level}: invalid choice: {token!r} (choose from {names})")
+        else:
+            unknown.append(token)
+    raise UsageError(f"the following arguments are required: {'command' if group else 'group'}")
 
 
 def run(argv: Sequence[str]) -> RenderedReport:

@@ -60,6 +60,40 @@ MUTANTS = [
         ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
     ),
     Mutant(
+        "the group level reads --porcelain",
+        "cli.py",
+        'if token == "--porcelain" and group is None:',
+        'if token == "--porcelain":',
+        ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
+    ),
+    Mutant(
+        "an unknown option before the command is dropped",
+        "cli.py",
+        "            unknown.append(token)\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
+    ),
+    Mutant(
+        "-hh is not read as a run of -h flags",
+        "cli.py",
+        'if argument.lstrip("h") or equals and not argument:',
+        "if argument or equals:",
+        (
+            "tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",
+            "tests/test_cli.py::test_help_at_every_level_prints_a_usage",
+        ),
+    ),
+    Mutant(
+        "a last '--' is an invalid choice",
+        "cli.py",
+        'if token == "--" and at == len(argv) - 1:',
+        "if False:",
+        (
+            "tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",
+            "tests/test_cli.py::test_dash_dash_where_the_group_or_command_is_expected_is_an_invalid_choice",
+        ),
+    ),
+    Mutant(
         "raag sigma skips the domination check on at most 4 vertices",
         "raag.py",
         "    if undominated:\n",
@@ -81,10 +115,38 @@ MUTANTS = [
         ("tests/test_characters.py::test_obstruction_rows_must_be_pairs_below_dim",),
     ),
     Mutant(
+        "the echelon form's reduction above a pivot never subtracts",
+        "characters.py",
+        "            if q:\n",
+        "            if False:\n",
+        ("tests/test_span.py::test_obstruct_reads_only_the_span",),
+    ),
+    Mutant(
+        "abelianize counts only positive letters",
+        "characters.py",
+        "out[index[g]] += s",
+        "out[index[g]] += max(s, 0)",
+        ("tests/test_acceptance.py::test_acceptance_04_kill_machinery_properties",),
+    ),
+    Mutant(
+        "a dead subspace's equations ignore their coefficients",
+        "projection.py",
+        "sum(coefficient * value(a, b) for",
+        "sum(value(a, b) for",
+        ("tests/test_projection.py::test_sigma_membership_matches_subset_scan",),
+    ),
+    Mutant(
         "the normal form's emission loop never marks a letter as seen",
         "words.py",
         "            seen |= 1 << gp\n",
         "            pass\n",
+        ("tests/test_words.py::test_normal_form_matches_heap_reference_on_long_words",),
+    ),
+    Mutant(
+        "the normal form's emission loop scans only the first six letters",
+        "words.py",
+        "enumerate(letters)",
+        "enumerate(letters[:6])",
         ("tests/test_words.py::test_normal_form_matches_heap_reference_on_long_words",),
     ),
     Mutant(

@@ -394,12 +394,13 @@ def test_pair_rejects_inexact_entries():
 @pytest.mark.parametrize(
     "row",
     [((-1, 1),), ((6, 1),), ((99, 1),), ((0, True),), ((0, 1.5),), ((0, Fraction(1)),), ((True, 1),),
-     ((0, 1), (0, 2)), ((1, 1), (0, 1)), ((0, 0),)],
+     ((0, 1), (0, 2)), ((1, 1), (0, 1)), ((0, 0),), 5, None, (0,), ((0,),), ((0, 1, 2),)],
     ids=repr,
 )
 def test_obstruction_rows_must_be_pairs_below_dim(row):
-    """`run_obstruction` takes `Row`s: nonzero int values at int columns
-    that increase and lie below the basis dimension, 6 at braid n = 4."""
+    """`run_obstruction` takes `Row`s: sequences of pairs, nonzero int
+    values at int columns that increase and lie below the basis dimension,
+    6 at braid n = 4."""
     with pytest.raises(InputError):
         obstruction.run_obstruction(braid.FAMILY, 4, [((0, 1), (5, 2)), row])
     assert obstruction.run_obstruction(braid.FAMILY, 4, [((0, 1), (5, 2))]).branch == obstruction.CERTIFICATE

@@ -720,10 +720,11 @@ def test_closed_standard_input_is_an_error():
     assert (done.returncode, done.stdout, done.stderr) == (1, message, "")
 
 
-def test_one_parse_and_one_parser_per_run(monkeypatch):
+def test_one_parse_and_one_parser_per_run(monkeypatch, capsys):
     """A plain line in the one spelling that scripts use builds no parser
-    and makes no parse; another spelling builds its own command's parser,
-    once per process, and parses its command line once."""
+    and makes no parse, and neither does help or an error read before the
+    command; another spelling builds its own command's parser, once per
+    process, and parses its command line once."""
     calls = Counter()
 
     def counted(name):
@@ -741,6 +742,11 @@ def test_one_parse_and_one_parser_per_run(monkeypatch):
     graph = str(_DATA / "p3.graph")
     assert run(["--porcelain", "graph", "analyze", graph]).exit_code == 0
     assert run(["graph", "analyze", graph]).exit_code == 0
+    with pytest.raises(SystemExit):
+        run(["-h"])
+    assert capsys.readouterr().out == cli._usage(None)
+    assert run(["nosuch", "analyze", graph]).exit_code == 1
+    assert run(["-x", "graph", "analyze", graph]).porcelain == ("error=unrecognized arguments: -x",)
     assert calls == {}
     assert run(["--porcelain", "raag", "split-report", "--max-k=3", graph]).exit_code == 0
     assert calls == {"__init__": 1, "parse_known_args": 1}
@@ -861,12 +867,35 @@ def _read(parse, argv):
 @example(["raag", "sigma", "x"])
 @example(["raag", "compare", "x", "y", "z"])
 @example(["braid", "witness", "-n", "4"])
+# top- and group-level tokens that the draw never makes: -h given an
+# argument or a run of h's, unknown options, a token with a space, a
+# negative number in other digits, an empty token, --porcelain at the group
+# level and given an empty argument, and a last '--'
+@example(["-hhx"])
+@example(["-h=1"])
+@example(["-h="])
+@example(["-h=hh"])
+@example(["-hh=1"])
+@example(["--help="])
+@example(["-h x"])
+@example(["raag", "-h-"])
+@example(["raag", "-hhh"])
+@example(["-x y", "graph"])
+@example(["-\u0663", "graph"])
+@example(["-1e5", "graph", "analyze", "x"])
+@example(["-x", "raag", "-y", "kill", "a", "b", "-z"])
+@example(["-x", "graph", "analyze"])
+@example(["graph", "--porcelain=1", "analyze", "x"])
+@example(["", "graph"])
+@example(["--porcelain=", "graph"])
+@example(["--porcelain", "graph", "--"])
 def test_command_lines_read_as_by_nested_subparsers(argv):
-    """A plain line is read from the command table or by its command's own
-    parser, any other by nested subparsers whose top and group levels print
-    `cli._usage` for help; what is read, whether the top level read
-    --porcelain, every error, and which level prints help must be what the
-    nested argparse subparsers in `tests/oracles.py` give."""
+    """`cli._parse` reads the top and group levels itself, and the tokens
+    after the command from the command table or by the command's own
+    parser; what is read, whether the top level read --porcelain, every
+    error, and which level prints help must be what the nested argparse
+    subparsers in `tests/oracles.py` give under argparse 3.10-3.12, whose
+    reading `cli` keeps on every interpreter."""
     read = []
     flat = _read(lambda v: (oracles.cli_arguments(cli._parse(v, read)), "--porcelain" in read), argv)
     assert flat == _read(oracles.nested_cli_parse, argv)
