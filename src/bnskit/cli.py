@@ -8,17 +8,16 @@ get byte-stable output.  A file argument of - reads standard input.
 
 from __future__ import annotations
 
-import argparse
 import errno
-import functools
 import os
 import re
 import sys
 from dataclasses import dataclass
 from itertools import compress
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import BnsError, DomainError, InputError, ParseError, PreconditionError, _lazy, _quote
+from .errors import QUOTED_CHARS, BnsError, DomainError, InputError, ParseError, PreconditionError, _lazy, _quote
 
 braid = _lazy(".braid")
 characters = _lazy(".characters")
@@ -521,13 +520,13 @@ _PROJECTION_GROUPS = {
 # argument parsing
 #
 # `bnskit [--porcelain] GROUP COMMAND [options] operands`.  `_parse` reads
-# the tokens up to the command itself, with the help and the errors of
-# argparse's nested subparsers; the rest is read from the command table
-# when it takes the one spelling that scripts use, and by that command's own
-# argparse parser otherwise.
+# the whole line in one token walk, as argparse 3.10-3.12 read nested
+# subparsers: a top level, a group level and the command's own level.  Each
+# command's reading, help and errors come from its row below.
 
 # group -> command -> (handler, int option or None, operands, fixed defaults);
-# an operand ending in * takes any number of files
+# an operand ending in * takes any number of files, and is then its
+# command's only operand
 _COMMANDS = {
     "graph": {"analyze": (_cmd_graph_analyze, None, ("graph",), {})},
     "raag": {
@@ -547,36 +546,16 @@ _COMMANDS = {
     },
 }
 
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise UsageError(message)
-
-
-def _ascii_int(text: str) -> int:
-    """An optional sign and ASCII digits, like a value line's integers;
-    `int` alone also reads other scripts' digits, '_' and spaces."""
-    if re.fullmatch(r"[+-]?[0-9]+", text):
-        try:
-            return int(text)
-        except ValueError:  # past the interpreter's digit limit
-            pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+# the options of the top level and of a group level; a command's level adds
+# its int option to the group's
+_TOP_OPTIONS = ("-h", "--help", "--porcelain")
+_GROUP_OPTIONS = ("-h", "--help")
 
 
-@functools.cache
-def _parser(group: str, command: str) -> _Parser:
-    """The parser of one command's options and operands, built on first
-    use and kept for the process."""
-    handler, int_option, operands, defaults = _COMMANDS[group][command]
-    # no abbreviations: '--max' is not '--max-k'
-    parser = _Parser(prog=f"bnskit {group} {command}", allow_abbrev=False)
-    if int_option:
-        parser.add_argument(int_option, type=_ascii_int, required=True)
-    for operand in operands:
-        parser.add_argument(operand.rstrip("*"), nargs="*" if operand.endswith("*") else None)
-    parser.set_defaults(handler=handler, group=group, command=command, **defaults)
-    return parser
+def _grammar(int_option: Optional[str], operands: Sequence[str]) -> str:
+    """A command's int option and operands as a usage line writes them."""
+    words = [f"{int_option} {int_option.lstrip('-').replace('-', '_').upper()}"] if int_option else []
+    return " ".join(words + [f"[{o[:-1]} ...]" if o.endswith("*") else o for o in operands])
 
 
 def _usage(group: Optional[str]) -> str:
@@ -586,92 +565,158 @@ def _usage(group: Optional[str]) -> str:
     lines = [f"usage: {head} COMMAND [options] operands", "", "commands:"]
     for name, commands in ({group: _COMMANDS[group]} if group else _COMMANDS).items():
         for command, (_, int_option, operands, _) in commands.items():
-            words = [f"bnskit {name} {command}"]
-            if int_option:
-                words.append(f"{int_option} {int_option.lstrip('-').replace('-', '_').upper()}")
-            words += [f"[{o[:-1]} ...]" if o.endswith("*") else o for o in operands]
-            lines.append("  " + " ".join(words))
+            lines.append(f"  bnskit {name} {command} {_grammar(int_option, operands)}")
     return "\n".join(lines) + "\n"
 
 
-def _table_args(group: str, command: str, tokens: list[str]) -> Optional[argparse.Namespace]:
-    """The namespace that the command's own parser makes of tokens, read
-    from the command table, when they take the one spelling that scripts
-    use: the int option first as '-n 4', its value ASCII digits, then as
-    many operands as the command takes, none starting with '-'.  None for
-    any other spelling, which the command's argparse parser reads, with its
-    help and errors."""
-    handler, int_option, operands, defaults = _COMMANDS[group][command]
-    args = argparse.Namespace(handler=handler, group=group, command=command, **defaults)
-    if int_option:
-        if len(tokens) < 2 or tokens[0] != int_option or not (tokens[1].isascii() and tokens[1].isdigit()):
-            return None
-        try:
-            setattr(args, int_option.lstrip("-").replace("-", "_"), int(tokens[1]))
-        except ValueError:  # past the interpreter's digit limit
-            return None
-        tokens = tokens[2:]
-    star = operands[-1].endswith("*")
-    count = len(operands) - star
-    if len(tokens) < count or (len(tokens) > count and not star):
+def _command_help(group: str, command: str) -> str:
+    """The help of one command, laid out as argparse lays out a parser's
+    help at 80 columns, whatever the terminal's width."""
+    _, int_option, operands, _ = _COMMANDS[group][command]
+    option = _grammar(int_option, ())
+    lines = [f"usage: bnskit {group} {command} [-h] {_grammar(int_option, operands)}", "", "positional arguments:"]
+    lines += [f"  {o.rstrip('*')}" for o in operands]
+    lines += ["", "options:", f"  {'-h, --help':{max(10, len(option))}}  show this help message and exit"]
+    if option:
+        lines.append(f"  {option}")
+    return "\n".join(lines) + "\n"
+
+
+def _option(token: str, options: tuple[str, ...]) -> Optional[tuple[str, Optional[str]]]:
+    """How argparse 3.10-3.12 read a token starting with '-' at a level with
+    these options: None for an operand; else the option and the argument
+    joined to it, as in '-n4', '-n=4', '-hh' or '--max-k=4', or None when
+    there is none.  An unknown option comes back whole, with no argument."""
+    if token == "-":
         return None
-    for token in tokens:
-        if token[:1] == "-":
-            return None
-    args.__dict__.update(zip(operands[:count], tokens))
-    if star:
-        setattr(args, operands[-1][:-1], tokens[count:])
-    return args
+    if token in options:
+        return token, None
+    name, equals, argument = token.partition("=")
+    if equals and name in options:
+        return name, argument
+    if token[1] != "-" and token[:2] in options:
+        return token[:2], token[2:]
+    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None  # a token with a space, or a negative number
+    return token, None
 
 
-def _parse(argv: list[str], read: list[str]) -> argparse.Namespace:
-    """The arguments of one invocation, read as argparse 3.10-3.12 read
-    nested subparsers: a top level and a group level above the command's
-    own parser.  The tokens up to the command are read here: `--porcelain`
-    at the top level only, help at either level, any other option held back
-    until the command's own parse has succeeded, and the group, then the
-    command.  The tokens after the command go to the command table or to
-    the command's own parser.  The top-level options read go to read, also
-    when a later token is an error."""
-    group, choices, unknown = None, _COMMANDS, []
-    for at, token in enumerate(argv):
-        if token in choices:
-            if group is None:
-                group, choices = token, _COMMANDS[token]
+def _int_value(option: str, text: str) -> int:
+    """An optional sign and ASCII digits, like a value line's integers;
+    `int` alone also reads other scripts' digits, '_' and spaces."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise UsageError(f"argument {option}: invalid int value: {_quote(text)}")
+
+
+def _parse(argv: list[str], read: list[str]) -> SimpleNamespace:
+    """The arguments of one invocation, read in one walk over its tokens as
+    argparse 3.10-3.12 read nested subparsers, with their help and errors.
+
+    At each level `_option` tells an option from an operand.  The top level
+    reads `--porcelain`; every level reads help, and a run of single-dash
+    flags as in `-hh` or `-hn4`; any other option is held back and reported
+    as unrecognized only once the line is otherwise read.  The first
+    operand at the top and group levels is the group, then the command.
+    After it an operand fills the next unread operand; a `*` operand takes
+    one run of operands, up to the next option.  The command's first `--`
+    ends its options, and is dropped when an operand takes the token beside
+    it.  The top-level options read go to read, also when a later token is
+    an error."""
+    group = command = int_option = number = None
+    choices, options = _COMMANDS, _TOP_OPTIONS
+    unknown: list[str] = []
+    taken: list[str] = []
+    room, star, last_taken, dash_dash = 0, False, False, False
+    at = 0
+    while at < len(argv):
+        token = argv[at]
+        at += 1
+        found = not dash_dash and token[:1] == "-" and token != "--" and _option(token, options)
+        if command is None and not found:
+            if token in choices:
+                if group is None:
+                    group, choices, options = token, _COMMANDS[token], _GROUP_OPTIONS
+                    continue
+                command = token
+                handler, int_option, operands, defaults = choices[token]
+                options = (*_GROUP_OPTIONS, int_option) if int_option else _GROUP_OPTIONS
+                star = operands[-1].endswith("*")
+                room = len(argv) if star else len(operands)
                 continue
-            tokens = argv[at + 1:]
-            args = _table_args(group, token, tokens)
-            if args is None:
-                args, rest = _parser(group, token).parse_known_args(tokens)
-                unknown += rest
-            if unknown:
-                raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-            return args
-        name, equals, argument = token.partition("=")
-        if token == "--porcelain" and group is None:
-            read.append(token)
-        elif token == "--help" or token[:2] == "-h":
-            # -h reads the h's after it, in the token or after '-h=', as
-            # more -h flags, and refuses any other argument, an empty one too
-            if token[:2] == "-h" and name != "-h":
-                argument = token[2:]
-            if argument.lstrip("h") or equals and not argument:
-                raise UsageError(f"argument -h/--help: ignored explicit argument {argument.lstrip('h')!r}")
-            # print, unlike sys.stdout.write, does nothing when the process
-            # started with no standard output
-            print(_usage(group), end="")
-            raise SystemExit(0)
-        elif equals and (name == "--help" or name == "--porcelain" and group is None):
-            option = "-h/--help" if name == "--help" else name
-            raise UsageError(f"argument {option}: ignored explicit argument {argument!r}")
-        elif token[:1] != "-" or token in ("-", "--") or " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
-            if token == "--" and at == len(argv) - 1:
+            if token == "--" and at == len(argv):
                 break  # a last '--' is no operand, so the operand is missing
             level, names = "command" if group else "group", ", ".join(map(repr, choices))
-            raise UsageError(f"argument {level}: invalid choice: {token!r} (choose from {names})")
-        else:
+            raise UsageError(f"argument {level}: invalid choice: {_quote(token)} (choose from {names})")
+        if not found:
+            if token == "--" and not dash_dash:
+                # the options end here, and the '--' is dropped if an operand
+                # takes it: a `*` operand, or a plain one taking a token beside it
+                dash_dash = True
+                if not (last_taken or room and (star or at < len(argv))):
+                    unknown.append(token)
+                continue
+            last_taken = room > 0
+            if last_taken:
+                taken.append(token)
+                room -= 1
+            else:
+                unknown.append(token)
+            continue
+        last_taken = False
+        if star and taken:
+            room = 0  # an option ends the run of a `*` operand
+        name, argument = found
+        if name not in options:
             unknown.append(token)
-    raise UsageError(f"the following arguments are required: {'command' if group else 'group'}")
+            continue
+        # a single-dash flag that takes no value reads the rest of its token
+        # as more flags: '-hh', '-hn4'
+        helped = False
+        while argument and name == "-h":
+            helped = True
+            if "-" + argument[0] not in options:
+                raise UsageError(f"argument -h/--help: ignored explicit argument {_quote(argument)}")
+            name, argument = "-" + argument[0], argument[1:] or None
+        if name == int_option:
+            if argument is None:
+                if at == len(argv) or argv[at] == "--" or argv[at][:1] == "-" and _option(argv[at], options):
+                    raise UsageError(f"argument {name}: expected one argument")
+                argument = argv[at]
+                at += 1
+        elif argument is not None:
+            option = "-h/--help" if name in _GROUP_OPTIONS else name
+            raise UsageError(f"argument {option}: ignored explicit argument {_quote(argument)}")
+        if helped or name in _GROUP_OPTIONS:
+            # print, unlike sys.stdout.write, does nothing when the process
+            # started with no standard output
+            print(_command_help(group, command) if command else _usage(group), end="")
+            raise SystemExit(0)
+        if name == int_option:
+            number = _int_value(name, argument)
+        else:
+            read.append(name)
+    if command is None:
+        raise UsageError(f"the following arguments are required: {'command' if group else 'group'}")
+    missing = [int_option] if int_option and number is None else []
+    missing += [] if star else operands[len(taken):]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if unknown:
+        cut = [t if len(t) <= QUOTED_CHARS else t[:QUOTED_CHARS] + "..." for t in unknown]
+        raise UsageError(f"unrecognized arguments: {' '.join(cut)}")
+    args = SimpleNamespace(handler=handler, group=group, command=command, **defaults)
+    if int_option:
+        setattr(args, int_option.lstrip("-").replace("-", "_"), number)
+    if star:
+        setattr(args, operands[0][:-1], taken)
+    else:
+        args.__dict__.update(zip(operands, taken))
+    return args
 
 
 def run(argv: Sequence[str]) -> RenderedReport:
@@ -708,11 +753,12 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         exit_code = report.exit_code
         # the format is what the top level read: a later '--porcelain' is an
         # operand or an error
-        if "--porcelain" in read:
-            if report.porcelain:
-                print("\n".join(report.porcelain), flush=True)
-        elif report.human:
-            print(report.human, flush=True)
+        text = "\n".join(report.porcelain) if "--porcelain" in read else report.human
+        if text and sys.stdout is not None:
+            # UTF-8 whatever the stream's encoding, as input is read; a
+            # token that was not UTF-8 goes back out as the bytes it was
+            sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape") + b"\n")
+            sys.stdout.buffer.flush()
     except BrokenPipeError:
         # the reader closed the pipe early: what is left goes to the null
         # device, so the flush at exit raises nothing

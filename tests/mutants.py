@@ -39,45 +39,66 @@ class Mutant(NamedTuple):
 
 MUTANTS = [
     Mutant(
-        "table reading takes an operand starting with '-'",
+        "a negative number or a token with a space is read as an option",
         "cli.py",
-        'if token[:1] == "-":',
+        'if " " in token or re.match(r"-\\d+$|-\\d*\\.\\d+$", token):',
         "if False:",
         ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
     ),
     Mutant(
-        "table reading takes any Unicode digits",
+        "the int option takes any Unicode digits",
         "cli.py",
-        "(tokens[1].isascii() and tokens[1].isdigit())",
-        "tokens[1].isdigit()",
+        "digits.isascii() and digits.isdigit()",
+        "digits.isdigit()",
+        ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers", "tests/test_cli.py::test_integer_options"),
+    ),
+    Mutant(
+        "a missing operand is not reported",
+        "cli.py",
+        "missing += [] if star else operands[len(taken):]",
+        "missing += []",
         ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
     ),
     Mutant(
-        "table reading takes too few operands",
+        "an option does not end the run of a * operand",
         "cli.py",
-        "if len(tokens) < count or (len(tokens) > count and not star):",
-        "if len(tokens) > count and not star:",
+        "if star and taken:\n            room = 0",
+        "if star and taken:\n            pass",
+        ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
+    ),
+    Mutant(
+        "the command's first '--' is always dropped",
+        "cli.py",
+        "if not (last_taken or room and (star or at < len(argv))):",
+        "if False:",
+        ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
+    ),
+    Mutant(
+        "the int option takes an option as its value",
+        "cli.py",
+        'if at == len(argv) or argv[at] == "--" or argv[at][:1] == "-" and _option(argv[at], options):',
+        "if at == len(argv):",
         ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
     ),
     Mutant(
         "the group level reads --porcelain",
         "cli.py",
-        'if token == "--porcelain" and group is None:',
-        'if token == "--porcelain":',
+        "group, choices, options = token, _COMMANDS[token], _GROUP_OPTIONS",
+        "group, choices, options = token, _COMMANDS[token], _TOP_OPTIONS",
         ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
     ),
     Mutant(
-        "an unknown option before the command is dropped",
+        "an unknown option is dropped",
         "cli.py",
-        "            unknown.append(token)\n",
-        "            pass\n",
+        "if name not in options:\n            unknown.append(token)",
+        "if name not in options:\n            pass",
         ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
     ),
     Mutant(
         "-hh is not read as a run of -h flags",
         "cli.py",
-        'if argument.lstrip("h") or equals and not argument:',
-        "if argument or equals:",
+        'while argument and name == "-h":',
+        "while False:",
         (
             "tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",
             "tests/test_cli.py::test_help_at_every_level_prints_a_usage",
@@ -86,12 +107,33 @@ MUTANTS = [
     Mutant(
         "a last '--' is an invalid choice",
         "cli.py",
-        'if token == "--" and at == len(argv) - 1:',
+        'if token == "--" and at == len(argv):',
         "if False:",
         (
             "tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",
             "tests/test_cli.py::test_dash_dash_where_the_group_or_command_is_expected_is_an_invalid_choice",
         ),
+    ),
+    Mutant(
+        "an unrecognized argument is written whole",
+        "cli.py",
+        'cut = [t if len(t) <= QUOTED_CHARS else t[:QUOTED_CHARS] + "..." for t in unknown]',
+        "cut = unknown",
+        ("tests/test_cli.py::test_command_lines_read_as_by_nested_subparsers",),
+    ),
+    Mutant(
+        "the command line loads argparse",
+        "cli.py",
+        "from types import SimpleNamespace\n",
+        "from types import SimpleNamespace\nimport argparse\n",
+        ("tests/test_public_surface.py::test_command_runs_only_its_modules",),
+    ),
+    Mutant(
+        "a report is written in the standard output's encoding",
+        "cli.py",
+        'sys.stdout.buffer.write(text.encode("utf-8", "surrogateescape") + b"\\n")',
+        'sys.stdout.write(text + "\\n")',
+        ("tests/test_cli.py::test_bytes_depend_on_the_arguments_and_input_alone",),
     ),
     Mutant(
         "raag sigma skips the domination check on at most 4 vertices",

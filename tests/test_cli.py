@@ -1,9 +1,10 @@
-import argparse
+import ast
 import contextlib
 import errno
 import io
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -21,6 +22,7 @@ from bnskit.words import Word
 from bnskit.braid import PureBraidBasis
 from bnskit.loop import LoopBraidBasis
 from bnskit.characters import GeneratorBasis
+from bnskit.errors import _quote
 from bnskit.cli import (
     RenderedReport,
     UsageError,
@@ -384,8 +386,12 @@ _SPLIT = ["raag", "split-report", str(_DATA / "c4.graph")]
         (_SIGMA + ["-n", " 4 "], 1, "error=argument -n: invalid int value: ' 4 '"),
         (_SIGMA + ["-n", "abc"], 1, "error=argument -n: invalid int value: 'abc'"),
         (_SPLIT + ["--max-k", "\u0663"], 1, "error=argument --max-k: invalid int value: '\u0663'"),
-        # past the interpreter's digit limit, with the same message
-        (_SIGMA + ["-n", "7" * 5000], 1, f"error=argument -n: invalid int value: '{'7' * 5000}'"),
+        # past the interpreter's digit limit, with the same message, quoting
+        # at most 80 characters of the value
+        (_SIGMA + ["-n", "7" * 5000], 1, f"error=argument -n: invalid int value: '{'7' * 80}'..."),
+        # a '--' joined to the option is its value, not the end of the options
+        (_SIGMA + ["-n=--"], 1, "error=argument -n: invalid int value: '--'"),
+        (_SPLIT + ["--max-k=--"], 1, "error=argument --max-k: invalid int value: '--'"),
         # well-formed but out of range
         (_SIGMA + ["-n", "-3"], 2, "error=pure braid computations need at least 3 strands"),
         (_SPLIT + ["--max-k", "-1"], 2, "error=max_k must be nonnegative"),
@@ -394,7 +400,7 @@ _SPLIT = ["raag", "split-report", str(_DATA / "c4.graph")]
         (_SPLIT + ["--max-", "2"], 1, "error=the following arguments are required: --max-k"),
     ],
     ids=["n", "plus", "max-k", "n-arabic", "n-minus-arabic", "n-underscore", "n-spaces", "n-word",
-         "max-k-arabic", "n-long", "n-negative", "max-k-negative", "max-abbreviated", "max-dash-abbreviated"],
+         "max-k-arabic", "n-long", "n-dash-dash", "max-k-dash-dash", "n-negative", "max-k-negative", "max-abbreviated", "max-dash-abbreviated"],
 )
 def test_integer_options(argv, exit_code, line):
     report = run(["--porcelain", *argv])
@@ -510,11 +516,13 @@ def test_read_errors_are_unchanged(tmp_path, monkeypatch):
 
 def test_output_format_is_what_the_top_level_read(tmp_path):
     """Only a --porcelain that the top level reads picks porcelain output:
-    after '--' it is a file name, and after the group it is an error."""
+    after '--' it is a file name, as a second '--' is, and after the group
+    it is an error."""
     graph = str(_DATA / "p3.graph")
     message = f"cannot read '--porcelain': {os.strerror(errno.ENOENT)}"
     for argv, out in [
         (["graph", "analyze", "--", "--porcelain"], f"error: {message}\n"),
+        (["raag", "compare", graph, "--", "--"], f"error: cannot read '--': {os.strerror(errno.ENOENT)}\n"),
         (["--porcelain", "graph", "analyze", "--", "--porcelain"], f"error={message}\n"),
         (["graph", "--porcelain", "analyze", graph], "error: unrecognized arguments: --porcelain\n"),
         (["--porcelain", "graph"], "error=the following arguments are required: command\n"),
@@ -650,21 +658,79 @@ def test_module_run_writes_nothing_to_stderr():
     assert "status=out" in done.stdout.splitlines()
 
 
+# a command's help, as argparse 3.10-3.12 printed it at 80 columns
+_COMMAND_HELP = {
+    ("raag", "kill"): """usage: bnskit raag kill [-h] graph words
+
+positional arguments:
+  graph
+  words
+
+options:
+  -h, --help  show this help message and exit
+""",
+    ("raag", "split-report"): """usage: bnskit raag split-report [-h] --max-k MAX_K graph
+
+positional arguments:
+  graph
+
+options:
+  -h, --help     show this help message and exit
+  --max-k MAX_K
+""",
+    ("braid", "obstruct"): """usage: bnskit braid obstruct [-h] -n N [vectors ...]
+
+positional arguments:
+  vectors
+
+options:
+  -h, --help  show this help message and exit
+  -n N
+""",
+}
+
+
 def test_help_at_every_level_prints_a_usage():
     """The top level and a group print their own usage, listing the
-    commands; a command prints argparse's help of its parser."""
+    commands; a command prints its help in argparse's layout at 80 columns,
+    built from its row of the command table."""
     for argv, usage in [
         (["-h"], cli._usage(None)),
         (["-hh"], cli._usage(None)),
         (["raag", "--help"], cli._usage("raag")),
-        (["raag", "kill", "-h"], None),
+        *(([*command, "-h"], text) for command, text in _COMMAND_HELP.items()),
     ]:
         done = _module_run(*argv)
-        assert (done.returncode, done.stderr) == (0, ""), argv
-        if usage is None:
-            assert done.stdout.startswith("usage: bnskit raag kill [-h] graph words\n"), argv
-        else:
-            assert done.stdout == usage, argv
+        assert (done.returncode, done.stdout, done.stderr) == (0, usage, ""), argv
+
+
+def test_bytes_depend_on_the_arguments_and_input_alone(tmp_path):
+    """Under a standard output that is not UTF-8, the C locale, a narrow or
+    a wide terminal, or another hash seed, each line writes the bytes and
+    ends with the exit code of a run in the default environment, and
+    nothing on stderr: a report goes out as UTF-8, and a command's help is
+    laid out at 80 columns."""
+    graph = tmp_path / "greek.graph"
+    graph.write_text("vertices: \u03b1 \u03b2 \u03b3\nedges: \u03b1-\u03b2\n", encoding="utf-8")
+    changes = [
+        {"PYTHONIOENCODING": "ascii"}, {"PYTHONIOENCODING": "latin-1"}, {"LC_ALL": "C"},
+        {"COLUMNS": "20"}, {"COLUMNS": "200"}, {"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1"},
+    ]
+    for argv in [
+        ["graph", "analyze", str(graph)],
+        ["--porcelain", "graph", "analyze", str(graph)],
+        ["braid", "sigma", "-n", "\u0664", "x"],
+        ["braid", "obstruct", "-h"],
+        ["raag", "split-report", "-h"],
+    ]:
+        command, env = _module_command(*argv)
+        for name in {name for change in changes for name in change}:
+            env.pop(name, None)
+        default = subprocess.run(command, env=env, capture_output=True)
+        assert default.stderr == b"" and default.stdout, argv
+        for change in changes:
+            done = subprocess.run(command, env={**env, **change}, capture_output=True)
+            assert (done.returncode, done.stdout, done.stderr) == (default.returncode, default.stdout, b""), (argv, change)
 
 
 def test_a_reader_closing_the_pipe_early_gets_no_traceback(tmp_path):
@@ -720,43 +786,9 @@ def test_closed_standard_input_is_an_error():
     assert (done.returncode, done.stdout, done.stderr) == (1, message, "")
 
 
-def test_one_parse_and_one_parser_per_run(monkeypatch, capsys):
-    """A plain line in the one spelling that scripts use builds no parser
-    and makes no parse, and neither does help or an error read before the
-    command; another spelling builds its own command's parser, once per
-    process, and parses its command line once."""
-    calls = Counter()
-
-    def counted(name):
-        original = getattr(argparse.ArgumentParser, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, name, wrapper)
-
-    counted("__init__")
-    counted("parse_known_args")
-    cli._parser.cache_clear()
-    graph = str(_DATA / "p3.graph")
-    assert run(["--porcelain", "graph", "analyze", graph]).exit_code == 0
-    assert run(["graph", "analyze", graph]).exit_code == 0
-    with pytest.raises(SystemExit):
-        run(["-h"])
-    assert capsys.readouterr().out == cli._usage(None)
-    assert run(["nosuch", "analyze", graph]).exit_code == 1
-    assert run(["-x", "graph", "analyze", graph]).porcelain == ("error=unrecognized arguments: -x",)
-    assert calls == {}
-    assert run(["--porcelain", "raag", "split-report", "--max-k=3", graph]).exit_code == 0
-    assert calls == {"__init__": 1, "parse_known_args": 1}
-    assert run(["raag", "split-report", "--max-k=3", graph]).exit_code == 0
-    assert calls == {"__init__": 1, "parse_known_args": 2}
-
-
 def _table_lines():
-    """A line in the table's spelling for each command, `obstruct` with 0
-    and 3 vectors."""
+    """A line in the one spelling that scripts use for each command,
+    `obstruct` with 0 and 3 vectors."""
     for group, commands in cli._COMMANDS.items():
         for command, (_, int_option, operands, _) in commands.items():
             option = [int_option, "12"] if int_option else []
@@ -769,10 +801,16 @@ def _table_lines():
 
 @pytest.mark.parametrize("group,command,tokens", list(_table_lines()))
 def test_table_reading_is_the_command_parser_reading(group, command, tokens):
-    """Read from the table, a plain line gives the namespace, handler,
-    module and defaults included, that its command's own parser gives."""
-    args = cli._table_args(group, command, tokens)
-    assert args is not None and args == cli._parser(group, command).parse_args(tokens)
+    """Read by `cli._parse`, a plain line gives the reference parser's
+    reading, in a namespace that holds its command's handler and fixed
+    defaults from the command table and nothing else."""
+    handler, int_option, operands, defaults = cli._COMMANDS[group][command]
+    argv = [group, command, *tokens]
+    args = cli._parse(argv, [])
+    assert (oracles.cli_arguments(args), False) == oracles.nested_cli_parse(argv)
+    fixed = {"handler": handler, "group": group, "command": command, **defaults}
+    assert {name: vars(args)[name] for name in fixed} == fixed
+    assert len(vars(args)) == len(fixed) + bool(int_option) + len(operands)
 
 
 def test_reference_parser_has_the_command_table():
@@ -848,12 +886,33 @@ def _read(parse, argv):
         return "help", e.code, printed.getvalue().partition(" [")[0]
 
 
+def _as_cli_reads(reading):
+    """The reference's reading, where `cli` departs from argparse on
+    purpose, as `cli` gives it.  An error line is cut as `cli` cuts one: a
+    quoted value to its first 80 characters and '...', as `errors._quote`
+    cuts it, and so each unrecognized argument, unquoted.  A plain operand
+    that argparse reads as [], having dropped a second '--' as it drops the
+    first, is the file name '--'."""
+    if reading[0] == "accepted":
+        (group, command, number, values), porcelain = reading[1]
+        operands = oracles.CLI_COMMANDS[group][command][1]
+        values = tuple("--" if v == [] and o[-1] != "*" else v for o, v in zip(operands, values))
+        return "accepted", ((group, command, number, values), porcelain)
+    if reading[0] != "rejected":
+        return reading
+    head, listed, tokens = reading[1].partition("unrecognized arguments: ")
+    if listed and not head:
+        return "rejected", listed + " ".join(t if len(t) <= 80 else t[:80] + "..." for t in tokens.split(" "))
+    quoted = r"'(?:[^'\\]|\\.)*'" + r'|"(?:[^"\\]|\\.)*"'
+    return "rejected", re.sub(quoted, lambda m: _quote(ast.literal_eval(m[0])), reading[1])
+
+
 @settings(deadline=None, derandomize=True, database=None, max_examples=2000)
 @given(command_lines())
-# plain lines that the command table leaves to argparse: the option joined
-# to its value, after the operands or repeated, a value that is not ASCII
-# digits or is past the digit limit, help, an operand starting with '-',
-# and a missing or an extra operand
+# plain lines in spellings other than the one that scripts use: the option
+# joined to its value, after the operands or repeated, a value that is not
+# ASCII digits or is past the digit limit, help, an operand starting with
+# '-', and a missing or an extra operand
 @example(["braid", "sigma", "-n=4", "x"])
 @example(["braid", "sigma", "-n4", "x"])
 @example(["braid", "sigma", "x", "-n", "4"])
@@ -867,6 +926,30 @@ def _read(parse, argv):
 @example(["raag", "sigma", "x"])
 @example(["raag", "compare", "x", "y", "z"])
 @example(["braid", "witness", "-n", "4"])
+# a run of flags ending in the int option, or given a value it cannot take,
+# the option's value joined to it, empty or missing before a '--', a `*`
+# operand's run ended by the option, and a '--' that an operand takes or
+# leaves
+@example(["braid", "sigma", "-hn4", "x"])
+@example(["braid", "sigma", "-hn"])
+@example(["braid", "sigma", "-nh", "x"])
+@example(["braid", "sigma", "-h-x"])
+@example(["loop", "witness", "-hh=", "x"])
+@example(["raag", "split-report", "--max-k=", "x"])
+@example(["braid", "sigma", "-n", "--", "x"])
+@example(["braid", "obstruct", "x", "-n", "4", "y"])
+@example(["loop", "obstruct", "-n", "4", "--"])
+@example(["braid", "obstruct", "-n", "4", "x", "--", "y"])
+@example(["raag", "compare", "x", "--"])
+@example(["raag", "compare", "--", "x", "y"])
+@example(["raag", "compare", "x", "--", "y", "z"])
+@example(["raag", "sigma", "--", "x", "--"])
+@example(["graph", "analyze", "-x", "--"])
+@example(["graph", "analyze", "x", "y", "--"])
+# tokens longer than an error line quotes
+@example(["x" * 5000])
+@example(["-" + "x" * 5000, "graph", "analyze", "x"])
+@example(["raag", "-h" + "x" * 5000])
 # top- and group-level tokens that the draw never makes: -h given an
 # argument or a run of h's, unknown options, a token with a space, a
 # negative number in other digits, an empty token, --porcelain at the group
@@ -890,14 +973,14 @@ def _read(parse, argv):
 @example(["--porcelain=", "graph"])
 @example(["--porcelain", "graph", "--"])
 def test_command_lines_read_as_by_nested_subparsers(argv):
-    """`cli._parse` reads the top and group levels itself, and the tokens
-    after the command from the command table or by the command's own
-    parser; what is read, whether the top level read --porcelain, every
-    error, and which level prints help must be what the nested argparse
-    subparsers in `tests/oracles.py` give under argparse 3.10-3.12, whose
-    reading `cli` keeps on every interpreter."""
+    """`cli._parse` reads every level of the line itself, in one walk;
+    what is read, whether the top level read --porcelain, every error, and
+    which level prints help must be what the nested argparse subparsers in
+    `tests/oracles.py` give under argparse 3.10-3.12, whose reading `cli`
+    keeps on every interpreter, apart from the two departures that
+    `_as_cli_reads` states."""
     read = []
     flat = _read(lambda v: (oracles.cli_arguments(cli._parse(v, read)), "--porcelain" in read), argv)
-    assert flat == _read(oracles.nested_cli_parse, argv)
+    assert flat == _as_cli_reads(_read(oracles.nested_cli_parse, argv))
     if flat[0] == "rejected":
         assert run(argv).porcelain == (f"error={flat[1]}",)

@@ -5,11 +5,10 @@ answers the golden corpus lines, `graph analyze` and `raag complement` on
 seeded graphs, help and usage-error lines, and 1,000 seeded parser lines,
 and says which modules a `graph analyze` run loads; this test runs it under
 every CPython 3.10 or newer it finds and compares each answer with the
-running interpreter's.  The one known difference between interpreters,
-`-hx` after the command, is taken out by `agreed`, with its reason; any
-other difference fails the test and names the line.  It looks for
-`$PYENV_ROOT/versions/*/bin/python` (`~/.pyenv` when `PYENV_ROOT` is unset)
-and for `python3.10` to `python3.19` in every directory on `PATH`.  A
+running interpreter's.  `bnskit` reads its command line itself, with no
+argparse, so any difference fails the test and names the line.  It looks
+for `$PYENV_ROOT/versions/*/bin/python` (`~/.pyenv` when `PYENV_ROOT` is
+unset) and for `python3.10` to `python3.19` in every directory on `PATH`.  A
 candidate that does not start, as a pyenv shim with no version selected
 does not, is skipped, and two that are one interpreter are counted once.
 The test fails when it finds no interpreter besides the running one, so it
@@ -23,7 +22,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from .oracles import CLI_COMMANDS
 from .test_acceptance import CLI_CORPUS, DATA, resolve_argv
 from .test_cli import command_line
 
@@ -97,42 +95,13 @@ def replayed_argvs():
     return [command_line(rng.choice, rng.randint) for _ in range(1000)]
 
 
-def agreed(argv, answer):
-    """answer with the one known difference between interpreters taken out.
-
-    `-hx` after the command, where the command's own argparse parser reads
-    it: argparse 3.13 reads it as `-h` and prints the command's help, with
-    exit code 0; 3.10-3.12 reject it with
-    `error=argument -h/--help: ignored explicit argument 'x'` and exit code
-    1.  Either is one answer.  Before the command, `bnskit` reads `-hx`
-    itself and rejects it on every interpreter.
-    """
-    exit_code, human, porcelain, printed, _ = answer
-    if after_a_command(argv, "-hx") and (
-        porcelain == ["error=argument -h/--help: ignored explicit argument 'x'"]
-        or exit_code == 0 and human is None and printed.startswith("usage: bnskit")
-    ):
-        return "-h, or its argument rejected"
-    return answer
-
-
-def after_a_command(argv, token):
-    """Whether token stands in argv after a group and one of that group's
-    commands."""
-    if token not in argv:
-        return False
-    before = argv[:argv.index(token)]
-    group = next((t for t in before if t in CLI_COMMANDS), None)
-    return group is not None and any(t in CLI_COMMANDS[group] for t in before[before.index(group) + 1:])
-
-
 def run_driver(executable, argvs):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(
         [executable, str(DRIVER)], input=json.dumps(argvs), capture_output=True, text=True, env=env, timeout=300
     )
     assert done.returncode == 0 and not done.stderr, (executable, done.stderr)
-    return [agreed(argv, answer) for argv, answer in zip(argvs, json.loads(done.stdout))]
+    return json.loads(done.stdout)
 
 
 def test_every_interpreter_gives_the_same_bytes(tmp_path):

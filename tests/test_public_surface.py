@@ -119,9 +119,11 @@ def _first_corpus_run(command):
 
 @pytest.mark.parametrize("command", sorted(RUNS), ids=" ".join)
 def test_command_runs_only_its_modules(command):
+    """A command runs the package modules that `RUNS` lists, and loads no
+    argparse: `cli` reads the command line itself."""
     argv, porcelain = _first_corpus_run(command)
-    printed, ran = _probe(f"ARGV = {argv!r}\n{COMMAND}")
-    assert printed == list(porcelain)
+    printed, ran = _probe(f"ARGV = {argv!r}\n{COMMAND}\nprint('argparse' in sys.modules)")
+    assert printed == [*porcelain, "False"]
     assert set(ran) == RUNS[command] | {"errors", "records"}, ran
 
 
