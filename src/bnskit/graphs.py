@@ -11,7 +11,9 @@ from label semantics.  Conventions that the rest of the package relies on:
   smallest separating clique is empty exactly for disconnected graphs.
 
 Two searches answer the separation questions.  The smallest separating
-clique, the paper's commensurability invariant, is read off the clique
+clique, the paper's commensurability invariant, comes from one depth-first
+pass in linear time when the graph is disconnected (it is empty) or has a
+cut vertex (it is the first one).  Otherwise it is read off the clique
 minimal separators that one MCS-M pass finds, in polynomial time.  The
 inclusion-minimal separating sets behind `raag complement` come from
 listing every minimal separator, and a graph can have exponentially many,
@@ -23,7 +25,7 @@ x in S, has N(C) inside S (proved at `_separating_sets`).
 
 from __future__ import annotations
 
-from itertools import combinations, islice
+from itertools import islice
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError, PreconditionError
@@ -81,12 +83,18 @@ class Graph(Record):
         # bit i of entry j: vertex i is neither vertex j nor adjacent to it
         full = (1 << len(vertices)) - 1
         object.__setattr__(self, "_nonadjacency", tuple([full & ~(m | 1 << j) for j, m in enumerate(masks)]))
-        # combinations copies its input into a tuple, sized exactly for a range
-        # (see the package docstring on tuples)
+        # each edge from the bits of its lower end's mask above that end: the
+        # order of all pairs, in time linear in the edges (`_bits` inlined: a
+        # list per vertex made this slower than the pair test at 8-16 vertices)
         vs = vertices
-        object.__setattr__(self, "edges", tuple(
-            [(vs[i], vs[j]) for i, j in combinations(range(len(vs)), 2) if masks[i] >> j & 1]
-        ))
+        edges = []
+        for i, m in enumerate(masks):
+            m >>= i + 1
+            while m:
+                low = m & -m
+                edges.append((vs[i], vs[i + low.bit_length()]))
+                m ^= low
+        object.__setattr__(self, "edges", tuple(edges))
 
     def _mask(self, s: Iterable[str]) -> int:
         mask = 0
@@ -173,6 +181,63 @@ def _is_clique(adj: Sequence[int], mask: int) -> bool:
 
 def _size_then_order(mask: int) -> tuple[int, list[int]]:
     return mask.bit_count(), _bits(mask)
+
+
+def _first_cut_vertex(adj: Sequence[int]) -> Optional[int]:
+    """One depth-first pass (Hopcroft & Tarjan 1973) in O(n + m) mask
+    steps: 0 for a disconnected graph, the mask of the first cut vertex in
+    vertex order for a connected graph that has one, and None for a
+    connected graph with none and for the empty graph.
+
+    The search starts at vertex 0 and keeps its own stack, since a long
+    path is deeper than the recursion limit.  number[v] counts the vertices
+    found up to v, and low[v] is the least number that the subtree of v
+    reaches by one edge.  The neighbours found before v are its ancestors,
+    so low[v] starts as the least of their numbers.  A vertex p cuts off
+    the subtree of a child v exactly when low[v] >= number[p]; the root
+    cuts only when it has two or more children.
+    """
+    n = len(adj)
+    if not n:
+        return None
+    number, low = [0] * n, [0] * n
+    number[0] = low[0] = found = seen = 1
+    stack, near = [0], [adj[0]]
+    cuts = root_children = 0
+    while stack:
+        rest = near[-1] & ~seen
+        if rest:
+            bit = rest & -rest
+            seen |= bit
+            u = bit.bit_length() - 1
+            found += 1
+            number[u] = least = found
+            back = adj[u] & seen
+            # comparisons, not min(): min() made the pass 30% slower on graphs
+            # of 8-16 vertices
+            while back:
+                ancestor = back & -back
+                back ^= ancestor
+                if number[ancestor.bit_length() - 1] < least:
+                    least = number[ancestor.bit_length() - 1]
+            low[u] = least
+            stack.append(u)
+            near.append(adj[u])
+        else:
+            v = stack.pop()
+            near.pop()
+            if stack:
+                p = stack[-1]
+                if low[v] < low[p]:
+                    low[p] = low[v]
+                if low[v] >= number[p]:
+                    cuts |= 1 << p
+                    root_children += not p
+    if found < n:
+        return 0
+    if root_children < 2:
+        cuts &= ~1
+    return cuts & -cuts or None
 
 
 def _triangulation_separators(adj: Sequence[int]) -> Iterator[int]:
@@ -388,8 +453,14 @@ def min_separating_clique_witness(g: Graph) -> Optional[tuple[str, ...]]:
       is smaller than K.
 
     The candidates of the smallest size are thus exactly the smallest
-    separating cliques.  A disconnected graph has K = (), and the pass
-    yields () as it starts on its second component.
+    separating cliques.
+
+    The pass runs only on a connected graph with no cut vertex; one
+    depth-first pass, `_first_cut_vertex`, answers every other graph.  A
+    disconnected graph has K = ().  A connected graph is not separated by
+    (), and a single vertex is a clique, so the smallest separating cliques
+    of a connected graph with a cut vertex are exactly its cut vertices,
+    and the first in (size, vertex order) is the cut vertex of least index.
 
     >>> min_separating_clique_witness(Graph("abc", [("a", "b"), ("b", "c")]))
     ('b',)
@@ -397,8 +468,11 @@ def min_separating_clique_witness(g: Graph) -> Optional[tuple[str, ...]]:
     True
     """
     adj = g._masks
-    cliques = [s for s in _triangulation_separators(adj) if _is_clique(adj, s)]
-    return g._names(min(cliques, key=_size_then_order)) if cliques else None
+    witness = _first_cut_vertex(adj)
+    if witness is None:
+        cliques = [s for s in _triangulation_separators(adj) if _is_clique(adj, s)]
+        witness = min(cliques, key=_size_then_order) if cliques else None
+    return None if witness is None else g._names(witness)
 
 
 def out_finiteness_predicates(g: Graph) -> OutFinitenessReport:
@@ -407,20 +481,29 @@ def out_finiteness_predicates(g: Graph) -> OutFinitenessReport:
     The first vertex (in vertex order) with separating closed star and the
     first pair (v, w) with lk(v) a subset of st(w) are reported; a graph with
     neither has finite outer automorphism group.
+
+    lk(v) lies inside st(w) exactly when w is in st(u) for every u in
+    lk(v), since u in st(w) and w in st(u) say the same.  So the w for v
+    are the vertices other than v that lie in st(u) for every neighbour u
+    of v, one mask intersection per edge; an isolated v has every other
+    vertex.  The first pair is the first v that has such a w, with its
+    first w.
     """
     adj = g._masks
+    vs = g.vertices
     full = (1 << len(adj)) - 1
     star_witness = next(
-        (v for i, v in enumerate(g.vertices) if _splits(adj, full & ~(adj[i] | 1 << i))),
+        (v for i, v in enumerate(vs) if _splits(adj, full & ~(adj[i] | 1 << i))),
         None,
     )
-    pair_witness = next(
-        (
-            (v, w)
-            for i, v in enumerate(g.vertices)
-            for j, w in enumerate(g.vertices)
-            if i != j and not adj[i] & ~(adj[j] | 1 << j)
-        ),
-        None,
-    )
+    pair_witness = None
+    for i, rest in enumerate(adj):
+        within = full & ~(1 << i)
+        while rest and within:
+            low = rest & -rest
+            within &= adj[low.bit_length() - 1] | low
+            rest ^= low
+        if within:
+            pair_witness = vs[i], vs[(within & -within).bit_length() - 1]
+            break
     return OutFinitenessReport(star_witness, pair_witness)

@@ -150,6 +150,30 @@ MUTANTS = [
         ("tests/test_finite_index.py::test_index_p_subgroups_keep_the_invariant_and_the_sigma_verdicts",),
     ),
     Mutant(
+        "the cut-vertex pass returns the last cut vertex, not the first",
+        "graphs.py",
+        "return cuts & -cuts or None",
+        "return 1 << cuts.bit_length() >> 1 or None",
+        ("tests/test_separators.py::test_invariant_on_sparse_graphs_takes_linear_work",),
+    ),
+    Mutant(
+        "a disconnected graph is answered by the cut-vertex rule instead of ()",
+        "graphs.py",
+        "    if found < n:\n        return 0\n",
+        "",
+        (
+            "tests/test_separators.py::test_invariant_on_sparse_graphs_takes_linear_work",
+            "tests/test_separators.py::test_cones_and_unions_at_sizes_past_the_oracles",
+        ),
+    ),
+    Mutant(
+        "the link-in-star candidates leave out the neighbour u itself",
+        "graphs.py",
+        "within &= adj[low.bit_length() - 1] | low",
+        "within &= adj[low.bit_length() - 1]",
+        ("tests/test_graphs.py::test_out_finiteness_goldens",),
+    ),
+    Mutant(
         "run_obstruction takes columns outside 0..dim-1",
         "characters.py",
         " or not last < j < dim or ",

@@ -8,7 +8,8 @@ adds compositions of those that many tests use (among them the one sampler
 of dead characters), a line-event counter for work-count tests, a faster
 copy of the benchmark's breadth-first rewriting for the acceptance sweep,
 and the oracles the benchmark has no counterpart for: the two-pass graph
-file reader, the dense Hermite form and generic point search, and the
+file reader, the check of a smallest separating clique of size 0 or 1 at
+any size, the dense Hermite form and generic point search, and the
 command line read by nested subparsers.  Neither file imports the package,
 so agreement is evidence rather than tautology.
 """
@@ -216,6 +217,53 @@ def read_graph_file(text: str):
     index = {v: i for i, v in enumerate(vertices)}
     masks = tuple(bench_oracles().masks_of(len(vertices), [(index[a], index[b]) for a, b in edges]))
     return tuple(vertices), edges, masks
+
+
+# ---------------------------------------------------------------------------
+# the smallest separating clique of size 0 or 1, checked at any size: a
+# separating clique needs a disconnected remainder, so the empty set is the
+# answer exactly for a disconnected graph, and for a connected graph a
+# single vertex is one exactly when it is a cut vertex
+
+
+def _connected_without(vertices, neighbours, removed) -> bool:
+    """Is the graph minus the vertex `removed` connected and nonempty?"""
+    rest = [v for v in vertices if v != removed]
+    if not rest:
+        return False
+    seen, todo = {rest[0], removed}, [rest[0]]
+    while todo:
+        for u in neighbours[todo.pop()]:
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return all(v in seen for v in rest)
+
+
+def check_small_witness(vertices, edges, witness) -> str | None:
+    """Why the witness () or (v,) is not the first smallest separating
+    clique of the graph on `vertices` with `edges`, pairs of names; None
+    when it is.  The checks are linear in the graph for each vertex up to
+    v: G disconnected for (); for (v,), G connected, G - v not, and G - u
+    connected for each u before v in vertex order."""
+    neighbours = {v: [] for v in vertices}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    if not witness:
+        separates = vertices and not _connected_without(vertices, neighbours, None)
+        return None if separates else "the empty set does not separate the graph"
+    if len(witness) != 1 or witness[0] not in neighbours:
+        return f"{witness!r} is not one vertex of the graph"
+    if not _connected_without(vertices, neighbours, None):
+        return "the graph is disconnected"
+    v = witness[0]
+    if _connected_without(vertices, neighbours, v):
+        return f"{v} is not a cut vertex"
+    for u in vertices[:vertices.index(v)]:
+        if not _connected_without(vertices, neighbours, u):
+            return f"{u} is an earlier cut vertex"
+    return None
 
 
 # ---------------------------------------------------------------------------

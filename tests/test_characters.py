@@ -1,6 +1,8 @@
+import ast
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -319,6 +321,27 @@ def test_inexact_values_rejected():
     with pytest.raises(InputError):
         saturate(AB, [(1.0, 0)])
     assert make_character(AB, {"a": Fraction(1, 10), "b": 3}).values == (Fraction(1, 10), 3)
+
+
+def test_package_source_has_no_inexact_arithmetic():
+    """Every verdict is exact: no module of the package divides with `/`
+    or `/=`, writes a float or complex literal, names `float`, or uses any
+    part of `math` but `lcm`."""
+    found = []
+    for path in sorted(Path(characters.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{where} /")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append(f"{where} {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                found.append(f"{where} float")
+            elif isinstance(node, ast.Import):
+                found += [f"{where} import {a.name}" for a in node.names if a.name.partition(".")[0] == "math"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found += [f"{where} math.{a.name}" for a in node.names if a.name != "lcm"]
+    assert not found
 
 
 def test_character_constructor_and_scaling_reject_inexact_values():

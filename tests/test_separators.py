@@ -8,7 +8,7 @@ import pytest
 from bnskit import Graph, PreconditionError, cli, graphs, raag
 from bnskit.graphs import MAX_MINIMAL_SEPARATORS, min_separating_clique_witness
 
-from .oracles import all_labeled_graphs, bench_oracles
+from .oracles import all_labeled_graphs, bench_oracles, check_small_witness, traced_lines
 
 ORACLES = bench_oracles()
 
@@ -150,6 +150,92 @@ def test_witness_work_grows_polynomially_on_theta_graphs(monkeypatch):
             assert counts[k] <= 8 * counts[k // 2], (k, counts[k // 2], counts[k])
 
 
+def path_edges(n):
+    # the two ends last in vertex order
+    order = [n - 2, *range(n - 2), n - 1]
+    return [(order[k], order[k + 1]) for k in range(n - 1)]
+
+
+def tree_edges(rng, n):
+    labels = list(range(n))
+    rng.shuffle(labels)
+    return [(labels[rng.randrange(i)], labels[i]) for i in range(1, n)]
+
+
+def sparse_graphs(n):
+    """(kind, edges on vertices 0..n-1, expected witness) of sparse graphs:
+    a path whose two ends come last in vertex order, three seeded random
+    trees, and a disjoint union of a path and a tree of n/2 vertices each."""
+    yield "path", path_edges(n), ("v0",)
+    for seed in range(3):
+        tree = tree_edges(random.Random(n + seed), n)
+        degree = [0] * n
+        for a, b in tree:
+            degree[a] += 1
+            degree[b] += 1
+        # the cut vertices of a tree are the vertices that are not leaves
+        yield "tree", tree, (f"v{next(v for v, d in enumerate(degree) if d > 1)}",)
+    half = n // 2
+    tree = tree_edges(random.Random(n), half)
+    yield "union", path_edges(half) + [(a + half, b + half) for a, b in tree], ()
+
+
+def test_invariant_on_sparse_graphs_takes_linear_work(monkeypatch):
+    """Trees, paths and disconnected graphs never reach the MCS-M pass, and
+    reading them, finding their smallest separating clique and scanning
+    their out-finiteness predicates take work linear in their size: the
+    line events run in `graphs.py`, summed over the graphs of one kind,
+    at most 2.2 times as many as at half the vertices."""
+
+    def refuse(adj):
+        raise AssertionError("MCS-M run on a graph with a cut vertex or two components")
+
+    monkeypatch.setattr(graphs, "_triangulation_separators", refuse)
+    files = {graphs.__file__}
+    work = {}
+    for n in (1000, 2000, 4000):
+        names = [f"v{i}" for i in range(n)]
+        for kind, edges, expect in sparse_graphs(n):
+            g, read = traced_lines(files, Graph, names, [(names[a], names[b]) for a, b in edges])
+            witness, found = traced_lines(files, min_separating_clique_witness, g)
+            assert witness == expect, (kind, n)
+            _, scanned = traced_lines(files, graphs.out_finiteness_predicates, g)
+            work[kind, n] = work.get((kind, n), 0) + read + found + scanned
+    for kind in ("path", "tree", "union"):
+        for n in (2000, 4000):
+            assert work[kind, n] <= 2.2 * work[kind, n // 2], (kind, n, work[kind, n // 2], work[kind, n])
+
+
+def test_analyze_answers_of_size_zero_and_one_check_at_two_thousand_vertices(tmp_path):
+    """`graph analyze` on a path, a random tree, a random tree with n/10
+    random edges more, and the disjoint union of a path and a tree, of
+    n = 2,000 vertices each, against the package-free certificate check."""
+    n, rng = 2000, random.Random(2024)
+    tree = {tuple(sorted(edge)) for edge in tree_edges(rng, n)}
+    extra = set()
+    while len(extra) < n // 10:
+        extra.add(tuple(sorted(rng.sample(range(n), 2))))
+    half = n // 2
+    cases = [
+        ("path", path_edges(n)),
+        ("tree", sorted(tree)),
+        ("tree-plus-edges", sorted(tree | extra)),
+        ("union", path_edges(half) + [(a + half, b + half) for a, b in tree_edges(rng, half)]),
+    ]
+    names = [f"v{(7 * i + 3) % n}" for i in range(n)]
+    sizes = []
+    for kind, edges in cases:
+        g = Graph(names, [(names[a], names[b]) for a, b in edges])
+        report = cli.run(["--porcelain", "graph", "analyze", graph_file(tmp_path, g, kind)])
+        assert report.exit_code == 0, kind
+        got = dict(line.split("=", 1) for line in report.porcelain)
+        witness = tuple(got["witness"].split(",")) if got["witness"] else ()
+        assert got["min_separating_clique"] == str(len(witness)), kind
+        assert check_small_witness(g.vertices, g.edges, witness) is None, kind
+        sizes.append(len(witness))
+    assert sizes == [1, 1, 1, 0]
+
+
 def test_invariant_commands_list_no_minimal_separators(tmp_path, monkeypatch):
     paths = sorted(str(p) for p in DATA.glob("*.graph"))
     paths += [graph_file(tmp_path, theta(6), "theta"), graph_file(tmp_path, theta(6, True), "pendant")]
@@ -248,7 +334,9 @@ def test_cones_and_unions_at_sizes_past_the_oracles():
     separating sets are G's with the apex added, in the same order.  A disjoint
     union of two nonempty graphs is disconnected: witness () and supports
     [()].  Checked on 200 seeded graphs of 2 to about 300 vertices, each
-    under the separator cap."""
+    under the separator cap, and for the witness alone on a seeded tree of
+    2,000 vertices with 200 random edges more: its cone has no cut vertex,
+    so the MCS-M pass answers it, while one depth-first pass answers G."""
     rng = random.Random(1326)
     witness_sizes = set()
     previous = Graph(["p"])
@@ -269,3 +357,18 @@ def test_cones_and_unions_at_sizes_past_the_oracles():
         assert raag.sigma_complement_supports(union) == [()], g
         previous = g
     assert witness_sizes >= {None, 0, 1, 2, 3, 4, 5}, witness_sizes
+    n = 2000
+    edges = {tuple(sorted(edge)) for edge in tree_edges(rng, n)}
+    while len(edges) < n - 1 + n // 10:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    names = [f"v{(7 * i + 3) % n}" for i in range(n)]
+    g = Graph(names, [(names[a], names[b]) for a, b in sorted(edges)])
+    witness = min_separating_clique_witness(g)
+    assert len(witness) == 1
+    cone = Graph(g.vertices + ("apex",), g.edges + tuple((v, "apex") for v in g.vertices))
+    assert min_separating_clique_witness(cone) == witness + ("apex",)
+    union = Graph(
+        g.vertices + tuple("u" + v for v in previous.vertices),
+        g.edges + tuple(("u" + a, "u" + b) for a, b in previous.edges),
+    )
+    assert min_separating_clique_witness(union) == ()
