@@ -33,11 +33,18 @@ class UsageError(BnsError):
     """Bad command line (unknown command, missing argument, unreadable file)."""
 
 
+# the most digits of a number that a run reads or prints: `main` sets the
+# interpreter's limit to it, so PYTHONINTMAXSTRDIGITS and -X int_max_str_digits
+# do not change an answer
+MAX_DIGITS = 4300
+
+
 # ---------------------------------------------------------------------------
 # text formats
 
-# ASCII digits only: \d alone also matches other scripts' digits
-_VALUE_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$", re.ASCII)
+# a value's numerator and denominator, matched whole by `fullmatch`; ASCII
+# digits only: \d alone also matches other scripts' digits
+_VALUE_RE = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?", re.ASCII)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -105,25 +112,28 @@ def _assignments(
     """Line number, generator index, value text and value of each
     'name = value' line, once the checks both value formats share have
     passed.  A value without '/' is read as an int, one with '/' as a
-    Fraction."""
+    Fraction, each built from the integers its pattern matched."""
+    positions = basis._positions
     assigned = set()
     for lineno, line in _content_lines(text):
-        if "=" not in line:
+        name, equals, value_text = line.partition("=")
+        if not equals:
             raise ParseError(lineno, f"expected 'name = value', got {_quote(line)}")
-        name, _, value_text = line.partition("=")
-        name = name.strip()
-        value_text = value_text.strip()
-        try:
-            index = basis.index(name)
-        except InputError:
-            raise ParseError(lineno, f"unknown generator {_quote(name)}") from None
+        # the line is stripped already, so each part has one end to strip
+        name = name.rstrip()
+        value_text = value_text.lstrip()
+        index = positions.get(name)
+        if index is None:
+            raise ParseError(lineno, f"unknown generator {_quote(name)}")
         if index in assigned:
             raise ParseError(lineno, f"generator {_quote(name)} assigned twice")
         assigned.add(index)
-        if not _VALUE_RE.match(value_text):
+        match = _VALUE_RE.fullmatch(value_text)
+        if match is None:
             raise ParseError(lineno, f"malformed rational {_quote(value_text)}")
+        numerator, denominator = match.groups()
         try:
-            value = fractions.Fraction(value_text) if "/" in value_text else int(value_text)
+            value = int(numerator) if denominator is None else fractions.Fraction(int(numerator), int(denominator))
         except ValueError:
             # the only failure left: a number past the interpreter's digit limit
             limit = sys.get_int_max_str_digits()
@@ -266,13 +276,24 @@ def _error_report(code: int, message: str) -> RenderedReport:
 # command implementations
 
 
+# the most bytes that one `os.read` of an input file asks for
+_READ_CHUNK = 1 << 16
+
+
 def _read_file(path: str) -> str:
-    """The text of a file, taken whole by one unbuffered `readall`, or of
-    standard input for -, decoded alike."""
+    """The text of a file, or of standard input for -, decoded alike.  A
+    file is read by `os.read` until it returns nothing: a path may name a
+    FIFO, whose reads can come back short before its writer is done."""
     try:
         if path != "-":
-            with open(path, "rb", buffering=0) as handle:
-                data = handle.readall()
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _READ_CHUNK):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            data = b"".join(chunks)
         elif sys.stdin is None:  # the process started with no standard input
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
@@ -282,6 +303,8 @@ def _read_file(path: str) -> str:
         raise UsageError(f"cannot read {path!r}: {e.strerror or e}") from None
     except UnicodeDecodeError:
         raise UsageError(f"cannot read {path!r}: not valid UTF-8") from None
+    except ValueError as e:  # from os.open: a path with a NUL byte
+        raise UsageError(f"cannot read {path!r}: {e}") from None
 
 
 def _cmd_graph_analyze(args) -> RenderedReport:
@@ -739,6 +762,8 @@ def _run(argv: Sequence[str], read: list[str]) -> RenderedReport:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> None:
+    if hasattr(sys, "set_int_max_str_digits"):  # 3.10 before 3.10.7 has no limit
+        sys.set_int_max_str_digits(MAX_DIGITS)
     read: list[str] = []
     exit_code = 0
     try:

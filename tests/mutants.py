@@ -136,6 +136,27 @@ MUTANTS = [
         ("tests/test_cli.py::test_bytes_depend_on_the_arguments_and_input_alone",),
     ),
     Mutant(
+        "a value's fraction is built upside down",
+        "cli.py",
+        "fractions.Fraction(int(numerator), int(denominator))",
+        "fractions.Fraction(int(denominator), int(numerator))",
+        ("tests/test_cli.py::test_parse_character_file", "tests/test_cli.py::test_value_lines_through_run"),
+    ),
+    Mutant(
+        "a file is read by one os.read, however long it is",
+        "cli.py",
+        "while chunk := os.read(fd, _READ_CHUNK):\n                    chunks.append(chunk)",
+        "chunks.append(os.read(fd, _READ_CHUNK))",
+        ("tests/test_cli.py::test_a_file_is_read_until_it_ends",),
+    ),
+    Mutant(
+        "a value may be written in any script's digits",
+        "cli.py",
+        '_VALUE_RE = re.compile(r"([+-]?\\d+)(?:/([1-9]\\d*))?", re.ASCII)',
+        '_VALUE_RE = re.compile(r"([+-]?\\d+)(?:/([1-9]\\d*))?")',
+        ("tests/test_cli.py::test_value_lines_through_run",),
+    ),
+    Mutant(
         "raag sigma skips the domination check on at most 4 vertices",
         "raag.py",
         "    if undominated:\n",

@@ -8,10 +8,10 @@ adds compositions of those that many tests use (among them the one sampler
 of dead characters), a line-event counter for work-count tests, a faster
 copy of the benchmark's breadth-first rewriting for the acceptance sweep,
 and the oracles the benchmark has no counterpart for: the two-pass graph
-file reader, the check of a smallest separating clique of size 0 or 1 at
-any size, the dense Hermite form and generic point search, and the
-command line read by nested subparsers.  Neither file imports the package,
-so agreement is evidence rather than tautology.
+file reader, the value file reader, the check of a smallest separating
+clique of size 0 or 1 at any size, the dense Hermite form and generic point
+search, and the command line read by nested subparsers.  Neither file
+imports the package, so agreement is evidence rather than tautology.
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def all_labeled_graphs(n: int):
 # again while building the neighbour masks
 
 
-class GraphFileError(Exception):
-    """A graph file the reference reader rejects, at a line."""
+class FileError(Exception):
+    """A graph or value file the reference reader rejects, at a line."""
 
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
@@ -173,50 +173,95 @@ class GraphFileError(Exception):
         self.message = message
 
 
+def _lines(text: str):
+    """Number and stripped text of each line of an input file that holds
+    more than a comment; only LF, CR LF and CR end a line."""
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def read_graph_file(text: str):
     """(vertices, edges as read, neighbour masks) of a graph file, or a
-    GraphFileError with the reader's line and message."""
+    FileError with the reader's line and message."""
     vertices, seen, edges, edge_keys = [], set(), [], set()
     saw_vertices = False
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if line.startswith("vertices:"):
             saw_vertices = True
             for token in line[len("vertices:"):].split():
                 for mark in "-=,:|":
                     if mark in token:
-                        raise GraphFileError(lineno, f"vertex name {token!r} may not contain {mark!r}")
+                        raise FileError(lineno, f"vertex name {token!r} may not contain {mark!r}")
                 if token.endswith("'"):
-                    raise GraphFileError(lineno, f"vertex name {token!r} may not end in an apostrophe")
+                    raise FileError(lineno, f"vertex name {token!r} may not end in an apostrophe")
                 if token in seen:
-                    raise GraphFileError(lineno, f"duplicate vertex {token!r}")
+                    raise FileError(lineno, f"duplicate vertex {token!r}")
                 seen.add(token)
                 vertices.append(token)
         elif line.startswith("edges:"):
             for token in line[len("edges:"):].split():
                 parts = token.split("-")
                 if len(parts) != 2 or not parts[0] or not parts[1]:
-                    raise GraphFileError(lineno, f"malformed edge {token!r}")
+                    raise FileError(lineno, f"malformed edge {token!r}")
                 a, b = parts
                 if a not in seen or b not in seen:
-                    raise GraphFileError(lineno, f"edge {token!r} uses an undeclared vertex")
+                    raise FileError(lineno, f"edge {token!r} uses an undeclared vertex")
                 if a == b:
-                    raise GraphFileError(lineno, f"self-loop {token!r}")
+                    raise FileError(lineno, f"self-loop {token!r}")
                 key = frozenset((a, b))
                 if key in edge_keys:
-                    raise GraphFileError(lineno, f"duplicate edge {token!r}")
+                    raise FileError(lineno, f"duplicate edge {token!r}")
                 edge_keys.add(key)
                 edges.append((a, b))
         else:
-            raise GraphFileError(lineno, f"expected 'vertices:' or 'edges:', got {line!r}")
+            raise FileError(lineno, f"expected 'vertices:' or 'edges:', got {line!r}")
     if not saw_vertices:
-        raise GraphFileError(1, "missing 'vertices:' line")
+        raise FileError(1, "missing 'vertices:' line")
     index = {v: i for i, v in enumerate(vertices)}
     masks = tuple(bench_oracles().masks_of(len(vertices), [(index[a], index[b]) for a, b in edges]))
     return tuple(vertices), edges, masks
+
+
+# ---------------------------------------------------------------------------
+# the value format of `.char` and `.vec` files: 'name = value' lines, each
+# value an integer or a fraction in ASCII digits
+
+
+def _quoted(text: str) -> str:
+    """text as an error message quotes it: its repr, cut to its first 80
+    characters and followed by '...' when longer."""
+    return repr(text) if len(text) <= 80 else repr(text[:80]) + "..."
+
+
+def _ascii_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def read_value_file(text: str, names) -> dict:
+    """The values by generator name of a value file over names, each a
+    Fraction, or a FileError with the reader's line and message.  A number
+    with more digits than the interpreter's limit for reading an integer
+    from text is an error."""
+    names, values = set(names), {}
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    for lineno, line in _lines(text):
+        if "=" not in line:
+            raise FileError(lineno, f"expected 'name = value', got {_quoted(line)}")
+        name, value = (part.strip() for part in line.split("=", 1))
+        if name not in names:
+            raise FileError(lineno, f"unknown generator {_quoted(name)}")
+        if name in values:
+            raise FileError(lineno, f"generator {_quoted(name)} assigned twice")
+        numerator, slash, denominator = value.partition("/")
+        digits = numerator[1:] if numerator[:1] in ("+", "-") else numerator
+        if not _ascii_digits(digits) or slash and not (_ascii_digits(denominator) and denominator[0] != "0"):
+            raise FileError(lineno, f"malformed rational {_quoted(value)}")
+        if limit and max(len(digits), len(denominator)) > limit:
+            raise FileError(lineno, f"number longer than {limit} digits")
+        values[name] = Fraction(int(numerator), int(denominator or "1"))
+    return values
 
 
 # ---------------------------------------------------------------------------

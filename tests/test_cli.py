@@ -7,6 +7,8 @@ import random
 import re
 import subprocess
 import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -116,7 +118,7 @@ def test_graph_reader_matches_two_pass_reader(text):
     error at its line."""
     try:
         vertices, edges, masks = oracles.read_graph_file(text)
-    except oracles.GraphFileError as expected:
+    except oracles.FileError as expected:
         with pytest.raises(ParseError) as err:
             parse_graph_file(text)
         assert (err.value.line, err.value.message) == (expected.line, expected.message)
@@ -496,11 +498,14 @@ def test_read_errors_are_unchanged(tmp_path, monkeypatch):
     empty.write_bytes(b"")
     latin = tmp_path / "latin.graph"
     latin.write_bytes(b"vertices: caf\xe9\n")
+    # no shell passes a NUL byte, but `run` takes any string
+    nul = f"{tmp_path}/a\0b.graph"
     for path, message in [
         (missing, f"cannot read {str(missing)!r}: {os.strerror(errno.ENOENT)}"),
         (directory, f"cannot read {str(directory)!r}: {os.strerror(errno.EISDIR)}"),
         (empty, "line 1: missing 'vertices:' line"),
         (latin, f"cannot read {str(latin)!r}: not valid UTF-8"),
+        (nul, f"cannot read {nul!r}: embedded null byte"),
     ]:
         report = run(["--porcelain", "graph", "analyze", str(path)])
         assert (report.exit_code, report.porcelain, report.human) == (1, (f"error={message}",), f"error: {message}")
@@ -512,6 +517,36 @@ def test_read_errors_are_unchanged(tmp_path, monkeypatch):
     ]:
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
         assert line in run(["graph", "analyze", "-"]).porcelain
+
+
+def test_a_file_is_read_until_it_ends(tmp_path):
+    """A file is read whole, however many reads it takes: a file longer
+    than one read, and a FIFO whose writer writes twice with a pause between,
+    so that the first read comes back short."""
+    comments = "# " + "x" * 97 + "\n"
+    long = tmp_path / "long.char"
+    long.write_text(comments * 2000 + "S(1,2) = 1\nS(1,3) = 1/0\n")
+    assert len(long.read_bytes()) > cli._READ_CHUNK * 3
+    assert cli._read_file(str(long)) == long.read_text()
+    assert run(["--porcelain", "braid", "sigma", "-n", "3", str(long)]).porcelain == (
+        "error=line 2002: malformed rational '1/0'",
+    )
+    fifo = tmp_path / "values.fifo"
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb", buffering=0) as handle:
+            handle.write(b"S(1,2) = 1\n")
+            time.sleep(0.2)
+            handle.write(b"S(1,2) = 2\n")
+
+    # a daemon, so a run that never opens the FIFO leaves no thread to wait for
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    report = run(["--porcelain", "braid", "sigma", "-n", "3", str(fifo)])
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert report.porcelain == ("error=line 2: generator 'S(1,2)' assigned twice",)
 
 
 def test_output_format_is_what_the_top_level_read(tmp_path):
@@ -598,12 +633,13 @@ def test_each_input_is_read_once(tmp_path, monkeypatch):
     graphs without checking them a second time, and a vector keeps only its
     nonzero entries."""
     opened = Counter()
+    os_open = os.open
 
     def counting_open(path, *args, **kwargs):
         opened[path] += 1
-        return open(path, *args, **kwargs)
+        return os_open(path, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    monkeypatch.setattr(os, "open", counting_open)
     vectors = []
     for k, text in enumerate(["S(1,2) = 1\n", "S(3,4) = 2\nS(1,3) = 0\n", "S(2,4) = -1\n"]):
         path = tmp_path / f"v{k}.vec"
@@ -617,7 +653,7 @@ def test_each_input_is_read_once(tmp_path, monkeypatch):
     ]:
         opened.clear()
         assert run(argv).exit_code == 0, argv
-        assert opened == Counter(paths), argv
+        assert Counter({path: opened[path] for path in paths}) == Counter(paths), argv
 
     built = Counter()
     for cls in (Graph, Word):
@@ -706,19 +742,28 @@ def test_help_at_every_level_prints_a_usage():
 
 def test_bytes_depend_on_the_arguments_and_input_alone(tmp_path):
     """Under a standard output that is not UTF-8, the C locale, a narrow or
-    a wide terminal, or another hash seed, each line writes the bytes and
-    ends with the exit code of a run in the default environment, and
-    nothing on stderr: a report goes out as UTF-8, and a command's help is
-    laid out at 80 columns."""
+    a wide terminal, another hash seed, or another interpreter digit limit,
+    each line writes the bytes and ends with the exit code of a run in the
+    default environment, and nothing on stderr: a report goes out as UTF-8,
+    a command's help is laid out at 80 columns, and `main` reads and prints
+    numbers of at most `cli.MAX_DIGITS` digits."""
     graph = tmp_path / "greek.graph"
     graph.write_text("vertices: \u03b1 \u03b2 \u03b3\nedges: \u03b1-\u03b2\n", encoding="utf-8")
+    # values past and within the package's digit limit, which the
+    # interpreter's own limit does not move
+    long, within = tmp_path / "long.char", tmp_path / "within.char"
+    long.write_text(f"S(1,2) = {'7' * 5000}\n")
+    within.write_text(f"S(1,2) = {'7' * 1000}\n")
     changes = [
         {"PYTHONIOENCODING": "ascii"}, {"PYTHONIOENCODING": "latin-1"}, {"LC_ALL": "C"},
         {"COLUMNS": "20"}, {"COLUMNS": "200"}, {"PYTHONHASHSEED": "0"}, {"PYTHONHASHSEED": "1"},
+        {"PYTHONINTMAXSTRDIGITS": "0"}, {"PYTHONINTMAXSTRDIGITS": "640"},
     ]
     for argv in [
         ["graph", "analyze", str(graph)],
         ["--porcelain", "graph", "analyze", str(graph)],
+        ["--porcelain", "braid", "sigma", "-n", "4", str(long)],
+        ["--porcelain", "braid", "sigma", "-n", "4", str(within)],
         ["braid", "sigma", "-n", "\u0664", "x"],
         ["braid", "obstruct", "-h"],
         ["raag", "split-report", "-h"],

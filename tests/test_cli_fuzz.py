@@ -11,7 +11,9 @@ that the reference reader in `tests/oracles.py` accepts, character and
 vector files of integer assignments, and words and characters drawn over
 the graph's vertices.  Vectors spanning one dead subspace's equations reach
 `obstruct`'s covered branch, whose covering subspace, sample and witness
-words are checked too.
+words are checked too.  A character file that `sigma` reads gives the
+`error=` line of the reference value reader in `tests/oracles.py`, or no
+error when that reader accepts it.
 
 The examples are derandomized, so every run of the suite tries the same
 inputs, and no deadline applies, so no outcome depends on machine speed.
@@ -29,7 +31,7 @@ from hypothesis import strategies as st
 from bnskit import cli
 
 from .families import FAMILIES
-from .oracles import GraphFileError, bench_oracles, dead_subspaces, read_graph_file
+from .oracles import FileError, bench_oracles, dead_subspaces, read_graph_file, read_value_file
 
 ORACLES = bench_oracles()
 
@@ -118,7 +120,7 @@ def test_graph_commands_end_in_an_exit_code(text):
             reports.append(report)
     try:
         vertices, _, masks = read_graph_file(text)
-    except GraphFileError:
+    except FileError:
         return
     analyzed, complemented, split, compared = reports
     expected = ORACLES.analyze_expected(vertices, masks)
@@ -180,6 +182,10 @@ CHARACTER_TEXT = st.one_of(
 )
 
 
+# the fewest strands (braids) or loops each family computes on
+MIN_N = {"braid": 3, "loop": 2}
+
+
 def valid_names(family, n):
     strands = range(1, n + 1)
     if family == "braid":
@@ -226,6 +232,19 @@ def test_character_and_vector_files_end_in_an_exit_code(command):
     sigma, witness, obstructed = run_all(
         [text for text, _ in files], [[family, "sigma", "-n", n, 0], [family, "witness", "-n", n, 0], obstruct]
     )
+    if int(n) >= MIN_N[family]:
+        # the file is read once n has passed: a read error is the reference
+        # reader's error, at its line, with its message
+        text = files[0][0]
+        try:
+            text.encode("utf-8")
+            read_value_file(text, valid_names(family, int(n)))
+        except UnicodeEncodeError:
+            assert sigma.exit_code == 1 and sigma.porcelain[0].endswith(": not valid UTF-8")
+        except FileError as expected:
+            assert (sigma.exit_code, sigma.porcelain) == (1, (f"error={expected}",))
+        else:
+            assert sigma.exit_code == 0
     values = [parsed for _, parsed in files]
     if sigma.exit_code == 0 and values[0] is not None:
         assert ORACLES.check_projection_sigma(family, int(n), values[0], 0, sigma.porcelain) is None
